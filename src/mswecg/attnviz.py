@@ -24,6 +24,7 @@ from .data import EcgRecord
 from .errors import DataError, DimensionError
 from .model import ForwardResult, forward
 from .params import ParamStore
+from .tensor import no_grad
 
 SVG_WIDTH = 1200
 SVG_HEIGHT = 200
@@ -136,8 +137,9 @@ def build_dump(record_id: str, result: ForwardResult, cfg: MswConfig) -> Attenti
 def dump_for_record(
     record: EcgRecord, cfg: MswConfig, params: ParamStore
 ) -> tuple[AttentionDump, ForwardResult]:
-    """Evaluation-mode forward pass on one record plus its dump."""
-    result = forward(record.signal, cfg, params)
+    """Evaluation-mode forward pass on one record, recording no graph, plus its dump."""
+    with no_grad():
+        result = forward(record.signal, cfg, params)
     return build_dump(record.id, result, cfg), result
 
 

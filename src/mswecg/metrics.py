@@ -37,6 +37,12 @@ class EvalBatch:
             raise DimensionError(
                 f"scores {scores.shape} and labels {labels.shape} must be equal 2-D shapes"
             )
+        bad = np.argwhere(~np.isfinite(scores))
+        if bad.size:
+            row, k = bad[0]
+            raise ValueError(
+                f"scores must be finite; got {scores[row, k]} at row {row}, class {k}"
+            )
         if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
             raise ValueError("scores must lie in [0, 1]")
         if not np.isin(labels, (0, 1)).all():

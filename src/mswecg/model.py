@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as tc
 from .config import MswConfig
-from .errors import AdmissibilityError, DimensionError
+from .errors import AdmissibilityError, DimensionError, NumericError
 from .params import ParamStore
 from .tensor import Tensor
 
@@ -299,11 +299,21 @@ def predict(
     """Evaluation-mode probabilities (B, K) computed in fixed-size chunks.
 
     Chunking is part of the contract: re-evaluating with the same chunk size
-    reproduces results bitwise.
+    reproduces results bitwise.  No graph is recorded.  Raises
+    :class:`NumericError` naming the first record whose probabilities are
+    not finite.
     """
     signals = np.asarray(signals, dtype=np.float64)
     out = np.empty((signals.shape[0], cfg.K))
-    for start in range(0, signals.shape[0], batch_size):
-        chunk = signals[start : start + batch_size]
-        out[start : start + chunk.shape[0]] = forward(chunk, cfg, params).probs.data
+    with tc.no_grad():
+        for start in range(0, signals.shape[0], batch_size):
+            chunk = signals[start : start + batch_size]
+            probs = forward(chunk, cfg, params).probs.data
+            bad = np.argwhere(~np.isfinite(probs))
+            if bad.size:
+                row, k = bad[0]
+                raise NumericError(
+                    f"non-finite probability {probs[row, k]} for record {start + row}, class {k}"
+                )
+            out[start : start + chunk.shape[0]] = probs
     return out

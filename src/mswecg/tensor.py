@@ -5,6 +5,16 @@ itself on the tensor it produces; ``backward`` traces the records reachable
 from a scalar loss into a :class:`Graph` and replays them in reverse
 topological order, accumulating gradients into ``.grad`` buffers.
 
+Tape lifetime: a record points at its inputs but never back at its output,
+so the tape holds no reference cycle and a forward result is freed by
+reference counting as soon as the caller drops it, whether or not
+``backward`` ran.  ``backward`` frees the graph as it goes: once a record has
+passed its gradient on, it drops its inputs and backward rule and clears its
+output's ``.grad``, so only leaves keep ``.grad`` afterwards.  A consumed
+record stays attached to its output and marked, so a second ``backward``
+through it raises.  Inference runs under :func:`no_grad`, where no op is
+recorded at all.
+
 Tensors are treated as immutable once created, grad buffers excepted (the
 optimizer mutates parameter data in place, but only between passes).  A graph
 and its tensors belong to one thread for the duration of a forward/backward
@@ -26,6 +36,7 @@ __all__ = [
     "Tensor",
     "Graph",
     "MacCounter",
+    "no_grad",
     "apply_op",
     "backward",
     "tensor",
@@ -129,16 +140,38 @@ class Tensor:
 
 
 class OpRecord:
-    """One recorded operation: inputs, output, and its backward rule."""
+    """One recorded operation: its inputs and its backward rule.
 
-    __slots__ = ("name", "inputs", "output", "backward_fn", "consumed")
+    The record is reached only through its output's ``.op``; it holds no
+    reference back to the output.
+    """
 
-    def __init__(self, name, inputs, output, backward_fn):
+    __slots__ = ("name", "inputs", "backward_fn", "consumed")
+
+    def __init__(self, name, inputs, backward_fn):
         self.name = name
         self.inputs = tuple(inputs)
-        self.output = output
         self.backward_fn = backward_fn
         self.consumed = False
+
+
+_grad_enabled: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "mswecg_grad_enabled", default=True
+)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no ops in this context (and thread): outputs carry no ``.op``.
+
+    Values, and the MACs a :class:`MacCounter` counts, are the same as with
+    recording on.
+    """
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
 
 
 def apply_op(name, inputs, out_data, backward_fn) -> Tensor:
@@ -149,9 +182,9 @@ def apply_op(name, inputs, out_data, backward_fn) -> Tensor:
     point for ops with bespoke backward rules defined outside this module.
     """
     out = Tensor(out_data)
-    if any(t.requires_grad for t in inputs):
+    if _grad_enabled.get() and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.op = OpRecord(name, inputs, out, backward_fn)
+        out.op = OpRecord(name, inputs, backward_fn)
     return out
 
 
@@ -167,47 +200,55 @@ class Graph:
     """The ops reachable from a root tensor, in topological order.
 
     ``ops[i]``'s inputs are all produced by ops earlier in the list (or by
-    leaves).  A graph may be run backward exactly once.
+    leaves); ``outputs[i]`` is the tensor ``ops[i]`` produced.  Tracing has
+    no side effects.  A graph may be run backward exactly once, and
+    ``backward`` empties both lists as it runs them.
     """
 
-    def __init__(self, ops):
+    def __init__(self, ops, outputs):
         self.ops: list[OpRecord] = list(ops)
+        self.outputs: list[Tensor] = list(outputs)
 
     @classmethod
     def trace(cls, root: Tensor) -> "Graph":
-        # Iterative postorder DFS.  Records are marked seen when expanded,
-        # not when pushed, so shared subgraphs keep their producers ahead of
-        # every consumer.
+        # Iterative postorder DFS over the tensors that carry records.
+        # Records are marked seen when expanded, not when pushed, so shared
+        # subgraphs keep their producers ahead of every consumer.
         ops: list[OpRecord] = []
+        outputs: list[Tensor] = []
         seen: set[int] = set()
-        stack: list[tuple[OpRecord, bool]] = []
+        stack: list[tuple[Tensor, bool]] = []
         if root.op is not None:
-            stack.append((root.op, False))
+            stack.append((root, False))
         while stack:
-            rec, expanded = stack.pop()
+            t, expanded = stack.pop()
+            rec = t.op
             if expanded:
                 ops.append(rec)
+                outputs.append(t)
                 continue
             if id(rec) in seen:
                 continue
             seen.add(id(rec))
-            stack.append((rec, True))
-            for t in rec.inputs:
-                o = t.op
+            stack.append((t, True))
+            for u in rec.inputs:
+                o = u.op
                 if o is not None and id(o) not in seen:
-                    stack.append((o, False))
-        return cls(ops)
+                    stack.append((u, False))
+        return cls(ops, outputs)
 
     def __len__(self):
         return len(self.ops)
 
 
 def backward(loss: Tensor, graph: Graph | None = None) -> None:
-    """Populate ``.grad`` for every tensor the scalar loss depends on.
+    """Populate ``.grad`` for every leaf the scalar loss depends on.
 
+    The graph is freed as it runs: each consumed record drops its inputs and
+    backward rule, and its output's ``.grad`` is cleared once passed on.
     Raises if the loss is not scalar, is detached from any recorded op, or
-    if the graph has already been run backward (no silent accumulation
-    across passes).
+    if any part of the graph has already been run backward (no silent
+    accumulation across passes).
     """
     if loss.size != 1:
         raise GraphError(f"loss must be scalar, got shape {loss.shape}")
@@ -217,13 +258,15 @@ def backward(loss: Tensor, graph: Graph | None = None) -> None:
     if any(rec.consumed for rec in g.ops):
         raise GraphError("backward was already run on this graph")
     loss.grad = np.ones_like(loss.data)
-    for rec in reversed(g.ops):
-        gout = rec.output.grad
-        rec.consumed = True
+    ops, outputs = g.ops, g.outputs
+    while ops:
+        rec, out = ops.pop(), outputs.pop()
+        gout, out.grad = out.grad, None
+        inputs, fn = rec.inputs, rec.backward_fn
+        rec.consumed, rec.inputs, rec.backward_fn = True, (), None
         if gout is None:
             continue
-        grads = rec.backward_fn(gout)
-        for t, gi in zip(rec.inputs, grads):
+        for t, gi in zip(inputs, fn(gout)):
             if gi is None:
                 continue
             t.grad = gi if t.grad is None else t.grad + gi

@@ -207,6 +207,11 @@ def train_loop(
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {b_idx}")
             params.zero_grads()
             tc.backward(loss)
+            for name, p in params.items():
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    raise NumericError(
+                        f"non-finite gradient in {name} at epoch {epoch}, batch {b_idx}"
+                    )
             adam_step(params, adam, lr)
             seen_probs[idx] = res.probs.data
             loss_sum += lv * len(idx)
@@ -215,7 +220,10 @@ def train_loop(
         log.append(_row(epoch, "train", loss_sum / n, train_report, lr))
 
         if x_val is not None:
-            val_probs = predict(x_val, cfg, params, batch_size=EVAL_BATCH)
+            try:
+                val_probs = predict(x_val, cfg, params, batch_size=EVAL_BATCH)
+            except NumericError as exc:
+                raise NumericError(f"validation at epoch {epoch}: {exc}") from exc
             val_report = evaluate(EvalBatch(scores=val_probs, labels=y_val))
             val_loss = _np_bce(val_probs, y_val.astype(np.float64))
             log.append(_row(epoch, "val", val_loss, val_report, lr))
@@ -285,7 +293,8 @@ def finite_difference_audit(
     labels = np.asarray(labels, dtype=np.float64)
 
     def loss_value() -> float:
-        return _np_bce(forward(signals, cfg, params).probs.data, labels)
+        with tc.no_grad():
+            return _np_bce(forward(signals, cfg, params).probs.data, labels)
 
     params.zero_grads()
     loss = bce_loss(forward(signals, cfg, params).probs, labels)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from mswecg.cli import main
+from mswecg.params import load_checkpoint, save_checkpoint
 
 TINY_SETTINGS = [
     "--set", "P=5", "--set", "C=8", "--set", "heads=2", "--set", "windows=5,10,20",
@@ -151,6 +152,22 @@ def test_eval_missing_checkpoint_exit_3(synth_dir, tmp_path):
         "--labels", str(synth_dir / "labels.csv"),
     ])
     assert code == 3
+
+
+def test_eval_nan_weight_checkpoint_exit_4(synth_dir, trained_dir, tmp_path, capsys):
+    store, config = load_checkpoint(trained_dir / "checkpoint")
+    store["branch1.mlp.W1"].data[0, 0] = math.nan
+    save_checkpoint(store, tmp_path / "nan", config=config)
+    report_path = tmp_path / "report.json"
+    code = main([
+        "eval", "--checkpoint", str(tmp_path / "nan"),
+        "--signals", str(synth_dir / "signals.bin"),
+        "--labels", str(synth_dir / "labels.csv"), "--split", "test",
+        "--out", str(report_path),
+    ])
+    assert code == 4
+    assert "non-finite probability nan for record 0" in capsys.readouterr().err
+    assert not report_path.exists()
 
 
 def test_eval_writes_report_json(synth_dir, trained_dir, tmp_path):

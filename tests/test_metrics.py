@@ -250,3 +250,12 @@ def test_eval_batch_validation():
         batch(np.array([[1.5]]), np.array([[1]]))
     with pytest.raises(ValueError):
         batch(np.array([[0.5]]), np.array([[2]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eval_batch_rejects_non_finite_scores_with_coordinates(bad):
+    scores = np.full((3, 2), 0.5)
+    scores[2, 1] = bad
+    scores[1, 0] = 2.0  # out of range, but the non-finite entry is named
+    with pytest.raises(ValueError, match=r"finite.*row 2, class 1"):
+        batch(scores, np.zeros((3, 2), dtype=int))

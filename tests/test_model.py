@@ -1,9 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 
 from mswecg import tensor as tc
 from mswecg.config import MswConfig
-from mswecg.errors import AdmissibilityError, DimensionError
+from mswecg.errors import AdmissibilityError, DimensionError, NumericError
 from mswecg.model import (
     branch_project,
     forward,
@@ -11,12 +13,14 @@ from mswecg.model import (
     linear_embed,
     msw_block,
     patch_split,
+    predict,
     relative_bias,
     window_attention,
     window_partition,
     window_unpartition,
 )
 from mswecg.params import init_params
+from mswecg.train import AdamState, adam_step, bce_loss
 from util import finite_diff_check, global_block_oracle
 
 TINY = MswConfig(L=40, n_leads=2, P=5, C=8, heads=2, windows=(2, 4), K=3)
@@ -424,3 +428,79 @@ def test_forward_with_shift_changes_windows_not_shapes():
     res = forward(sig, cfg, params)
     assert res.probs.shape == (cfg.K,)
     assert np.isfinite(res.probs.data).all()
+
+
+# ---------------------------------------------------------------------------
+# Tape lifetime and inference without a tape
+
+
+def _cyclic_garbage_after(step) -> int:
+    """Objects only the cyclic collector can free once ``step`` has returned."""
+    gc.collect()
+    gc.disable()
+    try:
+        step()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_train_step_leaves_no_cyclic_garbage():
+    params = init_params(TINY, seed=4)
+    rng = np.random.default_rng(5)
+    sig = rng.normal(size=(4, TINY.n_leads, TINY.L))
+    labels = (rng.random((4, TINY.K)) < 0.5).astype(np.float64)
+
+    def step():
+        res = forward(sig, TINY, params, train=True, rng=np.random.default_rng(0))
+        loss = bce_loss(res.probs, labels)
+        params.zero_grads()
+        tc.backward(loss)
+        adam_step(params, AdamState(), 1e-3)
+        del res, loss
+
+    assert _cyclic_garbage_after(step) == 0
+
+
+def test_dropped_forward_leaves_no_cyclic_garbage():
+    params = init_params(TINY, seed=4)
+    sig = np.random.default_rng(6).normal(size=(4, TINY.n_leads, TINY.L))
+
+    def step():
+        res = forward(sig, TINY, params, train=True, rng=np.random.default_rng(0))
+        del res
+
+    assert _cyclic_garbage_after(step) == 0
+
+
+def test_no_grad_forward_is_tape_free_and_bitwise_equal():
+    params = init_params(TINY, seed=10)
+    sig = np.random.default_rng(11).normal(size=(3, TINY.n_leads, TINY.L))
+    recorded = forward(sig, TINY, params)
+    with tc.no_grad():
+        free = forward(sig, TINY, params)
+    assert recorded.probs.op is not None
+    assert free.probs.op is None and len(tc.Graph.trace(free.probs)) == 0
+    assert free.probs.data.tobytes() == recorded.probs.data.tobytes()
+    assert free.beta.data.tobytes() == recorded.beta.data.tobytes()
+    assert predict(sig, TINY, params).tobytes() == recorded.probs.data.tobytes()
+
+
+def test_mac_count_is_the_same_without_a_tape():
+    params = init_params(TINY, seed=12)
+    sig = np.random.default_rng(13).normal(size=(2, TINY.n_leads, TINY.L))
+    counters = [tc.MacCounter(), tc.MacCounter()]
+    with counters[0].active():
+        forward(sig, TINY, params)
+    with counters[1].active(), tc.no_grad():
+        forward(sig, TINY, params)
+    assert counters[0].total > 0
+    assert counters[0].phases == counters[1].phases
+
+
+def test_predict_names_the_first_non_finite_record():
+    params = init_params(TINY, seed=14)
+    sig = np.random.default_rng(15).normal(size=(5, TINY.n_leads, TINY.L))
+    sig[3, 1, 7] = np.nan
+    with pytest.raises(NumericError, match=r"record 3, class 0"):
+        predict(sig, TINY, params, batch_size=2)

@@ -148,6 +148,59 @@ def test_graph_trace_is_topological_with_shared_nodes():
     assert np.allclose(x.grad, 10.0 * x.data)
 
 
+# ---------------------------------------------------------------------------
+# Tape lifetime
+
+
+def test_graph_trace_has_no_side_effects():
+    x = tc.Tensor(np.ones(3), requires_grad=True)
+    h = tc.mul(x, x)
+    loss = tc.sum(tc.add(h, h))
+    first = tc.Graph.trace(loss)
+    second = tc.Graph.trace(loss)
+    assert [r.name for r in first.ops] == [r.name for r in second.ops] == ["mul", "add", "sum"]
+    assert first.outputs[-1] is loss and first.outputs[0] is h
+    assert not any(rec.consumed for rec in first.ops)
+    assert x.grad is None and h.grad is None
+    tc.backward(loss)
+    assert np.allclose(x.grad, 4.0 * x.data)
+
+
+def test_backward_frees_the_graph_and_leaves_keep_grads():
+    x = tc.Tensor(np.arange(3.0), requires_grad=True)
+    w = tc.Tensor(np.ones(3), requires_grad=True)
+    h = tc.mul(x, w)
+    loss = tc.sum(tc.gelu(h))
+    tc.backward(loss)
+    assert x.grad is not None and w.grad is not None
+    assert h.grad is None and loss.grad is None
+    for t in (h, loss):
+        assert t.op.consumed and t.op.inputs == () and t.op.backward_fn is None
+
+
+def test_backward_through_a_consumed_shared_subgraph_is_an_error():
+    x = tc.Tensor(np.ones(3), requires_grad=True)
+    h = tc.mul(x, x)
+    tc.backward(tc.sum(h))
+    with pytest.raises(GraphError, match="already"):
+        tc.backward(tc.mean(h))
+
+
+def test_no_grad_records_nothing_and_restores():
+    x = tc.Tensor(np.ones((2, 3)), requires_grad=True)
+    with tc.no_grad():
+        y = tc.matmul(tc.gelu(x), tc.tensor(np.ones((3, 2))))
+        with tc.no_grad():
+            pass
+        z = tc.sum(y)
+    assert y.op is None and z.op is None and not z.requires_grad
+    with pytest.raises(GraphError, match="detached"):
+        tc.backward(z)
+    recorded = tc.sum(tc.matmul(tc.gelu(x), tc.tensor(np.ones((3, 2)))))
+    assert recorded.op is not None
+    assert recorded.data == z.data
+
+
 def test_dropout_eval_is_identity():
     x = tc.tensor(np.arange(12.0).reshape(3, 4))
     assert tc.dropout(x, 0.5, train=False) is x

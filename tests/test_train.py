@@ -212,6 +212,32 @@ def test_nan_loss_aborts_with_coordinates():
         train_loop(TINY, params, ds, TrainConfig(max_epochs=1, batch_size=8, seed=0))
 
 
+def test_non_finite_gradient_aborts_before_any_update(monkeypatch):
+    ds = tiny_dataset(20)
+    params = init_params(TINY, seed=2)
+    before = params.copy()
+    real_backward = tc.backward
+
+    def backward_with_inf_grad(loss):
+        real_backward(loss)
+        params["fusion.W"].grad[0, 0] = np.inf
+
+    monkeypatch.setattr(tc, "backward", backward_with_inf_grad)
+    with pytest.raises(NumericError, match=r"fusion\.W at epoch 0, batch 0"):
+        train_loop(TINY, params, ds, TrainConfig(max_epochs=1, batch_size=8, seed=0))
+    for name, t in params.items():
+        assert np.array_equal(t.data, before[name].data), name
+
+
+def test_non_finite_validation_probs_abort_with_coordinates():
+    ds = tiny_dataset(40)
+    _, val, _ = fold_split(ds)
+    val[0].signal[0, 0] = np.nan
+    with pytest.raises(NumericError, match=r"validation at epoch 0: .*record 0, class 0"):
+        train_loop(TINY, init_params(TINY, seed=2), ds,
+                   TrainConfig(max_epochs=1, batch_size=8, seed=0))
+
+
 def test_checkpoint_round_trip_reproduces_val_metrics(tmp_path):
     ds = tiny_dataset(40)
     tcfg = TrainConfig(max_epochs=2, batch_size=8, seed=3,

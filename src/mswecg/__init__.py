@@ -1,9 +1,9 @@
 """Multi-scale windowed-attention transformer for multilabel ECG classification."""
 
 from .config import MswConfig
-from .data import Dataset, DatasetHeader, EcgRecord, SynthSpec
+from .data import Dataset, DatasetHeader, SynthSpec
 from .metrics import EvalBatch, MetricReport
-from .model import BranchOutput, ForwardResult, TokenSequence, forward, predict, tokenize
+from .model import BranchOutput, ForwardResult, forward, predict
 from .params import ParamStore, init_params, load_checkpoint, save_checkpoint
 from .tensor import Tensor
 from .train import AdamState, TrainConfig, TrainResult, train_loop
@@ -12,16 +12,13 @@ __all__ = [
     "MswConfig",
     "Dataset",
     "DatasetHeader",
-    "EcgRecord",
     "SynthSpec",
     "EvalBatch",
     "MetricReport",
     "BranchOutput",
     "ForwardResult",
-    "TokenSequence",
     "forward",
     "predict",
-    "tokenize",
     "ParamStore",
     "init_params",
     "load_checkpoint",

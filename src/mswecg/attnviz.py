@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import MswConfig
-from .data import EcgRecord
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, NumericError
 from .model import ForwardResult, forward
 from .params import ParamStore
 from .tensor import no_grad
@@ -100,8 +99,13 @@ def expand_to_samples(scores: np.ndarray, P: int) -> np.ndarray:
 
 
 def build_dump(record_id: str, result: ForwardResult, cfg: MswConfig) -> AttentionDump:
-    """Assemble the exportable dump from one single-record forward pass."""
+    """Assemble the exportable dump from one single-record forward pass.
+
+    Raises :class:`NumericError` naming the first branch whose attention map
+    (and window) or fusion weight is not finite.
+    """
     T = cfg.tokens
+    beta = result.beta.data
     branches = []
     per_branch_scores = []
     for br in result.branches:
@@ -110,6 +114,9 @@ def build_dump(record_id: str, result: ForwardResult, cfg: MswConfig) -> Attenti
             raise DimensionError(
                 "build_dump needs a single-record forward pass (unbatched attention)"
             )
+        bad = np.flatnonzero(~np.isfinite(attn).all(axis=(1, 2, 3)))
+        if bad.size:
+            raise NumericError(f"branch M={br.M}: non-finite attention in window {bad[0]}")
         n_w = attn.shape[0]
         windows = tuple(
             WindowDump(
@@ -123,7 +130,10 @@ def build_dump(record_id: str, result: ForwardResult, cfg: MswConfig) -> Attenti
         per_branch_scores.append(scores)
         branches.append(BranchDump(M=br.M, shift=br.shift, windows=windows,
                                    token_scores=scores))
-    beta = result.beta.data
+    bad = np.flatnonzero(~np.isfinite(beta))
+    if bad.size:
+        br = result.branches[bad[0]]
+        raise NumericError(f"branch M={br.M}: non-finite fusion weight beta {beta[bad[0]]}")
     fused_tokens = fuse_scores(per_branch_scores, beta)
     return AttentionDump(
         record_id=record_id,
@@ -135,12 +145,13 @@ def build_dump(record_id: str, result: ForwardResult, cfg: MswConfig) -> Attenti
 
 
 def dump_for_record(
-    record: EcgRecord, cfg: MswConfig, params: ParamStore
+    record_id: str, signal: np.ndarray, cfg: MswConfig, params: ParamStore
 ) -> tuple[AttentionDump, ForwardResult]:
-    """Evaluation-mode forward pass on one record, recording no graph, plus its dump."""
+    """Evaluation-mode forward pass on one (n_leads, L) record, recording no
+    graph, plus its dump."""
     with no_grad():
-        result = forward(record.signal, cfg, params)
-    return build_dump(record.id, result, cfg), result
+        result = forward(signal, cfg, params)
+    return build_dump(record_id, result, cfg), result
 
 
 # ---------------------------------------------------------------------------

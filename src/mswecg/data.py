@@ -1,5 +1,11 @@
 """Dataset representation, file I/O, standardization, folds, synthetic data.
 
+A :class:`Dataset` is columnar: one ``(N, n_leads, L)`` float64 signal
+array, one ``(N, K)`` int64 multi-hot label matrix, one ``(N,)`` fold
+vector and a tuple of record ids, all in file row order.  Loading maps the
+signal blob read-only instead of copying it; :func:`standardize` makes the
+one in-memory copy the model consumes.
+
 On-disk format, chosen to be trivially writable from any conversion script:
 
 * signal file — one ASCII header line ``n_leads L K sample_rate`` followed by
@@ -21,9 +27,7 @@ import numpy as np
 from .errors import DataError
 
 SIGMA_FLOOR = 1e-8
-TRAIN_FOLDS = frozenset(range(1, 9))
-VAL_FOLD = 9
-TEST_FOLD = 10
+SPLIT_FOLDS = {"train": range(1, 9), "val": (9,), "test": (10,)}
 
 
 @dataclass(frozen=True)
@@ -35,67 +39,88 @@ class DatasetHeader:
     sample_rate: int = 100
 
 
-@dataclass(frozen=True)
-class EcgRecord:
-    id: str
-    signal: np.ndarray  # (n_leads, L) voltages
-    labels: np.ndarray  # (K,) multi-hot ints
-    fold: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
+    """N records as columns, in file row order.
+
+    ``signals`` is (N, n_leads, L) float64 (a read-only memory map straight
+    after :func:`load_dataset`), ``labels`` (N, K) int64 multi-hot rows,
+    ``folds`` (N,) int64 in 1..10 and ``ids`` the N record ids.
+    """
+
     header: DatasetHeader
-    records: tuple[EcgRecord, ...]
-    lead_mean: np.ndarray | None = None  # set by standardize()
-    lead_std: np.ndarray | None = None
+    ids: tuple[str, ...]
+    signals: np.ndarray
+    labels: np.ndarray
+    folds: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.ids)
+        h = self.header
+        if (self.signals.shape != (n, h.n_leads, h.L) or self.labels.shape != (n, h.K)
+                or self.folds.shape != (n,)):
+            raise DataError(
+                f"dataset columns disagree: {n} ids, signals {self.signals.shape}, labels "
+                f"{self.labels.shape}, folds {self.folds.shape} for header "
+                f"({h.n_leads}, {h.L}, {h.K})"
+            )
 
     def __len__(self):
-        return len(self.records)
+        return len(self.ids)
 
-    def signals(self) -> np.ndarray:
-        return np.stack([r.signal for r in self.records])
-
-    def label_matrix(self) -> np.ndarray:
-        return np.stack([r.labels for r in self.records])
-
-
-def _validate_record(rec: EcgRecord, header: DatasetHeader, row: int) -> None:
-    if rec.signal.shape != (header.n_leads, header.L):
-        raise DataError(
-            f"record {rec.id} (row {row}): signal shape {rec.signal.shape} != "
-            f"({header.n_leads}, {header.L})"
+    def take(self, mask: np.ndarray) -> "Dataset":
+        """The records where the boolean ``mask`` holds, as in-memory copies."""
+        return Dataset(
+            header=self.header,
+            ids=tuple(i for i, keep in zip(self.ids, mask) if keep),
+            signals=self.signals[mask],
+            labels=self.labels[mask],
+            folds=self.folds[mask],
         )
-    if not np.isfinite(rec.signal).all():
-        raise DataError(f"record {rec.id} (row {row}): non-finite sample")
-    if rec.labels.shape != (header.K,) or not np.isin(rec.labels, (0, 1)).all():
-        raise DataError(f"record {rec.id} (row {row}): labels must be a {header.K}-long 0/1 row")
-    if not 1 <= rec.fold <= 10:
-        raise DataError(f"record {rec.id} (row {row}): fold {rec.fold} outside 1..10")
 
 
-def load_dataset(signal_file, label_file, header: DatasetHeader | None = None) -> Dataset:
-    """Materialize a dataset; malformed rows are rejected with their index.
+def read_header(signal_file) -> tuple[DatasetHeader, int]:
+    """Parse the signal file's header line, reading nothing else.
 
-    When ``header`` is given, the files must agree with it (lead count,
-    record length, class names); otherwise the files are trusted.
+    Returns the header (without class names, which live in the label file)
+    and the byte offset at which the sample blob starts.
     """
-    signal_file, label_file = Path(signal_file), Path(label_file)
-    if not signal_file.exists():
-        raise DataError(f"signal file not found: {signal_file}")
-    if not label_file.exists():
-        raise DataError(f"label file not found: {label_file}")
-
-    with open(signal_file, "rb") as fh:
-        head_line = fh.readline().decode("ascii", errors="replace").strip()
-        blob = fh.read()
-    parts = head_line.split()
+    path = Path(signal_file)
+    if not path.exists():
+        raise DataError(f"signal file not found: {path}")
+    with open(path, "rb") as fh:
+        line = fh.readline()
+    text = line.decode("ascii", errors="replace").strip()
+    parts = text.split()
     if len(parts) != 4:
-        raise DataError(f"{signal_file}: header line must be 'n_leads L K sample_rate'")
+        raise DataError(f"{path}: header line must be 'n_leads L K sample_rate'")
     try:
         n_leads, L, K, rate = (int(p) for p in parts)
     except ValueError as exc:
-        raise DataError(f"{signal_file}: non-integer header field: {head_line!r}") from exc
+        raise DataError(f"{path}: non-integer header field: {text!r}") from exc
+    if n_leads < 1 or L < 1 or K < 0:
+        raise DataError(f"{path}: header needs n_leads >= 1, L >= 1 and K >= 0")
+    return DatasetHeader(n_leads=n_leads, L=L, K=K, class_names=(), sample_rate=rate), len(line)
+
+
+def _first(bad: np.ndarray) -> int | None:
+    """Index of the first true entry, or None."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
+
+
+def load_dataset(signal_file, label_file, header: DatasetHeader | None = None) -> Dataset:
+    """Map a dataset's files; malformed rows are rejected with their index.
+
+    The signal blob is memory-mapped read-only, not copied.  When ``header``
+    is given, the files must agree with it (lead count, record length, class
+    names); otherwise the files are trusted.
+    """
+    signal_file, label_file = Path(signal_file), Path(label_file)
+    file_header, offset = read_header(signal_file)
+    if not label_file.exists():
+        raise DataError(f"label file not found: {label_file}")
+    n_leads, L, K = file_header.n_leads, file_header.L, file_header.K
 
     with open(label_file, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -119,35 +144,49 @@ def load_dataset(signal_file, label_file, header: DatasetHeader | None = None) -
             raise DataError(f"{label_file}: class columns {class_names} are not in the expected "
                             f"order {header.class_names}")
 
-    n_records = len(rows) - 1
+    body = rows[1:]
+    n_records = len(body)
+    blob_bytes = signal_file.stat().st_size - offset
     expected = n_records * n_leads * L * 8
-    if len(blob) != expected:
+    if blob_bytes != expected:
         raise DataError(
-            f"{signal_file}: blob holds {len(blob)} bytes, expected {expected} "
+            f"{signal_file}: blob holds {blob_bytes} bytes, expected {expected} "
             f"for {n_records} records of {n_leads}x{L} float64"
         )
-    signals = np.frombuffer(blob, dtype="<f8").reshape(n_records, n_leads, L)
+
+    values = np.empty((n_records, 1 + K), dtype=np.int64)  # fold, then labels
+    seen_ids = set()
+    for row, fields in enumerate(body):
+        if len(fields) != 2 + K:
+            raise DataError(f"{label_file} row {row}: expected {2 + K} fields, got {len(fields)}")
+        if fields[0] in seen_ids:
+            raise DataError(f"{label_file} row {row}: duplicate id {fields[0]!r}")
+        seen_ids.add(fields[0])
+        try:
+            values[row] = [int(v) for v in fields[1:]]
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"{label_file} row {row}: non-integer fold/label field") from exc
+    ids = tuple(fields[0] for fields in body)
+    folds, labels = values[:, 0].copy(), values[:, 1:].copy()
+
+    if n_records:
+        signals = np.memmap(signal_file, dtype="<f8", mode="r", offset=offset,
+                            shape=(n_records, n_leads, L))
+    else:
+        signals = np.empty((0, n_leads, L))
+    row = _first(~np.isfinite(signals).all(axis=(1, 2)))
+    if row is not None:
+        raise DataError(f"record {ids[row]} (row {row}): non-finite sample")
+    row = _first(~np.isin(labels, (0, 1)).all(axis=1))
+    if row is not None:
+        raise DataError(f"record {ids[row]} (row {row}): labels must be a {K}-long 0/1 row")
+    row = _first((folds < 1) | (folds > 10))
+    if row is not None:
+        raise DataError(f"record {ids[row]} (row {row}): fold {folds[row]} outside 1..10")
 
     out_header = DatasetHeader(n_leads=n_leads, L=L, K=K, class_names=class_names,
-                               sample_rate=rate)
-    records = []
-    seen_ids = set()
-    for row_idx, row in enumerate(rows[1:]):
-        if len(row) != 2 + K:
-            raise DataError(f"{label_file} row {row_idx}: expected {2 + K} fields, got {len(row)}")
-        rec_id = row[0]
-        if rec_id in seen_ids:
-            raise DataError(f"{label_file} row {row_idx}: duplicate id {rec_id!r}")
-        seen_ids.add(rec_id)
-        try:
-            fold = int(row[1])
-            labels = np.array([int(v) for v in row[2:]], dtype=np.int64)
-        except ValueError as exc:
-            raise DataError(f"{label_file} row {row_idx}: non-integer fold/label field") from exc
-        rec = EcgRecord(id=rec_id, signal=signals[row_idx].copy(), labels=labels, fold=fold)
-        _validate_record(rec, out_header, row_idx)
-        records.append(rec)
-    return Dataset(header=out_header, records=tuple(records))
+                               sample_rate=file_header.sample_rate)
+    return Dataset(header=out_header, ids=ids, signals=signals, labels=labels, folds=folds)
 
 
 def save_dataset(ds: Dataset, signal_file, label_file) -> None:
@@ -158,13 +197,12 @@ def save_dataset(ds: Dataset, signal_file, label_file) -> None:
     h = ds.header
     with open(signal_file, "wb") as fh:
         fh.write(f"{h.n_leads} {h.L} {h.K} {h.sample_rate}\n".encode("ascii"))
-        for rec in ds.records:
-            fh.write(np.ascontiguousarray(rec.signal, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(ds.signals, dtype="<f8").tobytes())
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "fold", *h.class_names])
-    for rec in ds.records:
-        writer.writerow([rec.id, rec.fold, *(int(v) for v in rec.labels)])
+    for rec_id, fold, labels in zip(ds.ids, ds.folds.tolist(), ds.labels.tolist()):
+        writer.writerow([rec_id, fold, *labels])
     label_file.write_text(buf.getvalue())
 
 
@@ -172,19 +210,13 @@ def save_dataset(ds: Dataset, signal_file, label_file) -> None:
 # Standardization and folds
 
 
-def fold_split(ds: Dataset) -> tuple[list[EcgRecord], list[EcgRecord], list[EcgRecord]]:
+def fold_split(ds: Dataset) -> tuple[Dataset, Dataset, Dataset]:
     """Partition records into train (folds 1-8), validation (9), test (10)."""
-    train, val, test = [], [], []
-    for rec in ds.records:
-        if rec.fold in TRAIN_FOLDS:
-            train.append(rec)
-        elif rec.fold == VAL_FOLD:
-            val.append(rec)
-        elif rec.fold == TEST_FOLD:
-            test.append(rec)
-        else:
-            raise DataError(f"record {rec.id}: fold {rec.fold} outside 1..10")
-    if not val:
+    row = _first((ds.folds < 1) | (ds.folds > 10))
+    if row is not None:
+        raise DataError(f"record {ds.ids[row]}: fold {ds.folds[row]} outside 1..10")
+    train, val, test = (ds.take(np.isin(ds.folds, folds)) for folds in SPLIT_FOLDS.values())
+    if not len(val):
         import warnings
 
         warnings.warn("validation fold (9) is empty", stacklevel=2)
@@ -194,18 +226,18 @@ def fold_split(ds: Dataset) -> tuple[list[EcgRecord], list[EcgRecord], list[EcgR
 def standardize(ds: Dataset) -> Dataset:
     """Shift/scale every lead by statistics pooled over the training folds only.
 
-    Constant leads map to zeros (the scale is floored at a small epsilon).
+    Returns the standardized signals as one in-memory copy.  Constant leads
+    map to zeros (the scale is floored at a small epsilon).
     """
-    train = [r for r in ds.records if r.fold in TRAIN_FOLDS]
-    if not train:
+    train = ds.signals[np.isin(ds.folds, SPLIT_FOLDS["train"])]  # (n_train, n_leads, L)
+    if not len(train):
         raise DataError("cannot standardize: training folds 1-8 are empty")
-    stacked = np.stack([r.signal for r in train])  # (n_train, n_leads, L)
-    mean = stacked.mean(axis=(0, 2))
-    std = np.maximum(stacked.std(axis=(0, 2)), SIGMA_FLOOR)
-    records = tuple(
-        replace(r, signal=(r.signal - mean[:, None]) / std[:, None]) for r in ds.records
-    )
-    return Dataset(header=ds.header, records=records, lead_mean=mean, lead_std=std)
+    mean = train.mean(axis=(0, 2))
+    std = np.maximum(train.std(axis=(0, 2)), SIGMA_FLOOR)
+    del train
+    signals = np.subtract(ds.signals, mean[:, None])
+    signals /= std[:, None]
+    return replace(ds, signals=signals)
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +284,12 @@ def synth_generate(spec: SynthSpec) -> Dataset:
 
     rng = np.random.default_rng(spec.seed)
     t = np.arange(spec.L, dtype=np.float64)
-    records = []
+    signals = np.empty((spec.n_records, spec.n_leads, spec.L))
+    labels = np.empty((spec.n_records, 3), dtype=np.int64)
     for r in range(spec.n_records):
-        labels = (rng.random(3) < np.asarray(spec.marginals)).astype(np.int64)
-        width = spec.pulse_width * (spec.wide_factor if labels[0] else 1.0)
-        interval = spec.interval * (spec.interval_factor if labels[2] else 1.0)
+        labels[r] = rng.random(3) < np.asarray(spec.marginals)
+        width = spec.pulse_width * (spec.wide_factor if labels[r, 0] else 1.0)
+        interval = spec.interval * (spec.interval_factor if labels[r, 2] else 1.0)
         # First pulse sits half an interval in; the baseline (no motifs, no
         # noise) is therefore the same trace for every record.
         centers = np.arange(interval / 2.0, spec.L + 4.0 * width, interval)
@@ -264,13 +297,10 @@ def synth_generate(spec: SynthSpec) -> Dataset:
         for c in centers:
             pulse += np.exp(-0.5 * ((t - c) / width) ** 2)
         amps = np.full(spec.n_leads, spec.base_amp)
-        if labels[1]:
+        if labels[r, 1]:
             amps[list(spec.amp_leads)] *= spec.amp_factor
         noise = rng.normal(0.0, spec.noise_std, size=(spec.n_leads, spec.L))
-        signal = amps[:, None] * pulse[None, :] + noise
-        records.append(
-            EcgRecord(id=f"synth-{r:05d}", signal=signal, labels=labels, fold=(r % 10) + 1)
-        )
+        signals[r] = amps[:, None] * pulse[None, :] + noise
     header = DatasetHeader(
         n_leads=spec.n_leads,
         L=spec.L,
@@ -278,4 +308,10 @@ def synth_generate(spec: SynthSpec) -> Dataset:
         class_names=spec.class_names,
         sample_rate=spec.sample_rate,
     )
-    return Dataset(header=header, records=tuple(records))
+    return Dataset(
+        header=header,
+        ids=tuple(f"synth-{r:05d}" for r in range(spec.n_records)),
+        signals=signals,
+        labels=labels,
+        folds=np.arange(spec.n_records, dtype=np.int64) % 10 + 1,
+    )

@@ -25,14 +25,6 @@ from .tensor import Tensor
 
 
 @dataclass
-class TokenSequence:
-    """Embedded patch tokens of one record."""
-
-    tokens: Tensor  # (T, C)
-    provenance: str = ""
-
-
-@dataclass
 class BranchOutput:
     """One window-scale pathway: attended tokens, attention maps, logits."""
 
@@ -55,13 +47,13 @@ class ForwardResult:
 # Preprocessing
 
 
-def patch_split(signal, cfg: MswConfig) -> np.ndarray:
+def patch_split(signal: np.ndarray, cfg: MswConfig) -> np.ndarray:
     """Cut (..., n_leads, L) voltages into (..., T, n_leads*P) patch rows.
 
     Row t concatenates, lead-major, each lead's samples [t*P, (t+1)*P); the
     layout is fixed so saved checkpoints stay portable.
     """
-    sig = np.asarray(getattr(signal, "signal", signal), dtype=np.float64)
+    sig = np.asarray(signal, dtype=np.float64)
     if sig.shape[-2:] != (cfg.n_leads, cfg.L):
         raise DimensionError(
             f"signal shape {sig.shape[-2:]} does not match (n_leads, L) = "
@@ -80,12 +72,6 @@ def linear_embed(patches, w_embed: Tensor, b_embed: Tensor) -> Tensor:
     """Project raw patch rows into the block's embedding width."""
     return tc.linear(tc.tensor(patches) if isinstance(patches, np.ndarray) else patches,
                      w_embed, b_embed)
-
-
-def tokenize(record, cfg: MswConfig, params: ParamStore) -> TokenSequence:
-    """Patch and embed one record into its (T, C) token sequence."""
-    tokens = linear_embed(patch_split(record, cfg), params["embed.W"], params["embed.b"])
-    return TokenSequence(tokens=tokens, provenance=getattr(record, "id", ""))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import MswConfig
-from .errors import DataError, DimensionError
+from .errors import DataError
 from .tensor import Tensor
 
 _DTYPE = "<f8"
@@ -47,32 +47,15 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def tensors(self):
-        return self._params.values()
-
     def zero_grads(self) -> None:
         for t in self._params.values():
             t.grad = None
-
-    def n_scalars(self) -> int:
-        return sum(t.size for t in self._params.values())
 
     def copy(self) -> "ParamStore":
         out = ParamStore()
         for name, t in self._params.items():
             out.add(name, t.data.copy())
         return out
-
-    def load_values(self, other: "ParamStore") -> None:
-        """Overwrite this store's buffers with another store's values."""
-        if other.names() != self.names():
-            raise DimensionError("parameter stores have different name sets")
-        for name, t in self._params.items():
-            src = other[name]
-            if src.shape != t.shape:
-                raise DimensionError(f"parameter {name}: shape {src.shape} != {t.shape}")
-            t.data = src.data.copy()
-            t.grad = None
 
 
 def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:

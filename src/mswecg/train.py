@@ -95,13 +95,15 @@ def adam_step(params: ParamStore, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, in place, from the stored gradients."""
     if lr < 0:
         raise ValueError(f"lr must be >= 0, got {lr}")
+    # Check every gradient first, so a failed step changes nothing.
+    for name, p in params.items():
+        if p.grad is None:
+            raise ValueError(f"parameter {name} has no gradient")
     state.step += 1
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
     for name, p in params.items():
         g = p.grad
-        if g is None:
-            raise ValueError(f"parameter {name} has no gradient")
         m = state.m.get(name)
         if m is None:
             m = np.zeros_like(p.data)
@@ -176,13 +178,13 @@ def train_loop(
     computed from the predictions gathered while the parameters moved during
     the epoch; validation metrics come from a dedicated evaluation pass.
     """
-    train_recs, val_recs, _ = fold_split(dataset)
-    if not train_recs:
+    train, val, _ = fold_split(dataset)
+    if not len(train):
         raise DataError("training folds are empty")
-    x_train = np.stack([r.signal for r in train_recs])
-    y_train = np.stack([r.labels for r in train_recs]).astype(np.float64)
-    x_val = np.stack([r.signal for r in val_recs]) if val_recs else None
-    y_val = np.stack([r.labels for r in val_recs]) if val_recs else None
+    x_train = train.signals
+    y_train = train.labels.astype(np.float64)
+    x_val = val.signals if len(val) else None
+    y_val = val.labels
 
     ss = np.random.SeedSequence(tcfg.seed)
     shuffle_rng, dropout_rng = (np.random.default_rng(c) for c in ss.spawn(2))

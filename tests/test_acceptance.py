@@ -54,10 +54,8 @@ def _train_and_test_f1(cfg, dataset, seed, max_epochs):
                         TrainConfig(max_epochs=max_epochs, batch_size=16, lr0=1e-4,
                                     seed=seed))
     _, _, test = fold_split(dataset)
-    x = np.stack([r.signal for r in test])
-    y = np.stack([r.labels for r in test])
-    probs = predict(x, cfg, result.best_params)
-    return evaluate(EvalBatch(scores=probs, labels=y)).macro_f1
+    probs = predict(test.signals, cfg, result.best_params)
+    return evaluate(EvalBatch(scores=probs, labels=test.labels)).macro_f1
 
 
 def test_criterion_1_gradient_audit():
@@ -250,8 +248,7 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
 
     store, _ = load_checkpoint(tmp_path / "best")
     _, val, _ = fold_split(ds)
-    x = np.stack([r.signal for r in val])
-    y = np.stack([r.labels for r in val])
+    x, y = val.signals, val.labels
     probs = predict(x, cfg, store)
     rep = evaluate(EvalBatch(scores=probs, labels=y))
     logged = next(r for r in run_a.log if r.split == "val" and r.epoch == run_a.best_epoch)

@@ -16,7 +16,7 @@ from mswecg.attnviz import (
 )
 from mswecg.config import MswConfig
 from mswecg.data import SynthSpec, standardize, synth_generate
-from mswecg.errors import DimensionError
+from mswecg.errors import DimensionError, NumericError
 from mswecg.model import forward
 from mswecg.params import init_params
 
@@ -25,7 +25,7 @@ CFG = MswConfig(L=40, n_leads=2, P=5, C=8, heads=2, windows=(2, 4), K=3)
 
 def fitted_record_and_params(seed=0):
     ds = standardize(synth_generate(SynthSpec(seed=seed, n_records=20, n_leads=2, L=40)))
-    return ds.records[0], init_params(CFG, seed=seed)
+    return (ds.ids[0], ds.signals[0]), init_params(CFG, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +141,9 @@ def test_expand_round_trip_mean_pool():
 
 
 def test_dump_shapes_and_row_sums():
-    record, params = fitted_record_and_params()
-    dump, _ = dump_for_record(record, CFG, params)
-    assert dump.record_id == record.id
+    (record_id, signal), params = fitted_record_and_params()
+    dump, _ = dump_for_record(record_id, signal, CFG, params)
+    assert dump.record_id == record_id
     assert dump.beta.shape == (CFG.n_branches,)
     assert dump.fused_token_scores.shape == (CFG.tokens,)
     assert dump.fused_sample_scores.shape == (CFG.L,)
@@ -155,11 +155,18 @@ def test_dump_shapes_and_row_sums():
             assert np.abs(win.attn.sum(axis=-1) - 1.0).max() <= 1e-12
 
 
+def test_dump_rejects_non_finite_attention_naming_branch_and_window():
+    (record_id, signal), params = fitted_record_and_params(seed=2)
+    params["branch1.attn.Wq"].data[0, 0] = np.nan
+    with pytest.raises(NumericError, match=r"branch M=4: non-finite attention in window 0"):
+        dump_for_record(record_id, signal, CFG, params)
+
+
 def test_scores_invariant_to_batch_composition():
-    record, params = fitted_record_and_params(seed=3)
+    _, params = fitted_record_and_params(seed=3)
     ds = standardize(synth_generate(SynthSpec(seed=3, n_records=20, n_leads=2, L=40)))
-    solo = forward(ds.records[0].signal, CFG, params)
-    batch = forward(np.stack([r.signal for r in ds.records[:4]]), CFG, params)
+    solo = forward(ds.signals[0], CFG, params)
+    batch = forward(ds.signals[:4], CFG, params)
     solo_dump = build_dump("x", solo, CFG)
     for br_solo, br_batch in zip(solo.branches, batch.branches):
         assert np.allclose(br_solo.attn.data, br_batch.attn.data[0], atol=1e-12)
@@ -168,12 +175,12 @@ def test_scores_invariant_to_batch_composition():
 
 
 def test_json_round_trip_numerics(tmp_path):
-    record, params = fitted_record_and_params(seed=4)
-    dump, _ = dump_for_record(record, CFG, params)
-    written = export(dump, record.signal, tmp_path, leads=())
+    (record_id, signal), params = fitted_record_and_params(seed=4)
+    dump, _ = dump_for_record(record_id, signal, CFG, params)
+    written = export(dump, signal, tmp_path, leads=())
     assert len(written) == 1 and written[0].suffix == ".json"
     parsed = json.loads(written[0].read_text())
-    assert parsed["record_id"] == record.id
+    assert parsed["record_id"] == record_id
     assert np.abs(np.array(parsed["beta"]) - dump.beta).max() < 1e-9
     assert np.abs(
         np.array(parsed["fused_sample_scores"]) - dump.fused_sample_scores
@@ -183,14 +190,14 @@ def test_json_round_trip_numerics(tmp_path):
 
 
 def test_export_svg_per_lead(tmp_path):
-    record, params = fitted_record_and_params(seed=5)
-    dump, _ = dump_for_record(record, CFG, params)
-    written = export(dump, record.signal, tmp_path, leads=(0, 1))
+    (record_id, signal), params = fitted_record_and_params(seed=5)
+    dump, _ = dump_for_record(record_id, signal, CFG, params)
+    written = export(dump, signal, tmp_path, leads=(0, 1))
     names = sorted(p.name for p in written)
     assert names == sorted(
-        [f"{record.id}.json", f"{record.id}_lead0.svg", f"{record.id}_lead1.svg"]
+        [f"{record_id}.json", f"{record_id}_lead0.svg", f"{record_id}_lead1.svg"]
     )
-    svg = (tmp_path / f"{record.id}_lead0.svg").read_text()
+    svg = (tmp_path / f"{record_id}_lead0.svg").read_text()
     assert svg.startswith("<svg") and 'viewBox="0 0 1200 200"' in svg
     assert svg.count("<line") == CFG.L - 1
 

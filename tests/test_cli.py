@@ -170,6 +170,24 @@ def test_eval_nan_weight_checkpoint_exit_4(synth_dir, trained_dir, tmp_path, cap
     assert not report_path.exists()
 
 
+def test_attn_nan_weight_checkpoint_exit_4_writes_nothing(synth_dir, trained_dir, tmp_path,
+                                                         capsys):
+    store, config = load_checkpoint(trained_dir / "checkpoint")
+    store["branch1.mlp.W1"].data[0, 0] = math.nan
+    save_checkpoint(store, tmp_path / "nan", config=config)
+    out = tmp_path / "viz"
+    code = main([
+        "attn", "--checkpoint", str(tmp_path / "nan"),
+        "--signals", str(synth_dir / "signals.bin"),
+        "--labels", str(synth_dir / "labels.csv"),
+        "--record", "synth-00000", "--leads", "0", "--out-dir", str(out),
+    ])
+    assert code == 4
+    assert "attn: numeric abort: branch M=5: non-finite fusion weight beta" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_eval_writes_report_json(synth_dir, trained_dir, tmp_path):
     report_path = tmp_path / "report.json"
     code = main([

@@ -3,13 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hashlib
+import json
+from pathlib import Path
+
 from mswecg.data import (
     Dataset,
     DatasetHeader,
-    EcgRecord,
     SynthSpec,
     fold_split,
     load_dataset,
+    read_header,
     save_dataset,
     standardize,
     synth_generate,
@@ -18,19 +22,30 @@ from mswecg.errors import DataError
 from util import pairwise_auc
 
 
+REPO = Path(__file__).resolve().parent.parent
+
+
 def small_dataset(n=10, n_leads=2, L=6, K=2, seed=0):
     rng = np.random.default_rng(seed)
     header = DatasetHeader(n_leads=n_leads, L=L, K=K, class_names=("A", "B")[:K])
-    records = tuple(
-        EcgRecord(
-            id=f"r{i:03d}",
-            signal=rng.normal(size=(n_leads, L)),
-            labels=(rng.random(K) < 0.5).astype(np.int64),
-            fold=(i % 10) + 1,
-        )
-        for i in range(n)
+    return Dataset(
+        header=header,
+        ids=tuple(f"r{i:03d}" for i in range(n)),
+        signals=rng.normal(size=(n, n_leads, L)),
+        labels=(rng.random((n, K)) < 0.5).astype(np.int64),
+        folds=np.arange(n) % 10 + 1,
     )
-    return Dataset(header=header, records=records)
+
+
+def constant_dataset(folds, n_leads=1, L=4, value=0.0):
+    n = len(folds)
+    return Dataset(
+        header=DatasetHeader(n_leads=n_leads, L=L, K=1, class_names=("A",)),
+        ids=tuple(f"r{i}" for i in range(n)),
+        signals=np.full((n, n_leads, L), value),
+        labels=np.zeros((n, 1), dtype=np.int64),
+        folds=np.asarray(folds, dtype=np.int64),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -43,10 +58,51 @@ def test_save_load_round_trip(tmp_path):
     back = load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv")
     assert back.header == ds.header
     assert len(back) == len(ds)
-    for a, b in zip(ds.records, back.records):
-        assert a.id == b.id and a.fold == b.fold
-        assert np.array_equal(a.signal, b.signal)
-        assert np.array_equal(a.labels, b.labels)
+    assert back.ids == ds.ids
+    assert np.array_equal(back.folds, ds.folds)
+    assert np.array_equal(back.signals, ds.signals)
+    assert np.array_equal(back.labels, ds.labels)
+
+
+def test_load_maps_the_blob_read_only(tmp_path):
+    ds = small_dataset(5)
+    save_dataset(ds, tmp_path / "sig.bin", tmp_path / "lab.csv")
+    back = load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv")
+    assert isinstance(back.signals, np.memmap)
+    assert not back.signals.flags.writeable
+    assert back.labels.dtype == np.int64 and back.folds.dtype == np.int64
+
+
+def test_read_header_returns_geometry_and_blob_offset(tmp_path):
+    ds = small_dataset(3, n_leads=2, L=6)
+    save_dataset(ds, tmp_path / "sig.bin", tmp_path / "lab.csv")
+    header, offset = read_header(tmp_path / "sig.bin")
+    assert (header.n_leads, header.L, header.K, header.sample_rate) == (2, 6, 2, 100)
+    assert offset == len("2 6 2 100\n")
+    (tmp_path / "bad.bin").write_bytes(b"2 6 x 100\n")
+    with pytest.raises(DataError, match="non-integer header field"):
+        read_header(tmp_path / "bad.bin")
+    (tmp_path / "bad.bin").write_bytes(b"0 6 2 100\n")
+    with pytest.raises(DataError, match="n_leads >= 1"):
+        read_header(tmp_path / "bad.bin")
+    with pytest.raises(DataError, match="not found"):
+        read_header(tmp_path / "missing.bin")
+
+
+def test_load_rejects_bad_label_rows_with_coordinates(tmp_path):
+    ds = small_dataset(4)
+    save_dataset(ds, tmp_path / "sig.bin", tmp_path / "lab.csv")
+    good = (tmp_path / "lab.csv").read_text().splitlines()
+    cases = {
+        "r002,3,1": r"lab\.csv row 2: expected 4 fields, got 3",
+        "r002,3,x,0": r"lab\.csv row 2: non-integer fold/label field",
+        "r002,3,2,0": r"record r002 \(row 2\): labels must be a 2-long 0/1 row",
+        "r002,11,1,0": r"record r002 \(row 2\): fold 11 outside 1\.\.10",
+    }
+    for bad_row, message in cases.items():
+        (tmp_path / "lab.csv").write_text("\n".join(good[:3] + [bad_row] + good[4:]) + "\n")
+        with pytest.raises(DataError, match=message):
+            load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv")
 
 
 def test_load_validates_against_expected_header(tmp_path):
@@ -67,19 +123,15 @@ def test_load_rejects_duplicate_id(tmp_path):
     save_dataset(ds, tmp_path / "sig.bin", tmp_path / "lab.csv")
     text = (tmp_path / "lab.csv").read_text().replace("r001", "r000")
     (tmp_path / "lab.csv").write_text(text)
-    with pytest.raises(DataError, match="duplicate id"):
+    with pytest.raises(DataError, match="row 1: duplicate id 'r000'"):
         load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv")
 
 
 def test_load_rejects_nonfinite_sample(tmp_path):
     ds = small_dataset(3)
-    bad_signal = ds.records[1].signal.copy()
-    bad_signal[0, 0] = np.nan
-    records = list(ds.records)
-    records[1] = EcgRecord(id="r001", signal=bad_signal, labels=records[1].labels, fold=2)
-    save_dataset(Dataset(header=ds.header, records=tuple(records)),
-                 tmp_path / "sig.bin", tmp_path / "lab.csv")
-    with pytest.raises(DataError, match=r"row 1.*non-finite|non-finite"):
+    ds.signals[1, 0, 0] = np.nan
+    save_dataset(ds, tmp_path / "sig.bin", tmp_path / "lab.csv")
+    with pytest.raises(DataError, match=r"record r001 \(row 1\): non-finite sample"):
         load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv")
 
 
@@ -108,8 +160,9 @@ def test_fold_split_partition():
     ds = small_dataset(10)
     train, val, test = fold_split(ds)
     assert (len(train), len(val), len(test)) == (8, 1, 1)
-    ids = {r.id for r in train} | {r.id for r in val} | {r.id for r in test}
-    assert ids == {r.id for r in ds.records}
+    assert set(train.ids) | set(val.ids) | set(test.ids) == set(ds.ids)
+    assert np.array_equal(test.signals, ds.signals[ds.folds == 10])
+    assert np.array_equal(test.labels, ds.labels[ds.folds == 10])
 
 
 def test_fold_split_empty_val_warns():
@@ -120,62 +173,67 @@ def test_fold_split_empty_val_warns():
 
 
 def test_fold_split_rejects_bad_fold():
-    ds = small_dataset(2)
-    bad = EcgRecord(id="x", signal=ds.records[0].signal, labels=ds.records[0].labels, fold=11)
-    broken = Dataset(header=ds.header, records=ds.records + (bad,))
-    with pytest.raises(DataError, match="fold 11"):
+    broken = constant_dataset([1, 2, 11])
+    with pytest.raises(DataError, match="record r2: fold 11"):
         fold_split(broken)
 
 
 @settings(max_examples=30, deadline=None)
 @given(folds=st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=40))
 def test_fold_split_disjoint_and_covering(folds):
-    header = DatasetHeader(n_leads=1, L=2, K=1, class_names=("A",))
-    records = tuple(
-        EcgRecord(id=f"r{i}", signal=np.zeros((1, 2)), labels=np.array([0]), fold=f)
-        for i, f in enumerate(folds)
-    )
     import warnings
 
+    ds = constant_dataset(folds, L=2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        train, val, test = fold_split(Dataset(header=header, records=records))
-    assert len(train) + len(val) + len(test) == len(records)
-    assert all(r.fold <= 8 for r in train)
-    assert all(r.fold == 9 for r in val)
-    assert all(r.fold == 10 for r in test)
+        train, val, test = fold_split(ds)
+    assert len(train) + len(val) + len(test) == len(ds)
+    assert sorted(train.ids + val.ids + test.ids) == sorted(ds.ids)
+    assert (train.folds <= 8).all()
+    assert (val.folds == 9).all()
+    assert (test.folds == 10).all()
 
 
 def test_standardize_train_statistics():
     ds = standardize(small_dataset(40, seed=3))
-    train = np.stack([r.signal for r in ds.records if r.fold <= 8])
+    train = ds.signals[ds.folds <= 8]
     assert np.abs(train.mean(axis=(0, 2))).max() < 1e-9
     assert np.abs(train.std(axis=(0, 2)) - 1.0).max() < 1e-9
 
 
 def test_standardize_does_not_leak_test_folds():
     ds = standardize(small_dataset(60, seed=4))
-    held = np.stack([r.signal for r in ds.records if r.fold > 8])
+    held = ds.signals[ds.folds > 8]
     # Held-out statistics must come out shifted, not exactly 0/1.
     assert np.abs(held.mean(axis=(0, 2))).max() > 1e-9
     assert np.abs(held.std(axis=(0, 2)) - 1.0).max() > 1e-9
 
 
 def test_standardize_constant_lead_maps_to_zero():
-    header = DatasetHeader(n_leads=1, L=4, K=1, class_names=("A",))
-    records = tuple(
-        EcgRecord(id=f"r{i}", signal=np.full((1, 4), 2.5), labels=np.array([0]), fold=i + 1)
-        for i in range(10)
-    )
-    ds = standardize(Dataset(header=header, records=records))
-    assert np.array_equal(ds.records[0].signal, np.zeros((1, 4)))
+    ds = standardize(constant_dataset(range(1, 11), value=2.5))
+    assert np.array_equal(ds.signals, np.zeros((10, 1, 4)))
 
 
 def test_standardize_requires_training_folds():
-    header = DatasetHeader(n_leads=1, L=4, K=1, class_names=("A",))
-    records = (EcgRecord(id="a", signal=np.ones((1, 4)), labels=np.array([1]), fold=9),)
     with pytest.raises(DataError, match="training folds"):
-        standardize(Dataset(header=header, records=records))
+        standardize(constant_dataset([9], value=1.0))
+
+
+def test_standardize_copies_a_mapped_dataset(tmp_path):
+    ds = small_dataset(20, seed=6)
+    save_dataset(ds, tmp_path / "sig.bin", tmp_path / "lab.csv")
+    mapped = standardize(load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv"))
+    in_memory = standardize(ds)
+    assert type(mapped.signals) is np.ndarray and mapped.signals.flags.writeable
+    assert mapped.signals.tobytes() == in_memory.signals.tobytes()
+    assert mapped.ids == ds.ids and np.array_equal(mapped.labels, ds.labels)
+
+
+def test_dataset_rejects_columns_of_different_lengths():
+    ds = small_dataset(4)
+    with pytest.raises(DataError, match="columns disagree"):
+        Dataset(header=ds.header, ids=ds.ids[:3], signals=ds.signals, labels=ds.labels,
+                folds=ds.folds)
 
 
 # ---------------------------------------------------------------------------
@@ -185,23 +243,22 @@ def test_standardize_requires_training_folds():
 def test_synth_deterministic():
     a = synth_generate(SynthSpec(seed=5, n_records=20))
     b = synth_generate(SynthSpec(seed=5, n_records=20))
-    for ra, rb in zip(a.records, b.records):
-        assert ra.signal.tobytes() == rb.signal.tobytes()
-        assert np.array_equal(ra.labels, rb.labels)
+    assert a.signals.tobytes() == b.signals.tobytes()
+    assert np.array_equal(a.labels, b.labels)
 
 
 def test_synth_no_motifs_no_noise_is_constant_baseline():
     spec = SynthSpec(seed=0, n_records=6, noise_std=0.0, marginals=(0.0, 0.0, 0.0))
     ds = synth_generate(spec)
-    base = ds.records[0].signal
-    for rec in ds.records[1:]:
-        assert np.array_equal(rec.signal, base)
+    base = ds.signals[0]
+    for signal in ds.signals[1:]:
+        assert np.array_equal(signal, base)
     assert not np.array_equal(base, np.zeros_like(base))
 
 
 def test_synth_round_robin_folds():
     ds = synth_generate(SynthSpec(seed=1, n_records=30))
-    folds = [r.fold for r in ds.records]
+    folds = ds.folds.tolist()
     assert folds[:10] == list(range(1, 11))
     assert all(folds[i] == (i % 10) + 1 for i in range(30))
 
@@ -216,7 +273,7 @@ def test_synth_rejects_bad_spec():
 def test_synth_motifs_detectable_by_matched_filters():
     spec = SynthSpec(seed=7, n_records=200)
     ds = synth_generate(spec)
-    labels = ds.label_matrix()
+    labels = ds.labels
     t = np.arange(spec.L)
 
     def unit_template(width):
@@ -229,14 +286,14 @@ def test_synth_motifs_detectable_by_matched_filters():
     stats = {0: [], 1: [], 2: []}
     lag_lo = int(spec.interval * 0.7)
     lag_hi = int(spec.interval * spec.interval_factor * 1.3)
-    for rec in ds.records:
-        xbar = rec.signal.mean(axis=0)
+    for signal in ds.signals:
+        xbar = signal.mean(axis=0)
         stats[0].append(
             np.correlate(xbar, wide, mode="same").max()
             / np.correlate(xbar, narrow, mode="same").max()
         )
-        rms_des = np.sqrt((rec.signal[list(spec.amp_leads)] ** 2).mean())
-        rms_oth = np.sqrt((rec.signal[others] ** 2).mean())
+        rms_des = np.sqrt((signal[list(spec.amp_leads)] ** 2).mean())
+        rms_oth = np.sqrt((signal[others] ** 2).mean())
         stats[1].append(rms_des / rms_oth)
         xc = xbar - xbar.mean()
         ac = np.correlate(xc, xc, mode="full")[len(xc) - 1 :]
@@ -244,3 +301,24 @@ def test_synth_motifs_detectable_by_matched_filters():
     for k in range(3):
         auc = pairwise_auc(np.array(stats[k]), labels[:, k])
         assert auc > 0.95, f"class {k}: matched-filter AUC {auc}"
+
+
+# ---------------------------------------------------------------------------
+# on-disk format
+
+
+@pytest.mark.parametrize("workload,n_leads,L", [("train_desk", 4, 200), ("eval_ptbxl", 12, 1000)])
+def test_file_format_matches_benchmark_reference_hashes(tmp_path, workload, n_leads, L):
+    reference = json.loads((REPO / "perfbench" / "inputs.sha256.json").read_text())
+    spec = SynthSpec(seed=reference["reference_seed"], n_records=reference["canary_records"],
+                     n_leads=n_leads, L=L)
+    sig, lab = tmp_path / "signals.bin", tmp_path / "labels.csv"
+    save_dataset(synth_generate(spec), sig, lab)
+    want = reference["workloads"][workload]
+    assert hashlib.sha256(sig.read_bytes()).hexdigest() == want["signals.bin"]
+    assert hashlib.sha256(lab.read_bytes()).hexdigest() == want["labels.csv"]
+
+    again = tmp_path / "again"
+    save_dataset(load_dataset(sig, lab), again / "signals.bin", again / "labels.csv")
+    assert (again / "signals.bin").read_bytes() == sig.read_bytes()
+    assert (again / "labels.csv").read_bytes() == lab.read_bytes()

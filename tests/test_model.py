@@ -77,19 +77,6 @@ def test_linear_embed_matches_matmul_oracle():
     assert np.allclose(out.data, patches @ w + b, atol=1e-12)
 
 
-def test_tokenize_carries_provenance():
-    from mswecg.data import EcgRecord
-    from mswecg.model import tokenize
-    from mswecg.params import init_params
-
-    params = init_params(TINY, seed=0)
-    rec = EcgRecord(id="rec-7", signal=np.zeros((TINY.n_leads, TINY.L)),
-                    labels=np.zeros(TINY.K, dtype=np.int64), fold=1)
-    seq = tokenize(rec, TINY, params)
-    assert seq.tokens.shape == (TINY.tokens, TINY.C)
-    assert seq.provenance == "rec-7"
-
-
 # ---------------------------------------------------------------------------
 # window partition
 

@@ -70,12 +70,3 @@ def test_checkpoint_manifest_is_json_with_offsets(tmp_path):
 def test_missing_checkpoint_raises(tmp_path):
     with pytest.raises(DataError, match="not found"):
         load_checkpoint(tmp_path / "nope")
-
-
-def test_load_values_restores_and_checks(tmp_path):
-    cfg = tiny_cfg()
-    a = init_params(cfg, seed=0)
-    b = init_params(cfg, seed=7)
-    snapshot = a["embed.W"].data.copy()
-    b.load_values(a)
-    assert np.array_equal(b["embed.W"].data, snapshot)

@@ -118,6 +118,17 @@ def test_adam_missing_grad_errors():
         adam_step(store, AdamState(), lr=0.1)
 
 
+def test_adam_missing_grad_changes_nothing():
+    store = make_store({"a": np.array([1.0]), "b": np.array([2.0])})
+    state = AdamState()
+    store["a"].grad = np.array([0.5])
+    with pytest.raises(ValueError, match="parameter b has no gradient"):
+        adam_step(store, state, lr=0.1)
+    assert np.array_equal(store["a"].data, [1.0])
+    assert np.array_equal(store["b"].data, [2.0])
+    assert state.step == 0 and state.m == {} and state.v == {}
+
+
 def test_adam_three_step_trajectory_matches_hand_unroll():
     # Quadratic loss w^2/2, gradient = w; unroll the recurrence by hand.
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
@@ -170,8 +181,8 @@ def test_one_epoch_decreases_loss_on_same_batch_order():
     ds = tiny_dataset(40)
     params = init_params(TINY, seed=0)
     train, _, _ = fold_split(ds)
-    x = np.stack([r.signal for r in train])
-    y = np.stack([r.labels for r in train]).astype(float)
+    x = train.signals
+    y = train.labels.astype(float)
     initial = bce_loss(forward(x, TINY, params).probs, y).item()
     result = train_loop(TINY, params, ds, TrainConfig(max_epochs=1, batch_size=8,
                                                       lr0=1e-3, seed=0))
@@ -190,8 +201,8 @@ def test_seeded_runs_produce_identical_logs():
 def test_overfit_one_batch_monotone():
     ds = tiny_dataset(40)
     train, _, _ = fold_split(ds)
-    x = np.stack([r.signal for r in train[:8]])
-    y = np.stack([r.labels for r in train[:8]]).astype(float)
+    x = train.signals[:8]
+    y = train.labels[:8].astype(float)
     params = init_params(TINY, seed=1)
     state = AdamState()
     losses = []
@@ -231,8 +242,8 @@ def test_non_finite_gradient_aborts_before_any_update(monkeypatch):
 
 def test_non_finite_validation_probs_abort_with_coordinates():
     ds = tiny_dataset(40)
-    _, val, _ = fold_split(ds)
-    val[0].signal[0, 0] = np.nan
+    first_val_row = np.flatnonzero(ds.folds == 9)[0]
+    ds.signals[first_val_row, 0, 0] = np.nan
     with pytest.raises(NumericError, match=r"validation at epoch 0: .*record 0, class 0"):
         train_loop(TINY, init_params(TINY, seed=2), ds,
                    TrainConfig(max_epochs=1, batch_size=8, seed=0))
@@ -247,8 +258,7 @@ def test_checkpoint_round_trip_reproduces_val_metrics(tmp_path):
     assert saved_cfg["best_epoch"] == result.best_epoch
 
     _, val, _ = fold_split(ds)
-    x = np.stack([r.signal for r in val])
-    y = np.stack([r.labels for r in val])
+    x, y = val.signals, val.labels
     probs_best = predict(x, TINY, result.best_params)
     probs_loaded = predict(x, TINY, store)
     assert probs_best.tobytes() == probs_loaded.tobytes()
@@ -280,10 +290,7 @@ def test_train_loop_with_cyclic_shift():
 def test_train_loop_without_validation_fold():
     # Only folds 1..8 populated: no val rows, best checkpoint never chosen.
     ds = tiny_dataset(40)
-    from mswecg.data import Dataset
-
-    trimmed = Dataset(header=ds.header,
-                      records=tuple(r for r in ds.records if r.fold <= 8))
+    trimmed = ds.take(ds.folds <= 8)
     with pytest.warns(UserWarning, match="validation fold"):
         result = train_loop(TINY, init_params(TINY, seed=0), trimmed,
                             TrainConfig(max_epochs=1, batch_size=8, seed=0))

@@ -25,6 +25,7 @@ from .data import (
     SPLIT_FOLDS,
     DatasetHeader,
     SynthSpec,
+    lead_statistics,
     load_dataset,
     read_header,
     save_dataset,
@@ -160,7 +161,8 @@ def run_train(args) -> int:
     resolved = {"model": cfg.to_dict(), "train": tcfg.to_dict()}
     echo_config({**cfg.to_dict(), **tcfg.to_dict()})
 
-    ds = standardize(load_dataset(args.signals, args.labels))
+    ds = standardize(load_dataset(args.signals, args.labels),
+                     folds=(*SPLIT_FOLDS["train"], *SPLIT_FOLDS["val"]))
     params = init_params(cfg, seed=tcfg.seed)
     result = train_loop(cfg, params, ds, tcfg, verbose=not args.quiet)
     # The log embeds the run config but not the artifact location, so two
@@ -185,8 +187,7 @@ def run_eval(args) -> int:
         raise ConfigError(f"checkpoint {args.checkpoint} carries no model config")
     cfg = MswConfig.from_dict(model_cfg)
     echo_config(cfg.to_dict())
-    ds = standardize(load_dataset(args.signals, args.labels))
-    split = ds.take(np.isin(ds.folds, SPLIT_FOLDS[args.split]))
+    split = standardize(load_dataset(args.signals, args.labels), folds=SPLIT_FOLDS[args.split])
     if not len(split):
         raise DataError(f"split {args.split!r} holds no records")
     probs = predict(split.signals, cfg, store)
@@ -231,11 +232,13 @@ def run_attn(args) -> int:
         raise ConfigError(f"checkpoint {args.checkpoint} carries no model config")
     cfg = MswConfig.from_dict(model_cfg)
     echo_config(cfg.to_dict())
-    ds = standardize(load_dataset(args.signals, args.labels))
+    ds = load_dataset(args.signals, args.labels)
+    mean, std = lead_statistics(ds)
     if args.record and args.record not in ds.ids:
         raise DataError(f"record id {args.record!r} not in dataset")
     row = ds.ids.index(args.record) if args.record else 0
-    record_id, signal = ds.ids[row], ds.signals[row]
+    # Indexing the map for one record touches only that record's pages.
+    record_id, signal = ds.ids[row], (ds.signals[row] - mean[:, None]) / std[:, None]
     leads = _int_list(args.leads) if args.leads else ()
     dump, _ = dump_for_record(record_id, signal, cfg, store)
     written = export(dump, signal, args.out_dir, leads=leads,

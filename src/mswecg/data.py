@@ -3,8 +3,18 @@
 A :class:`Dataset` is columnar: one ``(N, n_leads, L)`` float64 signal
 array, one ``(N, K)`` int64 multi-hot label matrix, one ``(N,)`` fold
 vector and a tuple of record ids, all in file row order.  Loading maps the
-signal blob read-only instead of copying it; :func:`standardize` makes the
-one in-memory copy the model consumes.
+signal blob read-only instead of copying it; :func:`standardize` makes an
+in-memory, standardized copy of only the folds a command uses: ``eval``
+holds its split, ``train`` its training and validation rows once, and
+``attn`` standardizes its one record with :func:`lead_statistics`.
+
+The mapped blob is never scanned through the map.  Touching rows of a map
+makes their pages, and the kernel's read-around of them, resident in this
+process: selecting every tenth 96 KB record of a 96 MB blob that way made
+nearly all of it resident.  The finite check of :func:`load_dataset` and
+the passes of :func:`standardize` read the blob in blocks of about
+``BLOCK_BYTES`` with positioned reads instead, so a command holds one block
+and the rows it keeps, whatever the size of the set.
 
 On-disk format, chosen to be trivially writable from any conversion script:
 
@@ -19,7 +29,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+import mmap
+import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +40,7 @@ from .errors import DataError
 
 SIGMA_FLOOR = 1e-8
 SPLIT_FOLDS = {"train": range(1, 9), "val": (9,), "test": (10,)}
+BLOCK_BYTES = 8 << 20  # size of one positioned read from a mapped blob
 
 
 @dataclass(frozen=True)
@@ -100,6 +113,8 @@ def read_header(signal_file) -> tuple[DatasetHeader, int]:
         raise DataError(f"{path}: non-integer header field: {text!r}") from exc
     if n_leads < 1 or L < 1 or K < 0:
         raise DataError(f"{path}: header needs n_leads >= 1, L >= 1 and K >= 0")
+    if n_leads * L * 8 > np.iinfo(np.intp).max:
+        raise DataError(f"{path}: a record of {n_leads}x{L} float64 does not fit in memory")
     return DatasetHeader(n_leads=n_leads, L=L, K=K, class_names=(), sample_rate=rate), len(line)
 
 
@@ -109,10 +124,36 @@ def _first(bad: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
+def _row_blocks(signals: np.ndarray):
+    """Yield ``(start, rows)`` over consecutive blocks of about BLOCK_BYTES.
+
+    The whole-blob map made by :func:`load_dataset` is read with positioned
+    reads into a fresh array per block, never through the map (see the
+    module docstring); any other array, a slice of a map included, is
+    sliced.
+    """
+    n, row_shape = len(signals), signals.shape[1:]
+    row_bytes = max(1, int(np.prod(row_shape)) * signals.dtype.itemsize)
+    step = max(1, BLOCK_BYTES // row_bytes)
+    if not (isinstance(signals, np.memmap) and isinstance(signals.base, mmap.mmap)):
+        for start in range(0, n, step):
+            yield start, signals[start : start + step]
+        return
+    with open(signals.filename, "rb") as fh:
+        for start in range(0, n, step):
+            block = np.empty((min(step, n - start), *row_shape), dtype=signals.dtype)
+            fh.seek(signals.offset + start * row_bytes)
+            if fh.readinto(block) != block.nbytes:
+                raise DataError(f"{signals.filename}: blob ends inside rows "
+                                f"{start}..{start + len(block) - 1}")
+            yield start, block
+
+
 def load_dataset(signal_file, label_file, header: DatasetHeader | None = None) -> Dataset:
     """Map a dataset's files; malformed rows are rejected with their index.
 
-    The signal blob is memory-mapped read-only, not copied.  When ``header``
+    The signal blob is memory-mapped read-only, not copied, and checked for
+    non-finite samples in blocks read from the file.  When ``header``
     is given, the files must agree with it (lead count, record length, class
     names); otherwise the files are trusted.
     """
@@ -147,11 +188,18 @@ def load_dataset(signal_file, label_file, header: DatasetHeader | None = None) -
     body = rows[1:]
     n_records = len(body)
     blob_bytes = signal_file.stat().st_size - offset
-    expected = n_records * n_leads * L * 8
+    row_bytes = n_leads * L * 8
+    expected = n_records * row_bytes
     if blob_bytes != expected:
+        if blob_bytes < expected:
+            where = f"row {blob_bytes // row_bytes} is cut short"
+        elif n_records:
+            where = f"{blob_bytes - expected} bytes follow the last row ({n_records - 1})"
+        else:
+            where = "the label file lists no rows"
         raise DataError(
             f"{signal_file}: blob holds {blob_bytes} bytes, expected {expected} "
-            f"for {n_records} records of {n_leads}x{L} float64"
+            f"for {n_records} records of {n_leads}x{L} float64: {where}"
         )
 
     values = np.empty((n_records, 1 + K), dtype=np.int64)  # fold, then labels
@@ -174,9 +222,11 @@ def load_dataset(signal_file, label_file, header: DatasetHeader | None = None) -
                             shape=(n_records, n_leads, L))
     else:
         signals = np.empty((0, n_leads, L))
-    row = _first(~np.isfinite(signals).all(axis=(1, 2)))
-    if row is not None:
-        raise DataError(f"record {ids[row]} (row {row}): non-finite sample")
+    for start, block in _row_blocks(signals):
+        row = _first(~np.isfinite(block).all(axis=(1, 2)))
+        if row is not None:
+            row += start
+            raise DataError(f"record {ids[row]} (row {row}): non-finite sample")
     row = _first(~np.isin(labels, (0, 1)).all(axis=1))
     if row is not None:
         raise DataError(f"record {ids[row]} (row {row}): labels must be a {K}-long 0/1 row")
@@ -210,34 +260,77 @@ def save_dataset(ds: Dataset, signal_file, label_file) -> None:
 # Standardization and folds
 
 
-def fold_split(ds: Dataset) -> tuple[Dataset, Dataset, Dataset]:
-    """Partition records into train (folds 1-8), validation (9), test (10)."""
+def fold_masks(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row masks of train (folds 1-8), validation (9) and test (10)."""
     row = _first((ds.folds < 1) | (ds.folds > 10))
     if row is not None:
         raise DataError(f"record {ds.ids[row]}: fold {ds.folds[row]} outside 1..10")
-    train, val, test = (ds.take(np.isin(ds.folds, folds)) for folds in SPLIT_FOLDS.values())
-    if not len(val):
-        import warnings
-
-        warnings.warn("validation fold (9) is empty", stacklevel=2)
+    train, val, test = (np.isin(ds.folds, folds) for folds in SPLIT_FOLDS.values())
+    if not val.any():
+        warnings.warn("validation fold (9) is empty", stacklevel=3)
     return train, val, test
 
 
-def standardize(ds: Dataset) -> Dataset:
+def fold_split(ds: Dataset) -> tuple[Dataset, Dataset, Dataset]:
+    """Partition records into train (folds 1-8), validation (9), test (10)."""
+    return tuple(ds.take(mask) for mask in fold_masks(ds))
+
+
+def lead_statistics(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Per-lead mean and std (floored at SIGMA_FLOOR) over the training folds.
+
+    Two passes over blocks of rows, each adding up one sum per record and
+    lead in file row order.  Those are the sums numpy's
+    ``x[train].mean/std(axis=(0, 2))`` adds, in the same order, so the
+    statistics are bitwise equal to it.  Not so at n_leads = 1, where numpy
+    merges the two reduced axes into one pairwise sum: there the last bit
+    may differ.
+    """
+    train = np.isin(ds.folds, SPLIT_FOLDS["train"])
+    n_train = int(train.sum())
+    if not n_train:
+        raise DataError("cannot standardize: training folds 1-8 are empty")
+    count = n_train * ds.header.L
+
+    def lead_sums(term) -> np.ndarray:
+        total = np.zeros(ds.header.n_leads)
+        for start, block in _row_blocks(ds.signals):
+            for record_sums in term(block).sum(axis=2)[train[start : start + len(block)]]:
+                total += record_sums
+        return total
+
+    mean = lead_sums(lambda block: block) / count
+
+    def squared_deviation(block):
+        dev = block - mean[:, None]
+        return np.multiply(dev, dev, out=dev)
+
+    std = np.sqrt(lead_sums(squared_deviation) / count)
+    return mean, np.maximum(std, SIGMA_FLOOR)
+
+
+def standardize(ds: Dataset, folds=None) -> Dataset:
     """Shift/scale every lead by statistics pooled over the training folds only.
 
-    Returns the standardized signals as one in-memory copy.  Constant leads
-    map to zeros (the scale is floored at a small epsilon).
+    Returns the records in ``folds`` (all of them by default), in file row
+    order, as one standardized in-memory copy; nothing else of the set is
+    held.  Constant leads map to zeros (the scale is floored at a small
+    epsilon).
     """
-    train = ds.signals[np.isin(ds.folds, SPLIT_FOLDS["train"])]  # (n_train, n_leads, L)
-    if not len(train):
-        raise DataError("cannot standardize: training folds 1-8 are empty")
-    mean = train.mean(axis=(0, 2))
-    std = np.maximum(train.std(axis=(0, 2)), SIGMA_FLOOR)
-    del train
-    signals = np.subtract(ds.signals, mean[:, None])
-    signals /= std[:, None]
-    return replace(ds, signals=signals)
+    mean, std = lead_statistics(ds)
+    keep = np.ones(len(ds), dtype=bool) if folds is None else np.isin(ds.folds, folds)
+    signals = np.empty((int(keep.sum()), ds.header.n_leads, ds.header.L))
+    done = 0
+    for start, block in _row_blocks(ds.signals):
+        rows = keep[start : start + len(block)]
+        out = signals[done : done + int(rows.sum())]
+        np.compress(rows, block, axis=0, out=out)
+        out -= mean[:, None]
+        out /= std[:, None]
+        done += len(out)
+    ids = tuple(i for i, k in zip(ds.ids, keep) if k)
+    return Dataset(header=ds.header, ids=ids, signals=signals, labels=ds.labels[keep],
+                   folds=ds.folds[keep])
 
 
 # ---------------------------------------------------------------------------

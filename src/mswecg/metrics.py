@@ -88,21 +88,31 @@ def macro_f1(batch: EvalBatch) -> float:
     return float(sum(per_class) / len(per_class))
 
 
+def _per_sample_f1(batch: EvalBatch) -> tuple[list[float], int, int]:
+    """Each sample's F1, plus the counts of exactly-correct empty samples and
+    of samples with predictions or truths but no true positive."""
+    pred = batch.predictions
+    y = batch.labels
+    tps = ((pred == 1) & (y == 1)).sum(axis=1).tolist()
+    fps = ((pred == 1) & (y == 0)).sum(axis=1).tolist()
+    fns = ((pred == 0) & (y == 1)).sum(axis=1).tolist()
+    vals = []
+    empty_correct = zero_denom = 0
+    for tp, fp, fn in zip(tps, fps, fns):
+        if tp + fp + fn == 0:
+            vals.append(1.0)  # empty truth predicted empty
+            empty_correct += 1
+        else:
+            vals.append(_f1(tp, fp, fn)[2])
+            zero_denom += tp == 0
+    return vals, empty_correct, zero_denom
+
+
 def samples_f1(batch: EvalBatch) -> float:
     """Mean over samples of the F1 on each sample's own label set."""
     if batch.labels.size == 0:
         raise ValueError("empty batch")
-    pred = batch.predictions
-    y = batch.labels
-    vals = []
-    for i in range(y.shape[0]):
-        tp = int(((pred[i] == 1) & (y[i] == 1)).sum())
-        fp = int(((pred[i] == 1) & (y[i] == 0)).sum())
-        fn = int(((pred[i] == 0) & (y[i] == 1)).sum())
-        if tp + fp + fn == 0:
-            vals.append(1.0)  # empty truth predicted empty
-        else:
-            vals.append(_f1(tp, fp, fn)[2])
+    vals = _per_sample_f1(batch)[0]
     return float(sum(vals) / len(vals))
 
 
@@ -131,22 +141,30 @@ def _auc_binary(scores: np.ndarray, labels: np.ndarray) -> float | None:
     return float((ranks[pos].sum() - npos * (npos + 1) / 2.0) / (npos * nneg))
 
 
+def _unit_aucs(batch: EvalBatch, mode: str) -> list[float | None]:
+    """AUC of every class (``macro``) or sample (``samples``); None if degenerate."""
+    if mode not in ("macro", "samples"):
+        raise ValueError(f"mode must be 'macro' or 'samples', got {mode!r}")
+    scores, labels = batch.scores, batch.labels
+    if mode == "samples":
+        scores, labels = scores.T, labels.T
+    return [_auc_binary(scores[:, k], labels[:, k]) for k in range(scores.shape[1])]
+
+
+def _mean_auc(aucs: list[float | None], mode: str) -> float:
+    vals = [v for v in aucs if v is not None]
+    if not vals:
+        raise UndefinedMetricError(f"roc_auc[{mode}]: no unit has both a positive and a negative")
+    return float(np.mean(vals))
+
+
 def roc_auc(batch: EvalBatch, mode: str = "macro") -> float:
     """Mean AUC over classes (``macro``) or over samples (``samples``).
 
     Degenerate units (no positive or no negative) are skipped; if nothing
     remains the metric is undefined and raises.
     """
-    if mode not in ("macro", "samples"):
-        raise ValueError(f"mode must be 'macro' or 'samples', got {mode!r}")
-    scores, labels = batch.scores, batch.labels
-    if mode == "samples":
-        scores, labels = scores.T, labels.T
-    vals = [v for v in (_auc_binary(scores[:, k], labels[:, k]) for k in range(scores.shape[1]))
-            if v is not None]
-    if not vals:
-        raise UndefinedMetricError(f"roc_auc[{mode}]: no unit has both a positive and a negative")
-    return float(np.mean(vals))
+    return _mean_auc(_unit_aucs(batch, mode), mode)
 
 
 @dataclass
@@ -177,40 +195,26 @@ class MetricReport:
 
 
 def evaluate(batch: EvalBatch) -> MetricReport:
-    """Full report over one batch; undefined AUCs are reported as None."""
+    """Full report over one batch; undefined AUCs are reported as None.
+
+    One per-sample pass and one AUC per class and per sample feed every
+    field.
+    """
     tp, fp, fn, _ = threshold_confusion(batch)
     per = [_f1(*c) for c in zip(tp, fp, fn)]
-    pred = batch.predictions
-    y = batch.labels
-
-    empty_correct = 0
-    zero_denom = 0
-    for i in range(y.shape[0]):
-        s_tp = int(((pred[i] == 1) & (y[i] == 1)).sum())
-        s_fp = int(((pred[i] == 1) & (y[i] == 0)).sum())
-        s_fn = int(((pred[i] == 0) & (y[i] == 1)).sum())
-        if s_tp + s_fp + s_fn == 0:
-            empty_correct += 1
-        elif s_tp == 0:
-            zero_denom += 1
+    f1s, empty_correct, zero_denom = _per_sample_f1(batch)
+    aucs = {mode: _unit_aucs(batch, mode) for mode in ("macro", "samples")}
 
     def auc_or_none(mode):
         try:
-            return roc_auc(batch, mode)
+            return _mean_auc(aucs[mode], mode)
         except UndefinedMetricError:
             return None
 
-    n_classes = y.shape[1]
-    skipped_classes = sum(
-        1 for k in range(n_classes) if _auc_binary(batch.scores[:, k], y[:, k]) is None
-    )
-    skipped_samples = sum(
-        1 for i in range(y.shape[0]) if _auc_binary(batch.scores[i], y[i]) is None
-    )
     return MetricReport(
         accuracy=accuracy(batch),
         macro_f1=macro_f1(batch),
-        samples_f1=samples_f1(batch),
+        samples_f1=float(sum(f1s) / len(f1s)),
         auc_macro=auc_or_none("macro"),
         auc_samples=auc_or_none("samples"),
         per_class_precision=[p for p, _, _ in per],
@@ -219,7 +223,7 @@ def evaluate(batch: EvalBatch) -> MetricReport:
         degenerate_f1_classes=int(sum(1 for c in zip(tp, fp, fn) if sum(c) == 0)),
         empty_correct_samples=empty_correct,
         zero_denominator_samples=zero_denom,
-        skipped_auc_classes=skipped_classes,
-        skipped_auc_samples=skipped_samples,
+        skipped_auc_classes=aucs["macro"].count(None),
+        skipped_auc_samples=aucs["samples"].count(None),
         threshold=batch.threshold,
     )

@@ -47,7 +47,6 @@ __all__ = [
     "matmul",
     "linear",
     "concat",
-    "split",
     "sum",
     "mean",
     "reshape",
@@ -241,7 +240,7 @@ class Graph:
         return len(self.ops)
 
 
-def backward(loss: Tensor, graph: Graph | None = None) -> None:
+def backward(loss: Tensor) -> None:
     """Populate ``.grad`` for every leaf the scalar loss depends on.
 
     The graph is freed as it runs: each consumed record drops its inputs and
@@ -254,7 +253,7 @@ def backward(loss: Tensor, graph: Graph | None = None) -> None:
         raise GraphError(f"loss must be scalar, got shape {loss.shape}")
     if loss.op is None:
         raise GraphError("loss is detached from any recorded graph")
-    g = Graph.trace(loss) if graph is None else graph
+    g = Graph.trace(loss)
     if any(rec.consumed for rec in g.ops):
         raise GraphError("backward was already run on this graph")
     loss.grad = np.ones_like(loss.data)
@@ -450,31 +449,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
         return tuple(p if t.requires_grad else None for t, p in zip(ts, pieces))
 
     return apply_op("concat", ts, out, fn)
-
-
-def split(x, sizes, axis: int = 0) -> list[Tensor]:
-    """Split along an axis into chunks of the given sizes (inverse of concat)."""
-    x = _as_tensor(x)
-    axis = axis % x.ndim
-    if _py_sum(sizes) != x.shape[axis]:
-        raise DimensionError(f"split sizes {tuple(sizes)} do not cover axis {axis} of {x.shape}")
-    outs = []
-    start = 0
-    for sz in sizes:
-        sl = [slice(None)] * x.ndim
-        sl[axis] = slice(start, start + sz)
-        sl = tuple(sl)
-        start += sz
-
-        def fn(g, sl=sl):
-            if not x.requires_grad:
-                return (None,)
-            gx = np.zeros_like(x.data)
-            gx[sl] = g
-            return (gx,)
-
-        outs.append(apply_op("split", (x,), x.data[sl].copy(), fn))
-    return outs
 
 
 def sum(x, axis=None, keepdims: bool = False) -> Tensor:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as tc
 from .config import MswConfig
-from .data import Dataset, fold_split
+from .data import Dataset, fold_masks
 from .errors import ConfigError, DataError, DimensionError, NumericError
 from .metrics import EvalBatch, MetricReport, evaluate
 from .model import forward, predict
@@ -174,17 +174,17 @@ def train_loop(
 ) -> TrainResult:
     """Seeded mini-batch training with per-epoch validation on fold 9.
 
-    The dataset should already be standardized.  Train-split metrics are
+    The dataset should already be standardized; its training and validation
+    rows are indexed in place, not copied out.  Train-split metrics are
     computed from the predictions gathered while the parameters moved during
     the epoch; validation metrics come from a dedicated evaluation pass.
     """
-    train, val, _ = fold_split(dataset)
+    train, val, _ = (np.flatnonzero(mask) for mask in fold_masks(dataset))
     if not len(train):
         raise DataError("training folds are empty")
-    x_train = train.signals
-    y_train = train.labels.astype(np.float64)
-    x_val = val.signals if len(val) else None
-    y_val = val.labels
+    signals = dataset.signals
+    y_train = dataset.labels[train].astype(np.float64)
+    y_val = dataset.labels[val]
 
     ss = np.random.SeedSequence(tcfg.seed)
     shuffle_rng, dropout_rng = (np.random.default_rng(c) for c in ss.spawn(2))
@@ -193,7 +193,7 @@ def train_loop(
     best_f1 = -1.0
     best_epoch = -1
     best_params = params.copy()
-    n = x_train.shape[0]
+    n = len(train)
 
     for epoch in range(tcfg.max_epochs):
         lr = lr_at(epoch, tcfg)
@@ -202,7 +202,7 @@ def train_loop(
         loss_sum = 0.0
         for b_idx, start in enumerate(range(0, n, tcfg.batch_size)):
             idx = order[start : start + tcfg.batch_size]
-            res = forward(x_train[idx], cfg, params, train=True, rng=dropout_rng)
+            res = forward(signals[train[idx]], cfg, params, train=True, rng=dropout_rng)
             loss = bce_loss(res.probs, y_train[idx])
             lv = loss.item()
             if not np.isfinite(lv):
@@ -221,9 +221,9 @@ def train_loop(
         train_report = evaluate(EvalBatch(scores=seen_probs, labels=y_train.astype(np.int64)))
         log.append(_row(epoch, "train", loss_sum / n, train_report, lr))
 
-        if x_val is not None:
+        if len(val):
             try:
-                val_probs = predict(x_val, cfg, params, batch_size=EVAL_BATCH)
+                val_probs = predict(signals[val], cfg, params, batch_size=EVAL_BATCH)
             except NumericError as exc:
                 raise NumericError(f"validation at epoch {epoch}: {exc}") from exc
             val_report = evaluate(EvalBatch(scores=val_probs, labels=y_val))

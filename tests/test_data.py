@@ -3,15 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
+from mswecg import data
+from mswecg.cli import main
+from mswecg.config import MswConfig
 from mswecg.data import (
+    SIGMA_FLOOR,
+    SPLIT_FOLDS,
     Dataset,
     DatasetHeader,
     SynthSpec,
     fold_split,
+    lead_statistics,
     load_dataset,
     read_header,
     save_dataset,
@@ -19,6 +30,7 @@ from mswecg.data import (
     synth_generate,
 )
 from mswecg.errors import DataError
+from mswecg.params import init_params, save_checkpoint
 from util import pairwise_auc
 
 
@@ -229,6 +241,52 @@ def test_standardize_copies_a_mapped_dataset(tmp_path):
     assert mapped.ids == ds.ids and np.array_equal(mapped.labels, ds.labels)
 
 
+@pytest.mark.parametrize("n_leads,L", [(4, 200), (12, 1000)])
+def test_streamed_lead_statistics_equal_numpy_bitwise(n_leads, L):
+    ds = synth_generate(SynthSpec(seed=8, n_records=50, n_leads=n_leads, L=L))
+    train = ds.signals[np.isin(ds.folds, SPLIT_FOLDS["train"])]
+    with mock.patch.object(data, "BLOCK_BYTES", 7 * n_leads * L * 8):  # blocks of 7 rows
+        mean, std = lead_statistics(ds)
+    assert mean.tobytes() == train.mean(axis=(0, 2)).tobytes()
+    assert std.tobytes() == np.maximum(train.std(axis=(0, 2)), SIGMA_FLOOR).tobytes()
+
+
+@pytest.fixture(scope="module")
+def mapped_12x1000(tmp_path_factory):
+    out = tmp_path_factory.mktemp("mapped")
+    save_dataset(synth_generate(SynthSpec(seed=2, n_records=200, n_leads=12, L=1000)),
+                 out / "sig.bin", out / "lab.csv")
+    return out / "sig.bin", out / "lab.csv"
+
+
+def test_standardize_of_one_split_holds_only_that_split(mapped_12x1000, monkeypatch):
+    sig, lab = mapped_12x1000
+    blob = 200 * 12 * 1000 * 8
+    # Blocks of five records, so the bound below reads: the test split
+    # (1.9 MB) plus a few blocks, not anything proportional to the set.
+    monkeypatch.setattr(data, "BLOCK_BYTES", 5 * 12 * 1000 * 8)
+    tracemalloc.start()
+    try:
+        test = standardize(load_dataset(sig, lab), folds=SPLIT_FOLDS["test"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < blob / 4, f"peak {peak} bytes for a {blob}-byte blob"
+    full = standardize(load_dataset(sig, lab))
+    rows = np.isin(full.folds, SPLIT_FOLDS["test"])
+    assert test.signals.tobytes() == full.signals[rows].tobytes()
+    assert test.ids == tuple(i for i, k in zip(full.ids, rows) if k)
+    assert np.array_equal(test.labels, full.labels[rows])
+    assert (test.folds == 10).all() and len(test) == 20
+
+
+def test_load_and_standardize_read_blocks_instead_of_indexing_the_map(mapped_12x1000):
+    sig, lab = mapped_12x1000
+    with mock.patch.object(np.memmap, "__getitem__", side_effect=AssertionError("map indexed")):
+        val = standardize(load_dataset(sig, lab), folds=SPLIT_FOLDS["val"])
+    assert len(val) == 20
+
+
 def test_dataset_rejects_columns_of_different_lengths():
     ds = small_dataset(4)
     with pytest.raises(DataError, match="columns disagree"):
@@ -322,3 +380,93 @@ def test_file_format_matches_benchmark_reference_hashes(tmp_path, workload, n_le
     save_dataset(load_dataset(sig, lab), again / "signals.bin", again / "labels.csv")
     assert (again / "signals.bin").read_bytes() == sig.read_bytes()
     assert (again / "labels.csv").read_bytes() == lab.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# loader fuzz: every malformed blob fails with DataError, and eval exits 3
+
+FUZZ_CFG = MswConfig(L=40, n_leads=2, P=5, C=8, heads=2, windows=(2, 4), K=3)
+ROW_BYTES = FUZZ_CFG.n_leads * FUZZ_CFG.L * 8
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzzckpt") / "checkpoint"
+    save_checkpoint(init_params(FUZZ_CFG, seed=0), base, config={"model": FUZZ_CFG.to_dict()})
+    return base
+
+
+def _write_fuzz_set(out: Path, n_records: int) -> tuple[Path, Path]:
+    spec = SynthSpec(seed=n_records, n_records=n_records, n_leads=FUZZ_CFG.n_leads, L=FUZZ_CFG.L)
+    save_dataset(synth_generate(spec), out / "sig.bin", out / "lab.csv")
+    return out / "sig.bin", out / "lab.csv"
+
+
+def _load_and_eval(sig, lab, checkpoint) -> str:
+    """The DataError message of load_dataset; eval must exit 3 with it."""
+    with pytest.raises(DataError) as caught:
+        load_dataset(sig, lab)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["eval", "--checkpoint", str(checkpoint), "--signals", str(sig),
+                     "--labels", str(lab), "--split", "val"])
+    assert code == 3
+    assert err.getvalue() == f"eval: data error: {caught.value}\n"
+    return str(caught.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fuzz_non_finite_sample_names_its_row(fuzz_checkpoint, draw):
+    n = draw.draw(st.integers(1, 12), label="records")
+    block_rows = draw.draw(st.integers(1, 4), label="rows per block")
+    # Favour the first and last row of a block and the last record.
+    edges = sorted({0, n - 1} | {r for b in range(0, n, block_rows) for r in (b, b + block_rows - 1)
+                                 if r < n})
+    row = draw.draw(st.sampled_from(edges) | st.integers(0, n - 1), label="row")
+    lead = draw.draw(st.integers(0, FUZZ_CFG.n_leads - 1), label="lead")
+    sample = draw.draw(st.integers(0, FUZZ_CFG.L - 1), label="sample")
+    value = draw.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(data, "BLOCK_BYTES", block_rows * ROW_BYTES):
+        sig, lab = _write_fuzz_set(Path(tmp), n)
+        raw = bytearray(sig.read_bytes())
+        at = read_header(sig)[1] + row * ROW_BYTES + (lead * FUZZ_CFG.L + sample) * 8
+        raw[at : at + 8] = np.array([value], dtype="<f8").tobytes()
+        sig.write_bytes(bytes(raw))
+        message = _load_and_eval(sig, lab, fuzz_checkpoint)
+    assert f"record synth-{row:05d} (row {row}): non-finite sample" in message
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 8), delta=st.integers(-8 * ROW_BYTES, 3 * ROW_BYTES).filter(bool))
+def test_fuzz_truncated_or_over_long_blob_names_the_row(fuzz_checkpoint, n, delta):
+    with tempfile.TemporaryDirectory() as tmp:
+        sig, lab = _write_fuzz_set(Path(tmp), n)
+        raw = sig.read_bytes()
+        offset = read_header(sig)[1]
+        blob = max(0, len(raw) - offset + delta)
+        sig.write_bytes(raw[: offset + blob] + b"\0" * max(0, delta))
+        message = _load_and_eval(sig, lab, fuzz_checkpoint)
+    if delta < 0:
+        assert f"row {blob // ROW_BYTES} is cut short" in message
+    else:
+        assert f"{delta} bytes follow the last row ({n - 1})" in message
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    field=st.integers(0, 2),
+    token=st.one_of(st.integers(-5, 10**20).map(str), st.sampled_from(["x", "1.5", "", "2 2"])),
+)
+def test_fuzz_bad_header_field_is_a_data_error(fuzz_checkpoint, field, token):
+    with tempfile.TemporaryDirectory() as tmp:
+        sig, lab = _write_fuzz_set(Path(tmp), 3)
+        raw = sig.read_bytes()
+        offset = read_header(sig)[1]
+        fields = raw[:offset].decode("ascii").split()
+        if token == fields[field]:
+            return  # unchanged header
+        fields[field] = token
+        sig.write_bytes(" ".join(fields).encode("ascii") + b"\n" + raw[offset:])
+        _load_and_eval(sig, lab, fuzz_checkpoint)

@@ -11,10 +11,11 @@ holds its split, ``train`` its training and validation rows once, and
 The mapped blob is never scanned through the map.  Touching rows of a map
 makes their pages, and the kernel's read-around of them, resident in this
 process: selecting every tenth 96 KB record of a 96 MB blob that way made
-nearly all of it resident.  The finite check of :func:`load_dataset` and
-the passes of :func:`standardize` read the blob in blocks of about
-``BLOCK_BYTES`` with positioned reads instead, so a command holds one block
-and the rows it keeps, whatever the size of the set.
+nearly all of it resident.  The finite check of :func:`load_dataset`, the
+passes of :func:`standardize` and :meth:`Dataset.take` (so :func:`fold_split`)
+read the blob in blocks of about ``BLOCK_BYTES`` with positioned reads
+instead, so a command holds one block and the rows it keeps, whatever the
+size of the set.
 
 On-disk format, chosen to be trivially writable from any conversion script:
 
@@ -82,11 +83,18 @@ class Dataset:
         return len(self.ids)
 
     def take(self, mask: np.ndarray) -> "Dataset":
-        """The records where the boolean ``mask`` holds, as in-memory copies."""
+        """The records where the boolean ``mask`` holds, as in-memory copies
+        gathered block by block (:func:`_row_blocks`), never through a map."""
+        signals = np.empty((int(mask.sum()), *self.signals.shape[1:]))
+        done = 0
+        for start, block in _row_blocks(self.signals):
+            rows = mask[start : start + len(block)]
+            np.compress(rows, block, axis=0, out=signals[done : done + int(rows.sum())])
+            done += int(rows.sum())
         return Dataset(
             header=self.header,
             ids=tuple(i for i, keep in zip(self.ids, mask) if keep),
-            signals=self.signals[mask],
+            signals=signals,
             labels=self.labels[mask],
             folds=self.folds[mask],
         )
@@ -318,19 +326,11 @@ def standardize(ds: Dataset, folds=None) -> Dataset:
     epsilon).
     """
     mean, std = lead_statistics(ds)
-    keep = np.ones(len(ds), dtype=bool) if folds is None else np.isin(ds.folds, folds)
-    signals = np.empty((int(keep.sum()), ds.header.n_leads, ds.header.L))
-    done = 0
-    for start, block in _row_blocks(ds.signals):
-        rows = keep[start : start + len(block)]
-        out = signals[done : done + int(rows.sum())]
-        np.compress(rows, block, axis=0, out=out)
-        out -= mean[:, None]
-        out /= std[:, None]
-        done += len(out)
-    ids = tuple(i for i, k in zip(ds.ids, keep) if k)
-    return Dataset(header=ds.header, ids=ids, signals=signals, labels=ds.labels[keep],
-                   folds=ds.folds[keep])
+    out = ds.take(np.ones(len(ds), dtype=bool) if folds is None else np.isin(ds.folds, folds))
+    signals = out.signals
+    signals -= mean[:, None]
+    signals /= std[:, None]
+    return out
 
 
 # ---------------------------------------------------------------------------

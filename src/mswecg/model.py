@@ -6,6 +6,13 @@ bias, then a GELU MLP, residuals around both) -> per-branch window pooling
 and projection to class logits -> learned softmax-weighted fusion -> sigmoid
 probabilities.
 
+Each branch of the block is two recorded ops with hand-written backward
+rules: :func:`window_attention` (LN, one QKV product, biased softmax,
+dropout, AV, output projection, residual) and :func:`mlp_sublayer` (LN, GELU
+MLP, residual).  They tally the MACs of the products they run on the active
+``tensor.MacCounter`` through ``tensor.count_macs``, as ``tensor.matmul``
+does for its own.
+
 All functions accept arbitrary leading axes, so the same code serves a
 single record (T, C) and a batch (B, T, C).
 """
@@ -16,12 +23,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import tensor as tc
 from .config import MswConfig
 from .errors import AdmissibilityError, DimensionError, NumericError
 from .params import ParamStore
 from .tensor import Tensor
+
+_LN_EPS = 1e-5
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass
@@ -78,100 +89,162 @@ def linear_embed(patches, w_embed: Tensor, b_embed: Tensor) -> Tensor:
 # Windowing
 
 
-def window_partition(tokens: Tensor, M: int, shift: int = 0) -> Tensor:
-    """Rotate tokens left by ``shift``, then chunk into (..., T/M, M, C).
+def window_partition(tokens, M: int, shift: int = 0) -> np.ndarray:
+    """Rotate (..., T, C) rows left by ``shift``, then chunk into (..., T/M, M, C).
 
-    Only admissible geometries are accepted: the scale must divide the token
-    count exactly.
+    Takes an array or a Tensor's values and returns an array.  Only
+    admissible geometries are accepted: the scale must divide the token count
+    exactly.
     """
-    *lead, T, C = tokens.shape
+    x = tokens.data if isinstance(tokens, Tensor) else tokens
+    *lead, T, C = x.shape
     if M < 1 or T % M != 0:
         raise AdmissibilityError(f"window scale {M} does not divide token count {T}")
     if not 0 <= shift < M:
         raise AdmissibilityError(f"shift {shift} must lie in [0, {M})")
-    x = tc.roll(tokens, -shift, axis=-2) if shift else tokens
-    return tc.reshape(x, (*lead, T // M, M, C))
+    if shift:
+        x = np.roll(x, -shift, axis=-2)
+    return x.reshape(*lead, T // M, M, C)
 
 
-def window_unpartition(windows: Tensor, shift: int = 0) -> Tensor:
+def window_unpartition(windows: np.ndarray, shift: int = 0) -> np.ndarray:
     """Exact inverse of :func:`window_partition`."""
     *lead, nW, M, C = windows.shape
-    x = tc.reshape(windows, (*lead, nW * M, C))
-    return tc.roll(x, shift, axis=-2) if shift else x
+    x = windows.reshape(*lead, nW * M, C)
+    return np.roll(x, shift, axis=-2) if shift else x
 
 
-def relative_bias(table: Tensor, M: int) -> Tensor:
-    """Expand per-head offset tables (heads, 2M-1) to logit biases (heads, M, M).
+# ---------------------------------------------------------------------------
+# Fused sublayers: one recorded op each, with a hand-written backward rule
 
-    Entry (h, i, j) reads the table at offset i - j + M - 1, covering every
-    relative position in [-(M-1), M-1].
+
+def _layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
+    """Layer norm over the last axis: (out, standardized rows, 1/sqrt(var + eps))."""
+    C = x.shape[-1]
+    if gamma.shape != (C,) or beta.shape != (C,):
+        raise DimensionError(f"layernorm gain/bias shapes {gamma.shape}/{beta.shape} do not "
+                             f"match width {C}")
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + _LN_EPS)
+    xhat *= inv
+    return xhat * gamma + beta, xhat, inv
+
+
+def _layernorm_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndarray):
+    """Gradients (dx, dgamma, dbeta) of :func:`_layernorm` given dout ``g``."""
+    C = g.shape[-1]
+    dxhat = g * gamma
+    dx = dxhat - dxhat.mean(axis=-1, keepdims=True)
+    dx -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx *= inv
+    return dx, (g * xhat).reshape(-1, C).sum(axis=0), g.reshape(-1, C).sum(axis=0)
+
+
+def window_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: Tensor,
+                     wv: Tensor, wz: Tensor, bias_table: Tensor, M: int, heads: int,
+                     shift: int = 0, attn_dropout: float = 0.0, train: bool = False,
+                     rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
+    """Attention sublayer x + unpartition(attention(partition(LN(x)))), one op.
+
+    x: (..., T, C).  Per window of M tokens and head h the map is
+    softmax(Q_h K_h^T / sqrt(d) + B_h) V_h, where B_h[i, j] reads the head's
+    relative-offset table at i - j + M - 1; heads are merged and projected by
+    Wz.  In training, inverted dropout drawn from ``rng`` hits the map.  Q, K
+    and V come from one (rows, C) @ (C, 3C) product over ``[Wq|Wk|Wv]``, and
+    weight gradients are 2-D products over all rows.  Returns (out, attn
+    (..., T/M, heads, M, M)): the probabilities before dropout, off the graph.
     """
-    heads, width = table.shape
-    if width != 2 * M - 1:
-        raise DimensionError(
-            f"bias table width {width} does not match window scale {M} (need {2 * M - 1})"
-        )
-    offs = np.arange(M)[:, None] - np.arange(M)[None, :] + (M - 1)  # (M, M)
-    out = table.data[:, offs]
+    inputs = (x, gamma, beta, wq, wk, wv, wz, bias_table)
+    *lead, T, C = x.shape
+    d, nW = C // heads, T // M
+    if bias_table.shape != (heads, 2 * M - 1):
+        raise DimensionError(f"bias table shape {bias_table.shape} does not match {heads} heads "
+                             f"at window scale {M} (need ({heads}, {2 * M - 1}))")
+    drop = train and attn_dropout > 0.0
+    if drop and rng is None:
+        raise ValueError("dropout in training mode needs an explicit rng")
 
-    def fn(g):
-        if not table.requires_grad:
-            return (None,)
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, (np.arange(heads)[:, None], offs.reshape(1, -1)), g.reshape(heads, -1))
-        return (gt,)
+    h, xhat, inv = _layernorm(x.data, gamma.data, beta.data)
+    n = h.size // C  # token rows over all records
+    h = h.reshape(n, C)
+    w_qkv = np.concatenate((wq.data, wk.data, wv.data), axis=1)
+    qkv = window_partition((h @ w_qkv).reshape(-1, T, 3 * C), M, shift)
+    q, k, v = qkv.reshape(-1, nW, M, 3, heads, d).transpose(3, 0, 1, 4, 2, 5)
+    scores = q @ k.swapaxes(-1, -2)  # (B, nW, heads, M, M)
+    scores *= 1.0 / math.sqrt(d)
+    offs = np.arange(M)[:, None] - np.arange(M)[None, :] + (M - 1)
+    scores += bias_table.data[:, offs]
+    scores -= scores.max(axis=-1, keepdims=True)
+    attn = np.exp(scores, out=scores)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    mask = (rng.random(attn.shape) >= attn_dropout) / (1.0 - attn_dropout) if drop else None
+    a = attn * mask if drop else attn
+    z = (a @ v).transpose(0, 1, 3, 2, 4).reshape(n, C)  # merged heads, window order
+    y = window_unpartition((z @ wz.data).reshape(-1, nW, M, C), shift).reshape(x.shape)
+    y += x.data
+    tc.count_macs(n * C * 3 * C + 2 * n * M * C + n * C * C)
 
-    return tc.apply_op("relative_bias", (table,), out, fn)
+    def backward_fn(g):
+        gz = window_partition(g.reshape(-1, T, C), M, shift).reshape(n, C)
+        gwz = z.T @ gz
+        dz = (gz @ wz.data.T).reshape(-1, nW, M, heads, d).transpose(0, 1, 3, 2, 4)
+        dqkv = np.empty((3, *q.shape))
+        np.matmul(a.swapaxes(-1, -2), dz, out=dqkv[2])
+        ds = dz @ v.swapaxes(-1, -2)
+        if drop:
+            ds *= mask
+        ds -= (ds * attn).sum(axis=-1, keepdims=True)
+        ds *= attn
+        gtable = np.zeros_like(bias_table.data)
+        np.add.at(gtable, (slice(None), offs), ds.sum(axis=(0, 1)))
+        ds *= 1.0 / math.sqrt(d)
+        np.matmul(ds, k, out=dqkv[0])
+        np.matmul(ds.swapaxes(-1, -2), q, out=dqkv[1])
+        dqkv = dqkv.transpose(1, 2, 4, 0, 3, 5).reshape(-1, nW, M, 3 * C)
+        dqkv = window_unpartition(dqkv, shift).reshape(n, 3 * C)
+        gw = h.T @ dqkv
+        dx, dgamma, dbeta = _layernorm_grad((dqkv @ w_qkv.T).reshape(g.shape), xhat, inv,
+                                            gamma.data)
+        dx += g
+        return dx, dgamma, dbeta, gw[:, :C], gw[:, C : 2 * C], gw[:, 2 * C :], gwz, gtable
+
+    out = tc.apply_op("window_attention", inputs, y, backward_fn)
+    return out, Tensor(attn.reshape(*lead, nW, heads, M, M))
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    # (..., M, C) -> (..., heads, M, C/heads)
-    *lead, M, C = x.shape
-    y = tc.reshape(x, (*lead, M, heads, C // heads))
-    n = y.ndim
-    return tc.transpose(y, (*range(n - 3), n - 2, n - 3, n - 1))
+def mlp_sublayer(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+                 b2: Tensor) -> Tensor:
+    """MLP sublayer: x + gelu(LN(x) W1 + b1) W2 + b2, with the exact GELU u * Phi(u).
 
-
-def _merge_heads(x: Tensor) -> Tensor:
-    # (..., heads, M, d) -> (..., M, heads*d)
-    *lead, h, M, d = x.shape
-    n = x.ndim
-    y = tc.transpose(x, (*range(n - 3), n - 2, n - 3, n - 1))
-    return tc.reshape(y, (*lead, M, h * d))
-
-
-def window_attention(
-    windows: Tensor,
-    wq: Tensor,
-    wk: Tensor,
-    wv: Tensor,
-    wz: Tensor,
-    bias_table: Tensor,
-    heads: int,
-    attn_dropout: float = 0.0,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Biased scaled-dot-product attention within each window.
-
-    windows: (..., M, C).  Per head h the map is
-    softmax(Q_h K_h^T / sqrt(d) + B_h) V_h, outputs re-merged and projected.
-    Returns (out (..., M, C), attn (..., heads, M, M)); the returned
-    attention is the softmax output, before any dropout.
+    One recorded op.  Its products, and their weight gradients, are 2-D
+    products over all (..., T) rows, tallied on the active MacCounter.
+    Without a tape the GELU is computed in place.
     """
-    *_, M, C = windows.shape
-    d = C // heads
-    q = _split_heads(tc.matmul(windows, wq), heads)
-    k = _split_heads(tc.matmul(windows, wk), heads)
-    v = _split_heads(tc.matmul(windows, wv), heads)
-    n = k.ndim
-    kt = tc.transpose(k, (*range(n - 2), n - 1, n - 2))
-    scores = tc.scale(tc.matmul(q, kt), 1.0 / math.sqrt(d))
-    scores = tc.add(scores, relative_bias(bias_table, M))
-    attn = tc.softmax_lastdim(scores)
-    a = tc.dropout(attn, attn_dropout, train, rng)
-    z = _merge_heads(tc.matmul(a, v))
-    return tc.matmul(z, wz), attn
+    inputs = (x, gamma, beta, w1, b1, w2, b2)
+    C, H = w1.shape
+    h, xhat, inv = _layernorm(x.data, gamma.data, beta.data)
+    n = h.size // C
+    h = h.reshape(n, C)
+    u = h @ w1.data
+    u += b1.data
+    cdf = ndtr(u)  # the normal CDF: GELU(u) = u * cdf
+    act = u * cdf if tc.recording(inputs) else np.multiply(u, cdf, out=u)
+    y = act @ w2.data
+    y += b2.data
+    y = y.reshape(x.shape)
+    y += x.data
+    tc.count_macs(2 * n * C * H)
+
+    def backward_fn(g):
+        gy = g.reshape(n, C)
+        du = gy @ w2.data.T
+        du *= cdf + u * np.exp(-0.5 * u * u) * _INV_SQRT_2PI  # d GELU / du
+        dx, dgamma, dbeta = _layernorm_grad((du @ w1.data.T).reshape(g.shape), xhat, inv,
+                                            gamma.data)
+        dx += g
+        return dx, dgamma, dbeta, h.T @ du, du.sum(axis=0), act.T @ gy, gy.sum(axis=0)
+
+    return tc.apply_op("mlp", inputs, y, backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -192,24 +265,19 @@ def msw_block(
     """Run the single block once per window scale on shared input tokens.
 
     Per branch: x' = x + windowed-attention(LN(x)); y = x' + MLP(LN(x')).
-    Branches own their parameters; only the input is shared.
+    Branches own their parameters; only the input is shared.  Training
+    draws the branches' dropout masks from ``rng`` in branch order.
     """
     outs = []
     for i, M in enumerate(cfg.windows):
         p = _branch_params(params, i)
-        h = tc.layernorm(tokens, p("ln1.gamma"), p("ln1.beta"))
-        w = window_partition(h, M, cfg.shift)
-        attended, attn = window_attention(
-            w, p("attn.Wq"), p("attn.Wk"), p("attn.Wv"), p("attn.Wz"),
-            p("attn.bias"), cfg.heads,
-            attn_dropout=cfg.attn_dropout, train=train, rng=rng,
+        x1, attn = window_attention(
+            tokens, p("ln1.gamma"), p("ln1.beta"),
+            p("attn.Wq"), p("attn.Wk"), p("attn.Wv"), p("attn.Wz"), p("attn.bias"),
+            M, cfg.heads, cfg.shift, attn_dropout=cfg.attn_dropout, train=train, rng=rng,
         )
-        x1 = tc.add(tokens, window_unpartition(attended, cfg.shift))
-        h2 = tc.layernorm(x1, p("ln2.gamma"), p("ln2.beta"))
-        m = tc.linear(h2, p("mlp.W1"), p("mlp.b1"))
-        m = tc.gelu(m)
-        m = tc.linear(m, p("mlp.W2"), p("mlp.b2"))
-        y = tc.add(x1, m)
+        y = mlp_sublayer(x1, p("ln2.gamma"), p("ln2.beta"),
+                         p("mlp.W1"), p("mlp.b1"), p("mlp.W2"), p("mlp.b2"))
         outs.append(BranchOutput(M=M, shift=cfg.shift, tokens=y, attn=attn))
     return outs
 

@@ -28,7 +28,7 @@ import contextvars
 import math
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import expit
 
 from .errors import DimensionError, GraphError
 
@@ -36,7 +36,9 @@ __all__ = [
     "Tensor",
     "Graph",
     "MacCounter",
+    "count_macs",
     "no_grad",
+    "recording",
     "apply_op",
     "backward",
     "tensor",
@@ -51,18 +53,11 @@ __all__ = [
     "mean",
     "reshape",
     "transpose",
-    "roll",
     "clip",
     "log",
     "softmax_lastdim",
-    "layernorm",
-    "gelu",
     "sigmoid",
-    "dropout",
 ]
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # `sum` below is shadowed by the reduction op of the same name.
 _py_sum = sum
@@ -173,6 +168,11 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
+def recording(inputs) -> bool:
+    """Whether :func:`apply_op` would record an op on ``inputs`` here."""
+    return _grad_enabled.get() and any(t.requires_grad for t in inputs)
+
+
 def apply_op(name, inputs, out_data, backward_fn) -> Tensor:
     """Build the output tensor of a differentiable op.
 
@@ -181,7 +181,7 @@ def apply_op(name, inputs, out_data, backward_fn) -> Tensor:
     point for ops with bespoke backward rules defined outside this module.
     """
     out = Tensor(out_data)
-    if _grad_enabled.get() and any(t.requires_grad for t in inputs):
+    if recording(inputs):
         out.requires_grad = True
         out.op = OpRecord(name, inputs, backward_fn)
     return out
@@ -281,7 +281,9 @@ _active_counter: contextvars.ContextVar["MacCounter | None"] = contextvars.Conte
 
 
 class MacCounter:
-    """Tallies the scalar multiplies of every matmul executed while active.
+    """Tallies the scalar multiplies of every matrix product executed while
+    active: each :func:`matmul`, and each product a fused op reports through
+    :func:`count_macs`.
 
     Counts are exact Python integers (no overflow) and grouped by a caller
     supplied phase label.  The counter is pass-local: it only sees matmuls
@@ -314,6 +316,13 @@ class MacCounter:
             yield self
         finally:
             _active_counter.reset(token)
+
+
+def count_macs(macs: int) -> None:
+    """Tally ``macs`` on the active :class:`MacCounter`, if any (for fused ops)."""
+    counter = _active_counter.get()
+    if counter is not None:
+        counter._add(macs)
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +415,7 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
     out = a.data @ b.data
-    counter = _active_counter.get()
-    if counter is not None:
-        m, k, n = a.shape[-2], a.shape[-1], b.shape[-1]
-        stacked = math.prod(out.shape[:-2])
-        counter._add(stacked * m * k * n)
+    count_macs(math.prod(out.shape[:-2]) * a.shape[-2] * a.shape[-1] * b.shape[-1])
 
     def fn(g):
         ga = gb = None
@@ -499,16 +504,6 @@ def transpose(x, axes) -> Tensor:
     return apply_op("transpose", (x,), x.data.transpose(axes), fn)
 
 
-def roll(x, shift: int, axis: int) -> Tensor:
-    """Cyclic rotation along one axis; backward rolls the other way."""
-    x = _as_tensor(x)
-
-    def fn(g):
-        return (np.roll(g, -shift, axis=axis) if x.requires_grad else None,)
-
-    return apply_op("roll", (x,), np.roll(x.data, shift, axis=axis), fn)
-
-
 def clip(x, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes through unclipped entries."""
     x = _as_tensor(x)
@@ -552,54 +547,6 @@ def softmax_lastdim(x) -> Tensor:
     return apply_op("softmax", (x,), p, fn)
 
 
-def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Standardize each last-dim row to zero mean / unit variance, then affine."""
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    if eps <= 0:
-        raise ValueError(f"layernorm eps must be positive, got {eps}")
-    c = x.shape[-1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise DimensionError(
-            f"layernorm gain/bias shapes {gamma.shape}/{beta.shape} do not match width {c}"
-        )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gamma.data + beta.data
-
-    def fn(g):
-        gg = gb = gx = None
-        if gamma.requires_grad:
-            gg = (g * xhat).reshape(-1, c).sum(axis=0)
-        if beta.requires_grad:
-            gb = g.reshape(-1, c).sum(axis=0)
-        if x.requires_grad:
-            dxhat = g * gamma.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            gx = inv * (dxhat - m1 - xhat * m2)
-        return gx, gg, gb
-
-    return apply_op("layernorm", (x, gamma, beta), out, fn)
-
-
-def gelu(x) -> Tensor:
-    """Gaussian error linear unit, exact erf form: x * Phi(x)."""
-    x = _as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out = x.data * cdf
-
-    def fn(g):
-        if not x.requires_grad:
-            return (None,)
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        return (g * (cdf + x.data * pdf),)
-
-    return apply_op("gelu", (x,), out, fn)
-
-
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
     p = expit(x.data)
@@ -608,24 +555,3 @@ def sigmoid(x) -> Tensor:
         return (g * p * (1.0 - p) if x.requires_grad else None,)
 
     return apply_op("sigmoid", (x,), p, fn)
-
-
-def dropout(x, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-p); identity when not training.
-
-    The generator is threaded explicitly so stochastic passes are replayable.
-    """
-    x = _as_tensor(x)
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not train or p == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("dropout in training mode needs an explicit rng")
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    out = x.data * mask
-
-    def fn(g):
-        return (g * mask if x.requires_grad else None,)
-
-    return apply_op("dropout", (x,), out, fn)

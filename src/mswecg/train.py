@@ -175,9 +175,10 @@ def train_loop(
     """Seeded mini-batch training with per-epoch validation on fold 9.
 
     The dataset should already be standardized; its training and validation
-    rows are indexed in place, not copied out.  Train-split metrics are
-    computed from the predictions gathered while the parameters moved during
-    the epoch; validation metrics come from a dedicated evaluation pass.
+    rows are indexed in place one batch at a time, never copied out whole.
+    Train-split metrics are computed from the predictions gathered while the
+    parameters moved during the epoch; validation metrics come from a
+    dedicated evaluation pass.
     """
     train, val, _ = (np.flatnonzero(mask) for mask in fold_masks(dataset))
     if not len(train):
@@ -222,10 +223,15 @@ def train_loop(
         log.append(_row(epoch, "train", loss_sum / n, train_report, lr))
 
         if len(val):
-            try:
-                val_probs = predict(signals[val], cfg, params, batch_size=EVAL_BATCH)
-            except NumericError as exc:
-                raise NumericError(f"validation at epoch {epoch}: {exc}") from exc
+            val_probs = np.empty(y_val.shape)
+            for start in range(0, len(val), EVAL_BATCH):  # predict's chunks, one at a time
+                rows = val[start : start + EVAL_BATCH]
+                try:
+                    val_probs[start : start + len(rows)] = predict(signals[rows], cfg, params,
+                                                                   batch_size=EVAL_BATCH)
+                except NumericError as exc:
+                    msg = f"validation at epoch {epoch}: rows from {start}: {exc}"
+                    raise NumericError(msg) from exc
             val_report = evaluate(EvalBatch(scores=val_probs, labels=y_val))
             val_loss = _np_bce(val_probs, y_val.astype(np.float64))
             log.append(_row(epoch, "val", val_loss, val_report, lr))

@@ -21,6 +21,7 @@ from mswecg.data import (
     Dataset,
     DatasetHeader,
     SynthSpec,
+    fold_masks,
     fold_split,
     lead_statistics,
     load_dataset,
@@ -284,7 +285,14 @@ def test_load_and_standardize_read_blocks_instead_of_indexing_the_map(mapped_12x
     sig, lab = mapped_12x1000
     with mock.patch.object(np.memmap, "__getitem__", side_effect=AssertionError("map indexed")):
         val = standardize(load_dataset(sig, lab), folds=SPLIT_FOLDS["val"])
+        split = fold_split(load_dataset(sig, lab))
     assert len(val) == 20
+    assert [len(part) for part in split] == [160, 20, 20]
+    in_memory = synth_generate(SynthSpec(seed=2, n_records=200, n_leads=12, L=1000))
+    for part, mask in zip(split, fold_masks(in_memory)):
+        assert type(part.signals) is np.ndarray
+        assert part.signals.tobytes() == in_memory.signals[mask].tobytes()
+        assert part.ids == tuple(i for i, k in zip(in_memory.ids, mask) if k)
 
 
 def test_dataset_rejects_columns_of_different_lengths():

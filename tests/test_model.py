@@ -13,15 +13,15 @@ from mswecg.model import (
     linear_embed,
     msw_block,
     patch_split,
+    mlp_sublayer,
     predict,
-    relative_bias,
     window_attention,
     window_partition,
     window_unpartition,
 )
 from mswecg.params import init_params
 from mswecg.train import AdamState, adam_step, bce_loss
-from util import finite_diff_check, global_block_oracle
+from util import finite_diff_check, global_block_oracle, reference_branch
 
 TINY = MswConfig(L=40, n_leads=2, P=5, C=8, heads=2, windows=(2, 4), K=3)
 
@@ -82,86 +82,109 @@ def test_linear_embed_matches_matmul_oracle():
 
 
 def test_window_partition_covers_contiguous_patches():
-    tokens = tc.tensor(np.arange(200.0 * 3).reshape(200, 3))
+    tokens = np.arange(200.0 * 3).reshape(200, 3)
     wins = window_partition(tokens, 5, 0)
     assert wins.shape == (40, 5, 3)
     for w in range(40):
-        assert np.array_equal(wins.data[w], tokens.data[5 * w : 5 * w + 5])
+        assert np.array_equal(wins[w], tokens[5 * w : 5 * w + 5])
 
 
 def test_window_partition_single_window():
-    tokens = tc.tensor(np.random.default_rng(0).normal(size=(8, 2)))
-    wins = window_partition(tokens, 8, 0)
+    tokens = np.random.default_rng(0).normal(size=(8, 2))
+    wins = window_partition(tc.tensor(tokens), 8, 0)
     assert wins.shape == (1, 8, 2)
-    assert np.array_equal(wins.data[0], tokens.data)
+    assert np.array_equal(wins[0], tokens)
 
 
 def test_window_partition_rejects_nondivisor():
-    tokens = tc.tensor(np.zeros((200, 3)))
     with pytest.raises(AdmissibilityError, match="window scale 7"):
-        window_partition(tokens, 7, 0)
+        window_partition(np.zeros((200, 3)), 7, 0)
 
 
 @pytest.mark.parametrize("T,M,shift", [(12, 3, 0), (12, 3, 2), (12, 4, 1), (8, 8, 5), (6, 1, 0)])
 def test_partition_unpartition_identity(T, M, shift):
     rng = np.random.default_rng(T + M + shift)
-    tokens = tc.tensor(rng.normal(size=(T, 4)))
+    tokens = rng.normal(size=(2, T, 4))
     back = window_unpartition(window_partition(tokens, M, shift), shift)
-    assert np.array_equal(back.data, tokens.data)
+    assert np.array_equal(back, tokens)
 
 
 def test_partition_shift_rotates_left():
-    tokens = tc.tensor(np.arange(6.0).reshape(6, 1))
-    wins = window_partition(tokens, 3, 1)
-    assert wins.data[0].ravel().tolist() == [1.0, 2.0, 3.0]
-    assert wins.data[1].ravel().tolist() == [4.0, 5.0, 0.0]
+    wins = window_partition(np.arange(6.0).reshape(6, 1), 3, 1)
+    assert wins[0].ravel().tolist() == [1.0, 2.0, 3.0]
+    assert wins[1].ravel().tolist() == [4.0, 5.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
-# relative bias
+# window attention: the fused sublayer x + attention(LN(x))
+
+
+def _ln(x, eps=1e-5):
+    return (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+
+
+def _attend(x, wq, wk, wv, wz, table, M, heads, **kw):
+    """window_attention with unit LN gain and zero LN bias."""
+    C = x.shape[-1]
+    return window_attention(tc.tensor(x), tc.tensor(np.ones(C)), tc.tensor(np.zeros(C)),
+                            wq, wk, wv, wz, table, M, heads, **kw)
+
+
+def _bias_only_attention(table, M):
+    """Attention maps (heads, M, M) of one window whose queries are all zero,
+    so every score row is the relative-bias row."""
+    heads = table.shape[0]
+    C = 2 * heads
+    zero, eye = tc.tensor(np.zeros((C, C))), tc.tensor(np.eye(C))
+    x = np.random.default_rng(0).normal(size=(M, C))
+    _, attn = _attend(x, zero, eye, eye, eye, table, M, heads)
+    return attn.data[0]
 
 
 def test_relative_bias_indexing():
-    table = tc.tensor(np.arange(9.0).reshape(1, 9))
-    bias = relative_bias(table, 5)
-    assert bias.shape == (1, 5, 5)
-    assert bias.data[0, 0, 0] == 4.0  # offset 0 reads the middle entry
-    assert bias.data[0, 4, 0] == 8.0  # offset +4 reads the last entry
-    assert bias.data[0, 0, 4] == 0.0  # offset -4 reads the first entry
-    for i in range(5):
-        for j in range(5):
-            assert bias.data[0, i, j] == i - j + 4
+    # Entry (i, j) reads the table at offset i - j + M - 1; a table with
+    # distinct second differences makes every misread visible.
+    M = 5
+    table = (np.arange(9.0) - 4.0) ** 2 / 8.0
+    attn = _bias_only_attention(tc.tensor(table.reshape(1, 9)), M)
+    logits = np.log(attn[0])
+    i, j = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
+    expected = table[i - j + M - 1] - table[M - 1]  # relative to the diagonal
+    assert np.abs(logits - np.diag(logits)[:, None] - expected).max() <= 1e-12
 
 
 def test_relative_bias_m1():
-    table = tc.tensor(np.array([[2.5]]))
-    bias = relative_bias(table, 1)
-    assert bias.shape == (1, 1, 1) and bias.data[0, 0, 0] == 2.5
+    x = np.random.default_rng(1).normal(size=(3, 4))
+    ws = [tc.tensor(np.eye(4)) for _ in range(4)]
+    out_a, attn = _attend(x, *ws, tc.tensor(np.array([[2.5], [2.5]])), 1, 2)
+    out_b, _ = _attend(x, *ws, tc.tensor(np.array([[-7.0], [0.0]])), 1, 2)
+    assert attn.shape == (3, 2, 1, 1) and np.array_equal(attn.data, np.ones((3, 2, 1, 1)))
+    assert np.array_equal(out_a.data, out_b.data)
 
 
 def test_relative_bias_wrong_width():
+    ws = [tc.tensor(np.eye(4)) for _ in range(4)]
     with pytest.raises(DimensionError, match="table"):
-        relative_bias(tc.tensor(np.zeros((2, 8))), 5)
+        _attend(np.zeros((10, 4)), *ws, tc.tensor(np.zeros((2, 8))), 5, 2)
 
 
 def test_relative_bias_gradient():
-    err = finite_diff_check(lambda t: relative_bias(t, 3), [(2, 5)], seed=1)
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(6, 4))
+    ws = [tc.tensor(rng.normal(size=(4, 4))) for _ in range(4)]
+    err = finite_diff_check(lambda t: _attend(x, *ws, t, 3, 2)[0], [(2, 5)], seed=1)
     assert err < 1e-4
 
 
 def test_constant_bias_table_means_unbiased_attention():
     rng = np.random.default_rng(3)
-    x = tc.tensor(rng.normal(size=(1, 4, 8)))
+    x = rng.normal(size=(1, 4, 8))
     ws = [tc.tensor(rng.normal(size=(8, 8))) for _ in range(4)]
     zero = tc.tensor(np.zeros((2, 7)))
     const = tc.tensor(np.full((2, 7), 3.7))
-    _, attn0 = window_attention(x, *ws, zero, heads=2)
-    _, attn1 = window_attention(x, *ws, const, heads=2)
+    _, attn0 = _attend(x, *ws, zero, 4, 2)
+    _, attn1 = _attend(x, *ws, const, 4, 2)
     assert np.abs(attn0.data - attn1.data).max() <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# window attention
 
 
 def _rand_weights(rng, C, heads, M):
@@ -177,10 +200,10 @@ def _rand_weights(rng, C, heads, M):
 def test_attention_m1_ignores_bias():
     rng = np.random.default_rng(0)
     wq, wk, wv, wz, bias = _rand_weights(rng, 4, 2, 1)
-    x = tc.tensor(rng.normal(size=(3, 1, 4)))  # three windows of one token
-    out, attn = window_attention(x, wq, wk, wv, wz, bias, heads=2)
+    x = rng.normal(size=(3, 4))  # three windows of one token
+    out, attn = _attend(x, wq, wk, wv, wz, bias, 1, 2)
     assert np.allclose(attn.data, 1.0)
-    expected = (x.data @ wv.data) @ wz.data
+    expected = x + (_ln(x) @ wv.data) @ wz.data
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
@@ -192,46 +215,160 @@ def test_attention_zero_query_is_uniform():
     wv = tc.tensor(rng.normal(size=(C, C)))
     wz = tc.tensor(rng.normal(size=(C, C)))
     bias = tc.tensor(np.zeros((heads, 2 * M - 1)))
-    x = tc.tensor(rng.normal(size=(1, M, C)))
-    out, attn = window_attention(x, wq, wk, wv, wz, bias, heads=heads)
+    x = rng.normal(size=(1, M, C))
+    out, attn = _attend(x, wq, wk, wv, wz, bias, M, heads)
     assert np.abs(attn.data - 1.0 / M).max() <= 1e-12
-    v = x.data[0] @ wv.data
-    expected = np.tile(v.mean(axis=0), (M, 1)) @ wz.data
+    v = _ln(x[0]) @ wv.data
+    expected = x[0] + np.tile(v.mean(axis=0), (M, 1)) @ wz.data
     assert np.allclose(out.data[0], expected, atol=1e-12)
 
 
 def test_attention_hand_case_m2_one_head():
-    # Scalar arithmetic oracle with small integer weights, C = d = 1.
-    wq = tc.tensor([[2.0]])
-    wk = tc.tensor([[1.0]])
-    wv = tc.tensor([[3.0]])
-    wz = tc.tensor([[2.0]])
+    # Scalar arithmetic oracle, one head of width d = C = 2.  The tokens
+    # (1, 3) and (4, 2) normalize to (-r, r) and (r, -r); the diagonal
+    # weights below read only their first coordinate.
+    r = 1.0 / np.sqrt(1.0 + 1e-5)
+    wq = tc.tensor(np.diag([2.0, 0.0]))
+    wk = tc.tensor(np.diag([1.0, 0.0]))
+    wv = tc.tensor(np.diag([3.0, 0.0]))
+    wz = tc.tensor(np.diag([2.0, 0.0]))
     bias = tc.tensor([[0.5, 0.0, -0.5]])
-    x = tc.tensor([[1.0], [2.0]])
-    out, attn = window_attention(x, wq, wk, wv, wz, bias, heads=1)
-    q = np.array([2.0, 4.0])
-    k = np.array([1.0, 2.0])
-    v = np.array([3.0, 6.0])
+    x = np.array([[1.0, 3.0], [4.0, 2.0]])
+    out, attn = _attend(x, wq, wk, wv, wz, bias, 2, 1)
+    q = np.array([-2.0 * r, 2.0 * r])
+    k = np.array([-r, r])
+    v = np.array([-3.0 * r, 3.0 * r])
+    s = 1.0 / np.sqrt(2.0)
     # offsets: i - j = -1 reads table[0] = +0.5, +1 reads table[2] = -0.5
     scores = np.array(
         [
-            [q[0] * k[0] + 0.0, q[0] * k[1] + 0.5],
-            [q[1] * k[0] - 0.5, q[1] * k[1] + 0.0],
+            [q[0] * k[0] * s + 0.0, q[0] * k[1] * s + 0.5],
+            [q[1] * k[0] * s - 0.5, q[1] * k[1] * s + 0.0],
         ]
     )
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     a = e / e.sum(axis=1, keepdims=True)
-    expected = (a @ v) * 2.0
-    assert np.allclose(attn.data[0], a, atol=1e-12)
-    assert np.allclose(out.data.ravel(), expected, atol=1e-12)
+    expected = x + np.stack([(a @ v) * 2.0, np.zeros(2)], axis=1)
+    assert np.allclose(attn.data[0, 0], a, atol=1e-12)
+    assert np.allclose(out.data, expected, atol=1e-12)
 
 
 def test_attention_rows_sum_to_one():
     rng = np.random.default_rng(5)
     wq, wk, wv, wz, bias = _rand_weights(rng, 8, 4, 5)
-    x = tc.tensor(rng.normal(size=(6, 5, 8)))
-    _, attn = window_attention(x, wq, wk, wv, wz, bias, heads=4)
+    x = rng.normal(size=(2, 15, 8))
+    _, attn = _attend(x, wq, wk, wv, wz, bias, 5, 4)
+    assert attn.shape == (2, 3, 4, 5, 5)
     assert np.abs(attn.data.sum(axis=-1) - 1.0).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Fused sublayers against finite differences and the unfused composition
+
+
+_ATTENTION_FD_CASES = [  # (M, shift, attn_dropout) at T = 4
+    (2, 0, 0.0),
+    (2, 1, 0.0),
+    (1, 0, 0.0),
+    (4, 0, 0.0),
+    (4, 3, 0.0),
+    (2, 1, 0.3),
+]
+
+
+@pytest.mark.parametrize("M,shift,p", _ATTENTION_FD_CASES,
+                         ids=[f"M{m}-shift{s}-drop{p}" for m, s, p in _ATTENTION_FD_CASES])
+def test_window_attention_matches_finite_differences(M, shift, p):
+    T, C, heads = 4, 4, 2
+
+    def build(x, gamma, beta, wq, wk, wv, wz, table):
+        # A fresh generator per call: every probe sees the same dropout mask.
+        return window_attention(x, gamma, beta, wq, wk, wv, wz, table, M, heads, shift,
+                                attn_dropout=p, train=p > 0, rng=np.random.default_rng(7))[0]
+
+    shapes = [(2, T, C), (C,), (C,), (C, C), (C, C), (C, C), (C, C), (heads, 2 * M - 1)]
+    assert finite_diff_check(build, shapes, seed=M + shift) < 1e-4
+
+
+def test_mlp_sublayer_matches_finite_differences():
+    C, H = 4, 8
+    shapes = [(2, 3, C), (C,), (C,), (C, H), (H,), (H, C), (C,)]
+    assert finite_diff_check(mlp_sublayer, shapes, seed=3) < 1e-4
+
+
+_REFERENCE_CASES = [  # (windows, shift, attn_dropout) at T = 8
+    ((2, 4), 0, 0.0),
+    ((2, 4), 1, 0.0),
+    ((1, 8), 0, 0.0),
+    ((2, 4, 8), 1, 0.3),
+]
+
+
+@pytest.mark.parametrize("windows,shift,p", _REFERENCE_CASES,
+                         ids=[f"{w}-shift{s}-drop{p}" for w, s, p in _REFERENCE_CASES])
+def test_block_matches_the_unfused_composition(windows, shift, p):
+    cfg = MswConfig(L=40, n_leads=2, P=5, C=8, heads=2, windows=windows, K=3, shift=shift,
+                    attn_dropout=p)
+    params = init_params(cfg, seed=1)
+    rng = np.random.default_rng(0)
+    for _, t in params.items():
+        t.data[...] = rng.normal(size=t.shape) * 0.5
+    x = tc.Tensor(rng.normal(size=(3, cfg.tokens, cfg.C)), requires_grad=True)
+    probes = [rng.normal(size=x.shape) for _ in windows]
+
+    def grads(outputs):
+        params.zero_grads()
+        x.grad = None
+        tc.backward(tc.sum(tc.concat([tc.mul(y, w) for y, w in zip(outputs, probes)], 0)))
+        return {"x": x.grad, **{n: t.grad for n, t in params.items() if t.grad is not None}}
+
+    fused = msw_block(x, cfg, params, train=p > 0, rng=np.random.default_rng(5))
+    fused_grads = grads([br.tokens for br in fused])
+    ref_rng = np.random.default_rng(5)
+    ref = [reference_branch(x, lambda leaf, i=i: params[f"branch{i}.{leaf}"], M, cfg.heads,
+                            shift, p, p > 0, ref_rng) for i, M in enumerate(windows)]
+    ref_grads = grads([y for y, _ in ref])
+    for br, (y, attn) in zip(fused, ref):
+        assert np.abs(br.tokens.data - y.data).max() <= 1e-12
+        assert np.abs(br.attn.data - attn.data).max() <= 1e-12
+    assert fused_grads.keys() == ref_grads.keys()
+    for name in ref_grads:
+        assert np.abs(fused_grads[name] - ref_grads[name]).max() <= 1e-10, name
+
+
+def test_train_forward_draws_the_three_attention_masks_in_branch_order():
+    cfg = MswConfig(L=200, n_leads=4, P=5, C=32, heads=4, windows=(5, 10, 20), K=3)
+    params = init_params(cfg, seed=0)
+    sig = np.random.default_rng(1).normal(size=(2, cfg.n_leads, cfg.L))
+    used, expected = np.random.default_rng(9), np.random.default_rng(9)
+    forward(sig, cfg, params, train=True, rng=used)
+    for M in cfg.windows:
+        expected.random((2, cfg.tokens // M, cfg.heads, M, M))
+    assert used.bit_generator.state == expected.bit_generator.state
+
+
+@pytest.mark.parametrize("n_leads,L,macs", [(4, 200, 1_591_131), (12, 1000, 8_211_547)])
+def test_forward_macs_per_record_are_pinned(n_leads, L, macs):
+    # The benchmark's desk and PTB-XL-length models, one record.
+    cfg = MswConfig(L=L, n_leads=n_leads, P=5, C=32, heads=4, windows=(5, 10, 20), K=3)
+    counter = tc.MacCounter()
+    with counter.active():
+        forward(np.zeros((1, n_leads, L)), cfg, init_params(cfg, seed=0))
+    assert counter.total == macs
+
+
+def test_fused_sublayers_stay_finite_on_large_inputs():
+    rng = np.random.default_rng(1)
+    C, heads, M = 8, 2, 4
+    x = tc.tensor(rng.normal(size=(2, 8, C)) * 500)
+    gamma, beta = tc.tensor(np.ones(C)), tc.tensor(np.zeros(C))
+    ws = [tc.tensor(rng.normal(size=(C, C)) * 30) for _ in range(4)]
+    out, attn = window_attention(x, gamma, beta, *ws, tc.tensor(np.zeros((heads, 7))), M, heads)
+    y = mlp_sublayer(x, gamma, beta, tc.tensor(rng.normal(size=(C, 4 * C)) * 30),
+                     tc.tensor(np.zeros(4 * C)), tc.tensor(rng.normal(size=(4 * C, C))),
+                     tc.tensor(np.zeros(C)))
+    for t in (out, attn, y):
+        assert np.isfinite(t.data).all()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mswecg import tensor as tc
 from mswecg.errors import DimensionError, GraphError
+from mswecg.model import mlp_sublayer, window_attention
 from util import finite_diff_check
 
 
@@ -58,46 +59,6 @@ def test_softmax_rows_sum_to_one():
 def test_softmax_empty_lastdim_rejected():
     with pytest.raises(DimensionError):
         tc.softmax_lastdim(tc.tensor(np.zeros((3, 0))))
-
-
-def test_layernorm_zero_variance_row():
-    out = tc.layernorm(tc.tensor([[1.0, 1.0, 1.0]]), tc.tensor(np.ones(3)),
-                       tc.tensor(np.zeros(3)))
-    assert np.allclose(out.data, 0.0)
-
-
-def test_layernorm_two_point_row():
-    out = tc.layernorm(tc.tensor([[1.0, 3.0]]), tc.tensor(np.ones(2)),
-                       tc.tensor(np.zeros(2)), eps=1e-5)
-    assert np.allclose(out.data, [[-1.0, 1.0]], atol=1e-3)
-
-
-def test_layernorm_recomputation_oracle():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(3, 8)) * 4 + 1
-    eps = 1e-5
-    out = tc.layernorm(tc.tensor(x), tc.tensor(np.ones(8)), tc.tensor(np.zeros(8)), eps=eps).data
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    assert np.allclose(out, (x - mu) / np.sqrt(var + eps), atol=1e-12)
-    # eps-corrected rows: mean 0, variance var/(var+eps)
-    assert np.abs(out.mean(axis=1)).max() < 1e-6
-    assert np.abs(out.var(axis=1) - var[:, 0] / (var[:, 0] + eps)).max() < 1e-6
-
-
-def test_layernorm_width_mismatch():
-    with pytest.raises(DimensionError):
-        tc.layernorm(tc.tensor(np.zeros((2, 4))), tc.tensor(np.ones(3)), tc.tensor(np.zeros(3)))
-
-
-def test_gelu_values():
-    assert tc.gelu(tc.tensor(0.0)).data == 0.0
-    assert tc.gelu(tc.tensor(30.0)).data == pytest.approx(30.0)
-    assert tc.gelu(tc.tensor(-30.0)).data == pytest.approx(0.0, abs=1e-12)
-    # x * Phi(x) at x = 1, against a high-precision normal CDF
-    phi1 = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
-    assert tc.gelu(tc.tensor(1.0)).data == pytest.approx(1.0 * phi1, abs=1e-15)
-    assert float(tc.gelu(tc.tensor(1.0)).data) == pytest.approx(0.8413447460685429, abs=1e-12)
 
 
 def test_backward_sum_gives_ones():
@@ -170,7 +131,7 @@ def test_backward_frees_the_graph_and_leaves_keep_grads():
     x = tc.Tensor(np.arange(3.0), requires_grad=True)
     w = tc.Tensor(np.ones(3), requires_grad=True)
     h = tc.mul(x, w)
-    loss = tc.sum(tc.gelu(h))
+    loss = tc.sum(tc.sigmoid(h))
     tc.backward(loss)
     assert x.grad is not None and w.grad is not None
     assert h.grad is None and loss.grad is None
@@ -189,37 +150,16 @@ def test_backward_through_a_consumed_shared_subgraph_is_an_error():
 def test_no_grad_records_nothing_and_restores():
     x = tc.Tensor(np.ones((2, 3)), requires_grad=True)
     with tc.no_grad():
-        y = tc.matmul(tc.gelu(x), tc.tensor(np.ones((3, 2))))
+        y = tc.matmul(tc.sigmoid(x), tc.tensor(np.ones((3, 2))))
         with tc.no_grad():
             pass
         z = tc.sum(y)
     assert y.op is None and z.op is None and not z.requires_grad
     with pytest.raises(GraphError, match="detached"):
         tc.backward(z)
-    recorded = tc.sum(tc.matmul(tc.gelu(x), tc.tensor(np.ones((3, 2)))))
+    recorded = tc.sum(tc.matmul(tc.sigmoid(x), tc.tensor(np.ones((3, 2)))))
     assert recorded.op is not None
     assert recorded.data == z.data
-
-
-def test_dropout_eval_is_identity():
-    x = tc.tensor(np.arange(12.0).reshape(3, 4))
-    assert tc.dropout(x, 0.5, train=False) is x
-    assert tc.dropout(x, 0.0, train=True) is x
-
-
-def test_dropout_deterministic_and_inverted():
-    x = tc.Tensor(np.ones((200, 50)), requires_grad=True)
-    out1 = tc.dropout(x, 0.25, train=True, rng=np.random.default_rng(9)).data
-    out2 = tc.dropout(x, 0.25, train=True, rng=np.random.default_rng(9)).data
-    assert np.array_equal(out1, out2)
-    survivors = out1[out1 != 0]
-    assert np.allclose(survivors, 1.0 / 0.75)
-    assert abs((out1 != 0).mean() - 0.75) < 0.02
-
-
-def test_dropout_needs_rng_in_train():
-    with pytest.raises(ValueError, match="rng"):
-        tc.dropout(tc.tensor(np.ones(3)), 0.5, train=True)
 
 
 def test_concat_shape_error():
@@ -255,10 +195,7 @@ _GRAD_CASES = [
     ("mean_all", lambda x: tc.reshape(tc.mean(x), (1, 1)), [(3, 4)]),
     ("reshape", lambda x: tc.reshape(x, (6, 2)), [(3, 4)]),
     ("transpose", lambda x: tc.transpose(x, (2, 0, 1)), [(2, 3, 4)]),
-    ("roll", lambda x: tc.roll(x, 3, axis=1), [(2, 5)]),
     ("softmax", lambda x: tc.softmax_lastdim(x), [(4, 6)]),
-    ("layernorm", lambda x, g, b: tc.layernorm(x, g, b), [(5, 8), (8,), (8,)]),
-    ("gelu", lambda x: tc.gelu(x), [(4, 5)]),
     ("sigmoid", lambda x: tc.sigmoid(x), [(4, 5)]),
     ("log_clip", lambda x: tc.log(tc.clip(tc.sigmoid(x), 1e-12, 1 - 1e-12)), [(4, 5)]),
 ]
@@ -305,7 +242,7 @@ def test_distinct_graphs_on_distinct_threads():
     def run_once():
         x = tc.Tensor(x_data.copy(), requires_grad=True)
         w = tc.Tensor(w_data.copy(), requires_grad=True)
-        tc.backward(tc.sum(tc.gelu(tc.matmul(x, w))))
+        tc.backward(tc.sum(tc.sigmoid(tc.matmul(x, w))))
         return x.grad, w.grad
 
     expected_x, expected_w = run_once()
@@ -348,8 +285,103 @@ def test_forward_ops_stay_finite_on_finite_inputs():
     x = tc.tensor(rng.normal(size=(4, 6)) * 500)
     for out in (
         tc.softmax_lastdim(x),
-        tc.layernorm(x, tc.tensor(np.ones(6)), tc.tensor(np.zeros(6))),
-        tc.gelu(x),
         tc.sigmoid(x),
     ):
         assert np.isfinite(out.data).all()
+
+
+# ---------------------------------------------------------------------------
+# Layer norm, GELU and dropout exist only inside the fused sublayer ops of
+# `mswecg.model`; their value and edge-case checks run through those ops.
+
+
+def _layernorm(x, gamma, beta):
+    """LN(x) read off the attention sublayer: with one-token windows, one
+    head and identity Wv and Wz it returns x + LN(x)."""
+    x = np.asarray(x, dtype=np.float64)
+    eye = tc.tensor(np.eye(x.shape[-1]))
+    out, _ = window_attention(tc.tensor(x), gamma, beta, eye, eye, eye, eye,
+                              tc.tensor(np.zeros((1, 1))), 1, 1)
+    return out.data - x
+
+
+def _gelu(v: float) -> float:
+    """GELU(v) read off the MLP sublayer at width 1, where LN(x) is the LN
+    bias and every other weight is the identity or zero."""
+    one, zero = tc.tensor(np.ones((1, 1))), tc.tensor(np.zeros(1))
+    return mlp_sublayer(tc.tensor(np.zeros((1, 1))), tc.tensor(np.ones(1)), tc.tensor([v]),
+                        one, zero, one, zero).data.item()
+
+
+def _dropout_ones(shape, p, train, rng):
+    """Dropout applied to all-one attention: one-token windows of a width-1
+    signal whose LN bias is 1, so the sublayer adds exactly the mask."""
+    one, gain = tc.tensor(np.ones((1, 1))), tc.tensor(np.ones(1))
+    out, _ = window_attention(tc.tensor(np.zeros((*shape, 1))), gain, gain,
+                              one, one, one, one, one, 1, 1, attn_dropout=p, train=train, rng=rng)
+    return out.data[..., 0]
+
+
+def test_layernorm_zero_variance_row():
+    out = _layernorm([[1.0, 1.0, 1.0]], tc.tensor(np.ones(3)), tc.tensor(np.zeros(3)))
+    assert np.allclose(out, 0.0)
+
+
+def test_layernorm_two_point_row():
+    out = _layernorm([[1.0, 3.0]], tc.tensor(np.ones(2)), tc.tensor(np.zeros(2)))
+    assert np.allclose(out, [[-1.0, 1.0]], atol=1e-3)
+
+
+def test_layernorm_recomputation_oracle():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(3, 8)) * 4 + 1
+    eps = 1e-5
+    out = _layernorm(x, tc.tensor(np.ones(8)), tc.tensor(np.zeros(8)))
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    assert np.allclose(out, (x - mu) / np.sqrt(var + eps), atol=1e-12)
+    # eps-corrected rows: mean 0, variance var/(var+eps)
+    assert np.abs(out.mean(axis=1)).max() < 1e-6
+    assert np.abs(out.var(axis=1) - var[:, 0] / (var[:, 0] + eps)).max() < 1e-6
+
+
+def test_layernorm_width_mismatch():
+    with pytest.raises(DimensionError):
+        _layernorm(np.zeros((2, 4)), tc.tensor(np.ones(3)), tc.tensor(np.zeros(3)))
+    w = tc.tensor(np.zeros((4, 4)))
+    with pytest.raises(DimensionError):
+        mlp_sublayer(tc.tensor(np.zeros((2, 4))), tc.tensor(np.ones(3)), tc.tensor(np.zeros(3)),
+                     w, tc.tensor(np.zeros(4)), w, tc.tensor(np.zeros(4)))
+
+
+def test_gelu_values():
+    assert _gelu(0.0) == 0.0
+    assert _gelu(30.0) == pytest.approx(30.0)
+    assert _gelu(-30.0) == pytest.approx(0.0, abs=1e-12)
+    # x * Phi(x) at x = 1, against a high-precision normal CDF
+    phi1 = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
+    assert _gelu(1.0) == pytest.approx(1.0 * phi1, abs=1e-15)
+    assert _gelu(1.0) == pytest.approx(0.8413447460685429, abs=1e-12)
+
+
+def test_dropout_eval_is_identity():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    ones = np.ones((3, 4))
+    assert np.array_equal(_dropout_ones((3, 4), 0.5, False, rng), ones)
+    assert np.array_equal(_dropout_ones((3, 4), 0.0, True, rng), ones)
+    assert rng.bit_generator.state == state  # nothing drawn
+
+
+def test_dropout_deterministic_and_inverted():
+    out1 = _dropout_ones((200, 50), 0.25, True, np.random.default_rng(9))
+    out2 = _dropout_ones((200, 50), 0.25, True, np.random.default_rng(9))
+    assert np.array_equal(out1, out2)
+    survivors = out1[out1 != 0]
+    assert np.allclose(survivors, 1.0 / 0.75)
+    assert abs((out1 != 0).mean() - 0.75) < 0.02
+
+
+def test_dropout_needs_rng_in_train():
+    with pytest.raises(ValueError, match="rng"):
+        _dropout_ones((3,), 0.5, True, None)

@@ -1,10 +1,13 @@
 """Shared test oracles: finite differences, a from-scratch global-attention
-layer, and brute-force metric loops."""
+layer, the unfused tape composition of the block, and brute-force metric
+loops."""
 
 import math
 
 import numpy as np
 from scipy.special import erf
+
+from mswecg import tensor as tc
 
 
 def global_block_oracle(x, p, heads, eps=1e-5):
@@ -37,14 +40,90 @@ def global_block_oracle(x, p, heads, eps=1e-5):
     return x1 + m @ p["mlp.W2"] + p["mlp.b2"]
 
 
+# ---------------------------------------------------------------------------
+# The block as a chain of primitive tape ops: the composition the fused
+# sublayer ops of ``mswecg.model`` replace, kept as their reference.
+
+
+def _ref_layernorm(x, gamma, beta, eps=1e-5):
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    c = x.shape[-1]
+
+    def fn(g):
+        dxhat = g * gamma.data
+        gx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        return gx, (g * xhat).reshape(-1, c).sum(axis=0), g.reshape(-1, c).sum(axis=0)
+
+    return tc.apply_op("layernorm", (x, gamma, beta), xhat * gamma.data + beta.data, fn)
+
+
+def _ref_gelu(x):
+    cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x.data * x.data) / math.sqrt(2.0 * math.pi)
+    return tc.apply_op("gelu", (x,), x.data * cdf, lambda g: (g * (cdf + x.data * pdf),))
+
+
+def _ref_roll(x, shift):
+    return tc.apply_op("roll", (x,), np.roll(x.data, shift, axis=-2),
+                       lambda g: (np.roll(g, -shift, axis=-2),))
+
+
+def _ref_relative_bias(table, M):
+    heads = table.shape[0]
+    offs = np.arange(M)[:, None] - np.arange(M)[None, :] + (M - 1)
+
+    def fn(g):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, (np.arange(heads)[:, None], offs.reshape(1, -1)), g.reshape(heads, -1))
+        return (gt,)
+
+    return tc.apply_op("relative_bias", (table,), table.data[:, offs], fn)
+
+
+def reference_branch(x, p, M, heads, shift=0, attn_dropout=0.0, train=False, rng=None):
+    """One branch of the block as primitive ops: (block output, pre-dropout
+    attention); ``p(leaf)`` gives a parameter.
+
+    Dropout draws one mask of the attention's shape from ``rng``, as the
+    block always has."""
+    *lead, T, C = x.shape
+    d = C // heads
+
+    def split_heads(t):  # (..., M, C) -> (..., heads, M, d)
+        n = t.ndim + 1
+        return tc.transpose(tc.reshape(t, (*t.shape[:-1], heads, d)),
+                            (*range(n - 3), n - 2, n - 3, n - 1))
+
+    h = _ref_layernorm(x, p("ln1.gamma"), p("ln1.beta"))
+    w = tc.reshape(_ref_roll(h, -shift) if shift else h, (*lead, T // M, M, C))
+    q, k, v = (split_heads(tc.matmul(w, p(f"attn.{n}"))) for n in ("Wq", "Wk", "Wv"))
+    n = k.ndim
+    scores = tc.scale(tc.matmul(q, tc.transpose(k, (*range(n - 2), n - 1, n - 2))),
+                      1.0 / math.sqrt(d))
+    attn = tc.softmax_lastdim(tc.add(scores, _ref_relative_bias(p("attn.bias"), M)))
+    a = attn
+    if train and attn_dropout > 0.0:
+        mask = (rng.random(attn.shape) >= attn_dropout) / (1.0 - attn_dropout)
+        a = tc.apply_op("dropout", (attn,), attn.data * mask, lambda g: (g * mask,))
+    z = tc.matmul(a, v)
+    z = tc.reshape(tc.transpose(z, (*range(n - 3), n - 2, n - 3, n - 1)), (*lead, T, C))
+    z = tc.matmul(z, p("attn.Wz"))
+    x1 = tc.add(x, _ref_roll(z, shift) if shift else z)
+    m = tc.linear(_ref_layernorm(x1, p("ln2.gamma"), p("ln2.beta")), p("mlp.W1"), p("mlp.b1"))
+    m = tc.linear(_ref_gelu(m), p("mlp.W2"), p("mlp.b2"))
+    return tc.add(x1, m), attn
+
+
 def finite_diff_check(build, shapes, seed=0, h=1e-6, floor=1e-3):
     """Max relative error between analytic grads and central differences.
 
     ``build(*tensors)`` must return an output tensor; the probing loss is
     sum(out * out) so every output element matters.
     """
-    from mswecg import tensor as tc
-
     rng = np.random.default_rng(seed)
     xs = [tc.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
     out = build(*xs)

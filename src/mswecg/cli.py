@@ -42,7 +42,7 @@ from .errors import (
 )
 from .metrics import EvalBatch, evaluate
 from .model import predict
-from .params import init_params, load_checkpoint, save_checkpoint
+from .params import ParamStore, init_params, load_checkpoint, save_checkpoint
 from .train import TrainConfig, finite_difference_audit, train_loop, write_metric_log
 
 EXIT_OK = 0
@@ -139,7 +139,7 @@ def resolve_configs(settings: dict, header: DatasetHeader) -> tuple[MswConfig, T
     model_kwargs = {k: v for k, v in settings.items() if k in MODEL_KEYS}
     model_kwargs.update(L=header.L, n_leads=header.n_leads, K=header.K)
     train_kwargs = {k: v for k, v in settings.items() if k in TRAIN_KEYS}
-    return MswConfig(**model_kwargs), TrainConfig(**train_kwargs)
+    return MswConfig.from_dict(model_kwargs), TrainConfig(**train_kwargs)
 
 
 def echo_config(config: dict) -> None:
@@ -180,12 +180,32 @@ def run_train(args) -> int:
     return EXIT_OK
 
 
-def run_eval(args) -> int:
-    store, saved = load_checkpoint(args.checkpoint)
+def load_model(checkpoint) -> tuple[MswConfig, ParamStore, dict]:
+    """A checkpoint's model config, parameters and saved config.
+
+    Every parameter ``init_params`` makes for that config must be present
+    with its shape, and no other; the error names the first that is not.
+    """
+    store, saved = load_checkpoint(checkpoint)
     model_cfg = saved.get("model")
     if not model_cfg:
-        raise ConfigError(f"checkpoint {args.checkpoint} carries no model config")
+        raise ConfigError(f"checkpoint {checkpoint} carries no model config")
     cfg = MswConfig.from_dict(model_cfg)
+    want = init_params(cfg)
+    for name, t in want.items():
+        if name not in store:
+            raise DataError(f"checkpoint {checkpoint} lacks parameter {name}")
+        if store[name].shape != t.shape:
+            raise DataError(f"checkpoint {checkpoint}: parameter {name} has shape "
+                            f"{store[name].shape}, the model config needs {t.shape}")
+    for name in store.names():
+        if name not in want:
+            raise DataError(f"checkpoint {checkpoint} has unknown parameter {name}")
+    return cfg, store, saved
+
+
+def run_eval(args) -> int:
+    cfg, store, saved = load_model(args.checkpoint)
     echo_config(cfg.to_dict())
     split = standardize(load_dataset(args.signals, args.labels), folds=SPLIT_FOLDS[args.split])
     if not len(split):
@@ -226,11 +246,7 @@ def run_flops(args) -> int:
 
 
 def run_attn(args) -> int:
-    store, saved = load_checkpoint(args.checkpoint)
-    model_cfg = saved.get("model")
-    if not model_cfg:
-        raise ConfigError(f"checkpoint {args.checkpoint} carries no model config")
-    cfg = MswConfig.from_dict(model_cfg)
+    cfg, store, _ = load_model(args.checkpoint)
     echo_config(cfg.to_dict())
     ds = load_dataset(args.signals, args.labels)
     mean, std = lead_statistics(ds)

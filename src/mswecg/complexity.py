@@ -10,10 +10,14 @@ projection); softmax, bias adds, layer norms and MLPs are out of scope:
   ``windows`` costs 4*L*C^2 + 2*L*C*sum(M_i), with the shared QKV and output
   projections counted once.
 
-``measure_macs`` runs the real attention primitives under a counting hook
-and must reconcile with these terms exactly, phase by phase.  The caller
-decides whether ``length`` means raw samples or patch tokens; reconciliation
-against the running model is at token level.
+``measure_macs`` checks these terms by execution, phase by phase.  It runs
+the products of a shared-projection toy pass on random arrays: Q, K, V
+and the output projection once over all tokens, and the score and value
+products once per window scale.  It counts each product from its operand
+shapes on a ``tensor.MacCounter`` and must reconcile exactly.  The toy pass is
+not the model: the model's per-branch projections are counted by the
+``MacCounter`` around ``model.forward``.  The caller decides whether
+``length`` means raw samples or patch tokens.
 """
 
 from __future__ import annotations
@@ -83,13 +87,18 @@ class ComplexityReport:
         return self.omega_msa / self.omega_mswsa
 
 
-def measure_macs(tokens: int, channels: int, windows, seed: int = 0) -> ComplexityReport:
-    """Run the attention matmuls on live buffers and tally their MACs.
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, tallied on the active MacCounter from the operand shapes."""
+    tc.count_macs(math.prod(a.shape[:-2]) * a.shape[-2] * a.shape[-1] * b.shape[-1])
+    return a @ b
 
-    One MAC per scalar multiply inside a matmul; the counting hook sits in
-    the matmul primitive itself, so the tally reflects shapes actually
-    executed.  Raises if the measurement disagrees with the analytic phase
-    terms (they are equalities, not approximations).
+
+def measure_macs(tokens: int, channels: int, windows, seed: int = 0) -> ComplexityReport:
+    """Run the toy attention pass on live buffers and tally its MACs.
+
+    One MAC per scalar multiply inside a product, counted from the shapes
+    actually executed.  Raises if the measurement disagrees with the
+    analytic phase terms (they are equalities, not approximations).
     """
     windows = tuple(int(m) for m in windows)
     if not windows:
@@ -98,29 +107,22 @@ def measure_macs(tokens: int, channels: int, windows, seed: int = 0) -> Complexi
         if m < 1 or tokens % m != 0:
             raise AdmissibilityError(f"window scale {m} does not divide token count {tokens}")
     rng = np.random.default_rng(seed)
-    x = tc.tensor(rng.normal(size=(tokens, channels)))
-    wq, wk, wv, wz = (tc.tensor(rng.normal(size=(channels, channels))) for _ in range(4))
+    x = rng.normal(size=(tokens, channels))
+    wq, wk, wv, wz = (rng.normal(size=(channels, channels)) for _ in range(4))
 
     counter = MacCounter()
     with counter.active():
         with counter.phase("qkv"):
-            q = tc.matmul(x, wq)
-            k = tc.matmul(x, wk)
-            v = tc.matmul(x, wv)
-        merged = tc.tensor(np.zeros((tokens, channels)))
+            q, k, v = _product(x, wq), _product(x, wk), _product(x, wv)
+        merged = np.zeros((tokens, channels))
         for m in windows:
-            n_w = tokens // m
-            qw = tc.reshape(q, (n_w, m, channels))
-            kw = tc.reshape(k, (n_w, m, channels))
-            vw = tc.reshape(v, (n_w, m, channels))
+            qw, kw, vw = (t.reshape(tokens // m, m, channels) for t in (q, k, v))
             with counter.phase("qk"):
-                scores = tc.matmul(qw, tc.transpose(kw, (0, 2, 1)))
-            attn = tc.softmax_lastdim(tc.scale(scores, 1.0 / math.sqrt(channels)))
+                scores = _product(qw, kw.transpose(0, 2, 1))
             with counter.phase("av"):
-                zw = tc.matmul(attn, vw)
-            merged = tc.add(merged, tc.reshape(zw, (tokens, channels)))
+                merged += _product(scores, vw).reshape(tokens, channels)
         with counter.phase("out"):
-            tc.matmul(tc.scale(merged, 1.0 / len(windows)), wz)
+            _product(merged / len(windows), wz)
 
     analytic = analytic_phases(tokens, channels, windows)
     measured = {phase: counter.phases.get(phase, 0) for phase in PHASES}

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import AdmissibilityError, ConfigError
 
@@ -93,10 +93,14 @@ class MswConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MswConfig":
+        """Build from a plain dict, naming any unknown or missing key."""
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+        if missing:
+            raise ConfigError(f"missing required model config keys: {missing}")
         kwargs = dict(d)
         if "windows" in kwargs:
             kwargs["windows"] = tuple(kwargs["windows"])

@@ -6,12 +6,13 @@ bias, then a GELU MLP, residuals around both) -> per-branch window pooling
 and projection to class logits -> learned softmax-weighted fusion -> sigmoid
 probabilities.
 
-Each branch of the block is two recorded ops with hand-written backward
-rules: :func:`window_attention` (LN, one QKV product, biased softmax,
-dropout, AV, output projection, residual) and :func:`mlp_sublayer` (LN, GELU
-MLP, residual).  They tally the MACs of the products they run on the active
-``tensor.MacCounter`` through ``tensor.count_macs``, as ``tensor.matmul``
-does for its own.
+The network is five kinds of recorded op, each with a hand-written backward
+rule: :func:`linear_embed`, then per branch :func:`window_attention` (LN,
+one QKV product, biased softmax, dropout, AV, output projection, residual)
+and :func:`mlp_sublayer` (LN, GELU MLP, residual), then :func:`fuse` (pooled
+heads, fusion softmax, sigmoid); ``train.bce_loss`` is the fifth.  Each op
+computes on numpy arrays and tallies the MACs of the products it runs on the
+active ``tensor.MacCounter`` through ``tensor.count_macs``.
 
 All functions accept arbitrary leading axes, so the same code serves a
 single record (T, C) and a batch (B, T, C).
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import expit, ndtr
 
 from . import tensor as tc
 from .config import MswConfig
@@ -43,14 +44,12 @@ class BranchOutput:
     shift: int
     tokens: Tensor  # (..., T, C) block output
     attn: Tensor  # (..., nW, heads, M, M) softmax probabilities (pre-dropout)
-    alpha: Tensor | None = None  # (..., K), filled by branch_project
 
 
 @dataclass
 class ForwardResult:
     probs: Tensor  # (..., K) sigmoid outputs
     beta: Tensor  # (..., n_branches) fusion weights
-    alphas: list[Tensor]  # per-branch (..., K) logits
     branches: list[BranchOutput]
 
 
@@ -79,10 +78,22 @@ def patch_split(signal: np.ndarray, cfg: MswConfig) -> np.ndarray:
     return np.ascontiguousarray(x.reshape(*lead, T, cfg.n_leads * cfg.P))
 
 
-def linear_embed(patches, w_embed: Tensor, b_embed: Tensor) -> Tensor:
-    """Project raw patch rows into the block's embedding width."""
-    return tc.linear(tc.tensor(patches) if isinstance(patches, np.ndarray) else patches,
-                     w_embed, b_embed)
+def linear_embed(patches: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+    """Project (..., T, D) patch rows into the block's width: patches @ W + b.
+
+    One recorded op: a single (rows, D) @ (D, C) product over all rows.
+    """
+    *lead, D = patches.shape
+    rows = patches.reshape(-1, D)
+    y = rows @ w.data
+    y += b.data
+    tc.count_macs(rows.shape[0] * D * w.shape[1])
+
+    def backward_fn(g):
+        g = g.reshape(rows.shape[0], -1)
+        return rows.T @ g, g.sum(axis=0)
+
+    return tc.apply_op("embed", (w, b), y.reshape(*lead, w.shape[1]), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -282,43 +293,58 @@ def msw_block(
     return outs
 
 
-def branch_project(branch_tokens: Tensor, M: int, w: Tensor, b: Tensor) -> Tensor:
-    """Mean-pool each window of M tokens, concatenate, project to K logits.
+def fuse(branch_tokens: list[Tensor], windows, head_ws: list[Tensor], head_bs: list[Tensor],
+         fusion_w: Tensor) -> tuple[Tensor, Tensor]:
+    """Pooled heads, learned fusion and sigmoid: one recorded op.
 
-    The pooled width (T/M)*C differs per branch, which is what makes the
-    fused feature vectors complementary.
+    Branch i mean-pools each window of M_i tokens, concatenates the (T/M_i)
+    pooled vectors and projects them to K logits alpha_i = pooled @ W_i + b_i;
+    the pooled width differs per branch, which is what makes the fused
+    feature vectors complementary.  Then beta = softmax(concat(alphas) @
+    fusion_w) and y = sigmoid(sum_i beta_i alpha_i).  With fusion_w = 0 the
+    weights are exactly uniform.  Returns (y (..., K), beta (..., n_branches)),
+    beta off the graph.
     """
-    *lead, T, C = branch_tokens.shape
-    if T % M != 0:
-        raise AdmissibilityError(f"window scale {M} does not divide token count {T}")
-    nW = T // M
-    pooled = tc.mean(tc.reshape(branch_tokens, (*lead, nW, M, C)), axis=-2)
-    rows = tc.reshape(pooled, (-1, nW * C))
-    logits = tc.add(tc.matmul(rows, w), b)
-    return tc.reshape(logits, (*lead, w.shape[1]))
+    nb = len(branch_tokens)
+    *lead, T, C = branch_tokens[0].shape
+    K = head_ws[0].shape[1]
+    if fusion_w.shape != (nb * K, nb):
+        raise DimensionError(f"fusion weight shape {fusion_w.shape} does not match "
+                             f"({nb * K}, {nb})")
+    pooled, alphas = [], []
+    for x, M, w, b in zip(branch_tokens, windows, head_ws, head_bs):
+        if T % M != 0:
+            raise AdmissibilityError(f"window scale {M} does not divide token count {T}")
+        rows = x.data.reshape(*lead, T // M, M, C).mean(axis=-2).reshape(-1, (T // M) * C)
+        pooled.append(rows)
+        alphas.append(rows @ w.data + b.data)
+    n = pooled[0].shape[0]
+    stacked = np.stack(alphas, axis=-2)  # (n, nb, K)
+    s = stacked.reshape(n, nb * K) @ fusion_w.data
+    s -= s.max(axis=-1, keepdims=True)
+    e = np.exp(s)
+    beta = e / e.sum(axis=-1, keepdims=True)
+    y = expit((beta[:, :, None] * stacked).sum(axis=-2))
+    tc.count_macs(sum(p.size for p in pooled) * K + n * nb * K * nb)
 
+    def backward_fn(g):
+        dz = g.reshape(n, K) * y * (1.0 - y)
+        dbeta = (dz[:, None, :] * stacked).sum(axis=-1)
+        ds = dbeta - (dbeta * beta).sum(axis=-1, keepdims=True)
+        ds *= beta
+        dstacked = (ds @ fusion_w.data.T).reshape(n, nb, K)
+        dstacked += dz[:, None, :] * beta[:, :, None]
+        dxs, dws, dbs = [], [], []
+        for M, w, rows, da in zip(windows, head_ws, pooled, dstacked.transpose(1, 0, 2)):
+            dws.append(rows.T @ da)
+            dbs.append(da.sum(axis=0))
+            dp = (da @ w.data.T).reshape(*lead, T // M, 1, C) / M
+            dxs.append(np.broadcast_to(dp, (*lead, T // M, M, C)).reshape(*lead, T, C))
+        return (*dxs, *dws, *dbs, stacked.reshape(n, nb * K).T @ ds)
 
-def fuse(alphas: list[Tensor], w_fuse: Tensor) -> tuple[Tensor, Tensor]:
-    """Softmax-weighted convex combination of branch logits, then sigmoid.
-
-    beta = softmax(concat(alphas) @ w_fuse); y = sigmoid(sum_i beta_i alpha_i).
-    With w_fuse = 0 the weights are exactly uniform.
-    """
-    nb = len(alphas)
-    *lead, K = alphas[0].shape
-    for a in alphas[1:]:
-        if a.shape != alphas[0].shape:
-            raise DimensionError(f"branch logit shapes differ: {alphas[0].shape} vs {a.shape}")
-    if w_fuse.shape != (nb * K, nb):
-        raise DimensionError(
-            f"fusion weight shape {w_fuse.shape} does not match ({nb * K}, {nb})"
-        )
-    stacked = tc.concat([tc.reshape(a, (*lead, 1, K)) for a in alphas], axis=-2)
-    rows = tc.reshape(stacked, (-1, nb * K))
-    beta = tc.softmax_lastdim(tc.reshape(tc.matmul(rows, w_fuse), (*lead, nb)))
-    weighted = tc.mul(tc.reshape(beta, (*lead, nb, 1)), stacked)
-    y = tc.sigmoid(tc.sum(weighted, axis=-2))
-    return y, beta
+    inputs = (*branch_tokens, *head_ws, *head_bs, fusion_w)
+    out = tc.apply_op("fuse", inputs, y.reshape(*lead, K), backward_fn)
+    return out, Tensor(beta.reshape(*lead, nb))
 
 
 def forward(
@@ -332,16 +358,13 @@ def forward(
 
     Deterministic when ``train`` is false (dropout is then the identity).
     """
-    patches = patch_split(record, cfg)
-    tokens = linear_embed(patches, params["embed.W"], params["embed.b"])
+    tokens = linear_embed(patch_split(record, cfg), params["embed.W"], params["embed.b"])
     branches = msw_block(tokens, cfg, params, train=train, rng=rng)
-    alphas = []
-    for i, br in enumerate(branches):
-        br.alpha = branch_project(br.tokens, br.M, params[f"branch{i}.head.W"],
-                                  params[f"branch{i}.head.b"])
-        alphas.append(br.alpha)
-    probs, beta = fuse(alphas, params["fusion.W"])
-    return ForwardResult(probs=probs, beta=beta, alphas=alphas, branches=branches)
+    heads = range(cfg.n_branches)
+    probs, beta = fuse([br.tokens for br in branches], cfg.windows,
+                       [params[f"branch{i}.head.W"] for i in heads],
+                       [params[f"branch{i}.head.b"] for i in heads], params["fusion.W"])
+    return ForwardResult(probs=probs, beta=beta, branches=branches)
 
 
 def predict(

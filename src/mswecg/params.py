@@ -130,17 +130,28 @@ def save_checkpoint(store: ParamStore, base, config: dict | None = None) -> tupl
 
 
 def load_checkpoint(base) -> tuple[ParamStore, dict]:
+    """Read a checkpoint; raises :class:`DataError` for a malformed one.
+
+    Only float64 entries whose byte count matches their shape are accepted.
+    """
     manifest_path, blob_path = checkpoint_paths(base)
     if not manifest_path.exists() or not blob_path.exists():
         raise DataError(f"checkpoint not found at {manifest_path} / {blob_path}")
-    manifest = json.loads(manifest_path.read_text())
     blob = blob_path.read_bytes()
     store = ParamStore()
-    for name, meta in manifest["params"].items():
-        shape = tuple(meta["shape"])
-        start, nbytes = meta["offset"], meta["nbytes"]
-        if start + nbytes > len(blob):
-            raise DataError(f"checkpoint blob truncated while reading {name}")
-        arr = np.frombuffer(blob[start : start + nbytes], dtype=meta["dtype"]).reshape(shape)
-        store.add(name, arr.copy())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        for name, meta in manifest["params"].items():
+            shape = tuple(meta["shape"])
+            start, nbytes = meta["offset"], meta["nbytes"]
+            if meta["dtype"] != _DTYPE or nbytes != 8 * int(np.prod(shape)):
+                raise DataError(f"checkpoint entry {name} is not {_DTYPE} of shape {shape} "
+                                f"(dtype {meta['dtype']!r}, {nbytes} bytes)")
+            if start + nbytes > len(blob):
+                raise DataError(f"checkpoint blob truncated while reading {name}")
+            arr = np.frombuffer(blob[start : start + nbytes], dtype=_DTYPE).reshape(shape)
+            store.add(name, arr.copy())
+    except (json.JSONDecodeError, KeyError) as exc:
+        raise DataError(f"malformed checkpoint manifest {manifest_path}: "
+                        f"{type(exc).__name__}: {exc}") from exc
     return store, manifest.get("config", {})

@@ -67,14 +67,24 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 
 
 def bce_loss(probs: Tensor, labels) -> Tensor:
-    """Mean over B*K of -[y ln p + (1-y) ln(1-p)], with p clipped for safety."""
+    """Mean over B*K of -[y ln p + (1-y) ln(1-p)], with p clipped for safety.
+
+    One recorded op whose value is :func:`_np_bce`.  Entries clipped to
+    [PROB_CLIP, 1 - PROB_CLIP] get a zero gradient.
+    """
     y = np.asarray(labels, dtype=np.float64)
     if probs.shape != y.shape:
         raise DimensionError(f"probs {probs.shape} and labels {y.shape} differ")
-    p = tc.clip(probs, PROB_CLIP, 1.0 - PROB_CLIP)
-    term = tc.add(tc.mul(tc.tensor(y), tc.log(p)),
-                  tc.mul(tc.tensor(1.0 - y), tc.log(tc.sub(1.0, p))))
-    return tc.scale(tc.mean(term), -1.0)
+
+    x = probs.data
+
+    def backward_fn(g):
+        p = np.clip(x, PROB_CLIP, 1.0 - PROB_CLIP)
+        dp = ((1.0 - y) / (1.0 - p) - y / p) * (g / y.size)
+        dp[(x < PROB_CLIP) | (x > 1.0 - PROB_CLIP)] = 0.0
+        return (dp,)
+
+    return tc.apply_op("bce", (probs,), np.float64(_np_bce(x, y)), backward_fn)
 
 
 # ---------------------------------------------------------------------------

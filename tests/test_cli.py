@@ -2,10 +2,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mswecg.cli import main
-from mswecg.params import load_checkpoint, save_checkpoint
+from mswecg.params import ParamStore, load_checkpoint, save_checkpoint
 
 TINY_SETTINGS = [
     "--set", "P=5", "--set", "C=8", "--set", "heads=2", "--set", "windows=5,10,20",
@@ -261,3 +262,79 @@ def test_error_messages_name_the_subcommand(tmp_path, capsys):
                  "--signals", str(tmp_path / "s.bin"), "--labels", str(tmp_path / "l.csv")])
     assert code == 3
     assert capsys.readouterr().err.startswith("eval:")
+
+
+def _replaced(name, data):
+    """A store edit giving parameter ``name`` the value ``data``, or dropping
+    it when ``data`` is None."""
+    def edit(store):
+        out = ParamStore()
+        for n, t in store.items():
+            if n != name or data is not None:
+                out.add(n, data if n == name else t.data)
+        return out
+    return edit
+
+
+def _manifest_entry(name, **fields):
+    def edit(manifest):
+        manifest["params"][name].update(fields)
+        return json.dumps(manifest)
+    return edit
+
+
+# (case, store edit, manifest edit, text the error must contain)
+_MALFORMED_CHECKPOINTS = [
+    ("embed-shape", _replaced("embed.W", np.zeros((10, 9))), None, "embed.W"),
+    ("head-shape", _replaced("branch1.head.W", np.zeros((8, 3))), None, "branch1.head.W"),
+    ("attn-shape", _replaced("branch0.attn.Wq", np.zeros((8, 4))), None, "branch0.attn.Wq"),
+    ("missing", _replaced("fusion.W", None), None, "fusion.W"),
+    ("extra", lambda s: (s.add("branch9.head.W", np.zeros(2)), s)[1], None, "branch9.head.W"),
+    ("f4", None, _manifest_entry("branch0.mlp.b1", dtype="<f4"), "branch0.mlp.b1"),
+    ("object", None, _manifest_entry("embed.b", dtype="|O"), "embed.b"),
+    ("nbytes", None, _manifest_entry("embed.b", nbytes=8), "embed.b"),
+    ("truncated-manifest", None, lambda m: json.dumps(m)[:200], "malformed checkpoint manifest"),
+]
+
+
+@pytest.mark.parametrize("edit_store,edit_manifest,needle",
+                         [c[1:] for c in _MALFORMED_CHECKPOINTS],
+                         ids=[c[0] for c in _MALFORMED_CHECKPOINTS])
+def test_malformed_checkpoint_exits_3_naming_the_parameter(synth_dir, trained_dir, tmp_path,
+                                                          capsys, edit_store, edit_manifest,
+                                                          needle):
+    store, config = load_checkpoint(trained_dir / "checkpoint")
+    if edit_store:
+        store = edit_store(store)
+    manifest_path, _ = save_checkpoint(store, tmp_path / "bad", config=config)
+    if edit_manifest:
+        manifest_path.write_text(edit_manifest(json.loads(manifest_path.read_text())))
+    data = ["--signals", str(synth_dir / "signals.bin"), "--labels", str(synth_dir / "labels.csv")]
+    for argv in (["eval", *data], ["attn", *data, "--out-dir", str(tmp_path / "viz")]):
+        assert main([argv[0], "--checkpoint", str(tmp_path / "bad"), *argv[1:]]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"{argv[0]}: data error:") and needle in err
+
+
+@pytest.mark.parametrize("missing", ["P", "C"])
+def test_train_without_a_required_model_key_exits_2(synth_dir, tmp_path, capsys, missing):
+    settings = [arg for pair in zip(TINY_SETTINGS[::2], TINY_SETTINGS[1::2])
+                if not pair[1].startswith(f"{missing}=") for arg in pair]
+    code = main(["train", "--signals", str(synth_dir / "signals.bin"),
+                 "--labels", str(synth_dir / "labels.csv"), "--out-dir", str(tmp_path),
+                 "--quiet", *settings])
+    assert code == 2
+    assert f"missing required model config keys: ['{missing}']" in capsys.readouterr().err
+
+
+def test_checkpoint_config_without_a_required_key_exits_2(synth_dir, trained_dir, tmp_path,
+                                                           capsys):
+    store, config = load_checkpoint(trained_dir / "checkpoint")
+    del config["model"]["P"]
+    save_checkpoint(store, tmp_path / "nop", config=config)
+    code = main(["eval", "--checkpoint", str(tmp_path / "nop"),
+                 "--signals", str(synth_dir / "signals.bin"),
+                 "--labels", str(synth_dir / "labels.csv")])
+    assert code == 2
+    assert "eval: config error: missing required model config keys: ['P']" in (
+        capsys.readouterr().err)

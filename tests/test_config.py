@@ -71,3 +71,10 @@ def test_window_admissibility_matches_divisibility(T, M):
     else:
         with pytest.raises(AdmissibilityError):
             build()
+
+
+def test_from_dict_names_missing_required_keys():
+    d = make().to_dict()
+    del d["P"], d["K"]
+    with pytest.raises(ConfigError, match=r"missing required model config keys: \['P', 'K'\]"):
+        MswConfig.from_dict(d)

@@ -1,13 +1,14 @@
 import gc
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from mswecg import tensor as tc
 from mswecg.config import MswConfig
 from mswecg.errors import AdmissibilityError, DimensionError, NumericError
 from mswecg.model import (
-    branch_project,
     forward,
     fuse,
     linear_embed,
@@ -21,6 +22,7 @@ from mswecg.model import (
 )
 from mswecg.params import init_params
 from mswecg.train import AdamState, adam_step, bce_loss
+import util as ref
 from util import finite_diff_check, global_block_oracle, reference_branch
 
 TINY = MswConfig(L=40, n_leads=2, P=5, C=8, heads=2, windows=(2, 4), K=3)
@@ -319,21 +321,90 @@ def test_block_matches_the_unfused_composition(windows, shift, p):
     def grads(outputs):
         params.zero_grads()
         x.grad = None
-        tc.backward(tc.sum(tc.concat([tc.mul(y, w) for y, w in zip(outputs, probes)], 0)))
+        tc.backward(ref.sum(ref.concat([ref.mul(y, w) for y, w in zip(outputs, probes)], 0)))
         return {"x": x.grad, **{n: t.grad for n, t in params.items() if t.grad is not None}}
 
     fused = msw_block(x, cfg, params, train=p > 0, rng=np.random.default_rng(5))
     fused_grads = grads([br.tokens for br in fused])
     ref_rng = np.random.default_rng(5)
-    ref = [reference_branch(x, lambda leaf, i=i: params[f"branch{i}.{leaf}"], M, cfg.heads,
-                            shift, p, p > 0, ref_rng) for i, M in enumerate(windows)]
-    ref_grads = grads([y for y, _ in ref])
-    for br, (y, attn) in zip(fused, ref):
+    unfused = [reference_branch(x, lambda leaf, i=i: params[f"branch{i}.{leaf}"], M,
+                                cfg.heads, shift, p, p > 0, ref_rng)
+               for i, M in enumerate(windows)]
+    ref_grads = grads([y for y, _ in unfused])
+    for br, (y, attn) in zip(fused, unfused):
         assert np.abs(br.tokens.data - y.data).max() <= 1e-12
         assert np.abs(br.attn.data - attn.data).max() <= 1e-12
     assert fused_grads.keys() == ref_grads.keys()
     for name in ref_grads:
         assert np.abs(fused_grads[name] - ref_grads[name]).max() <= 1e-10, name
+
+
+def _fused_vs_reference(fused, reference, arrays):
+    """(max |forward difference|, max |gradient difference|) between two ops
+    run on fresh leaf tensors holding ``arrays``.  Each op returns its
+    differentiable output first; further outputs are compared by value."""
+    runs = []
+    for op in (fused, reference):
+        xs = [tc.Tensor(np.array(a, dtype=np.float64), requires_grad=True) for a in arrays]
+        outs = op(*xs)
+        outs = outs if isinstance(outs, tuple) else (outs,)
+        tc.backward(ref.sum(ref.mul(outs[0], outs[0])))
+        runs.append(([o.data for o in outs], [x.grad for x in xs]))
+    (f_out, f_grad), (r_out, r_grad) = runs
+    return (max(np.abs(a - b).max() for a, b in zip(f_out, r_out)),
+            max(np.abs(a - b).max() for a, b in zip(f_grad, r_grad)))
+
+
+def test_linear_embed_matches_finite_differences_and_reference():
+    patches = np.random.default_rng(2).normal(size=(2, 3, 6))
+    assert finite_diff_check(lambda w, b: linear_embed(patches, w, b), [(6, 4), (4,)],
+                             seed=2) < 1e-4
+    rng = np.random.default_rng(3)
+    fwd, grad = _fused_vs_reference(lambda w, b: linear_embed(patches, w, b),
+                                    lambda w, b: ref.reference_linear_embed(patches, w, b),
+                                    [rng.normal(size=(6, 4)), rng.normal(size=4)])
+    assert fwd <= 1e-12 and grad <= 1e-10
+
+
+_FUSE_CASES = [(1,), (4,), (1, 2, 4), (4, 1, 2)]  # window scales at T = 4
+
+
+@pytest.mark.parametrize("windows", _FUSE_CASES,
+                         ids=["M" + "-".join(map(str, w)) for w in _FUSE_CASES])
+def test_fuse_matches_finite_differences_and_reference(windows):
+    T, C, K, nb = 4, 3, 2, len(windows)
+    shapes = ([(2, T, C)] * nb + [((T // M) * C, K) for M in windows] + [(K,)] * nb
+              + [(nb * K, nb)])
+
+    def split(ts):
+        return list(ts[:nb]), windows, list(ts[nb : 2 * nb]), list(ts[2 * nb : 3 * nb]), ts[-1]
+
+    assert finite_diff_check(lambda *ts: fuse(*split(ts))[0], shapes, seed=nb) < 1e-4
+    rng = np.random.default_rng(nb)
+    fwd, grad = _fused_vs_reference(lambda *ts: fuse(*split(ts)),
+                                    lambda *ts: ref.reference_fuse(*split(ts)),
+                                    [rng.normal(size=s) for s in shapes])
+    assert fwd <= 1e-12 and grad <= 1e-10
+
+
+def test_bce_loss_matches_finite_differences_and_reference():
+    # Two entries lie beyond each clip bound, far enough that no probe crosses it.
+    centers = np.array([[0.3, 0.7, -0.5, 0.5], [0.9, 1.5, 0.1, 1.0 + 1e-3]])
+    labels = np.array([[1.0, 0.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+
+    def probs(x):
+        return ref.add(ref.scale(x, 0.01), centers)
+
+    assert finite_diff_check(lambda x: bce_loss(probs(x), labels), [centers.shape],
+                             seed=4) < 1e-4
+    x = np.random.default_rng(4).normal(size=centers.shape)
+    fwd, grad = _fused_vs_reference(lambda x: bce_loss(probs(x), labels),
+                                    lambda x: ref.reference_bce_loss(probs(x), labels), [x])
+    assert fwd <= 1e-12 and grad <= 1e-10
+    p = tc.Tensor(centers, requires_grad=True)
+    tc.backward(bce_loss(p, labels))
+    clipped = (centers < 0.0) | (centers > 1.0)
+    assert np.all(p.grad[clipped] == 0.0) and np.all(p.grad[~clipped] != 0.0)
 
 
 def test_train_forward_draws_the_three_attention_masks_in_branch_order():
@@ -416,7 +487,25 @@ def test_block_branch_counts_full_scale():
 
 
 # ---------------------------------------------------------------------------
-# branch projection and fusion
+# pooled heads and fusion: one fuse op
+
+
+def _one_head(tokens, M, w, b):
+    """fuse over one branch: beta = 1, so y = sigmoid(alpha) = sigmoid(head logits)."""
+    K = w.shape[1]
+    y, beta = fuse([tokens], (M,), [w], [b], tc.tensor(np.zeros((K, 1))))
+    assert np.array_equal(beta.data, np.ones(beta.shape))
+    return y.data
+
+
+def _fuse_logits(alphas, fusion_w):
+    """fuse over branches whose logits are ``alphas``: each branch is one
+    token read through an identity head."""
+    K = len(alphas[0])
+    eye, zero = tc.tensor(np.eye(K)), tc.tensor(np.zeros(K))
+    n = len(alphas)
+    return fuse([tc.tensor(np.reshape(a, (1, K))) for a in alphas], (1,) * n, [eye] * n,
+                [zero] * n, fusion_w)
 
 
 def test_branch_project_identical_tokens():
@@ -425,16 +514,15 @@ def test_branch_project_identical_tokens():
     tokens = tc.tensor(np.tile(v, (8, 1)))
     w = tc.tensor(rng.normal(size=(4 * 4, 3)))  # T/M = 4 windows
     b = tc.tensor(rng.normal(size=3))
-    alpha = branch_project(tokens, 2, w, b)
     expected = np.tile(v, 4) @ w.data + b.data
-    assert np.allclose(alpha.data, expected, atol=1e-12)
+    assert np.allclose(_one_head(tokens, 2, w, b), expit(expected), atol=1e-12)
 
 
 def test_branch_project_zero_weights_gives_bias():
     tokens = tc.tensor(np.random.default_rng(1).normal(size=(8, 4)))
     w = tc.tensor(np.zeros((16, 3)))
     b = tc.tensor(np.array([0.1, -0.2, 0.3]))
-    assert np.allclose(branch_project(tokens, 2, w, b).data, b.data)
+    assert np.allclose(_one_head(tokens, 2, w, b), expit(b.data))
 
 
 def test_branch_project_hand_case():
@@ -442,39 +530,39 @@ def test_branch_project_hand_case():
     tokens = tc.tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]))
     w = tc.tensor(np.eye(4))
     b = tc.tensor(np.zeros(4))
-    alpha = branch_project(tokens, 2, w, b)
-    assert np.allclose(alpha.data, [2.0, 3.0, 6.0, 7.0])
+    assert np.allclose(_one_head(tokens, 2, w, b), expit([2.0, 3.0, 6.0, 7.0]))
 
 
 def test_fuse_zero_weights_uniform_beta():
     rng = np.random.default_rng(2)
-    alphas = [tc.tensor(rng.normal(size=3)) for _ in range(3)]
-    y, beta = fuse(alphas, tc.tensor(np.zeros((9, 3))))
+    alphas = [rng.normal(size=3) for _ in range(3)]
+    y, beta = _fuse_logits(alphas, tc.tensor(np.zeros((9, 3))))
     assert np.abs(beta.data - 1.0 / 3.0).max() <= 1e-12
-    mean_alpha = np.mean([a.data for a in alphas], axis=0)
+    mean_alpha = np.mean(alphas, axis=0)
     assert np.allclose(y.data, 1.0 / (1.0 + np.exp(-mean_alpha)), atol=1e-12)
 
 
 def test_fuse_beta_sums_to_one():
     rng = np.random.default_rng(3)
     for _ in range(25):
-        alphas = [tc.tensor(rng.normal(size=4) * 5) for _ in range(3)]
-        _, beta = fuse(alphas, tc.tensor(rng.normal(size=(12, 3))))
+        alphas = [rng.normal(size=4) * 5 for _ in range(3)]
+        _, beta = _fuse_logits(alphas, tc.tensor(rng.normal(size=(12, 3))))
         assert abs(beta.data.sum() - 1.0) <= 1e-12
 
 
 def test_fuse_equal_branches_collapse():
     rng = np.random.default_rng(4)
     a = rng.normal(size=5)
-    alphas = [tc.tensor(a.copy()) for _ in range(3)]
-    y, _ = fuse(alphas, tc.tensor(rng.normal(size=(15, 3))))
+    y, _ = _fuse_logits([a.copy() for _ in range(3)], tc.tensor(rng.normal(size=(15, 3))))
     assert np.allclose(y.data, 1.0 / (1.0 + np.exp(-a)), atol=1e-12)
 
 
 def test_fuse_shape_errors():
-    alphas = [tc.tensor(np.zeros(3)), tc.tensor(np.zeros(4))]
-    with pytest.raises(DimensionError):
-        fuse(alphas, tc.tensor(np.zeros((7, 2))))
+    with pytest.raises(DimensionError, match="fusion weight"):
+        _fuse_logits([np.zeros(3), np.zeros(3)], tc.tensor(np.zeros((7, 2))))
+    with pytest.raises(AdmissibilityError, match="window scale 3"):
+        fuse([tc.tensor(np.zeros((4, 2)))], (3,), [tc.tensor(np.zeros((2, 1)))],
+             [tc.tensor(np.zeros(1))], tc.tensor(np.zeros((1, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +602,7 @@ def test_forward_smoke_finite_outputs_and_grads():
     sig = rng.normal(size=(2, TINY.n_leads, TINY.L))
     res = forward(sig, TINY, params, train=True, rng=np.random.default_rng(0))
     assert np.isfinite(res.probs.data).all()
-    tc.backward(tc.sum(res.probs))
+    tc.backward(ref.sum(res.probs))
     for name, p in params.items():
         assert p.grad is not None, name
         assert np.isfinite(p.grad).all(), name
@@ -524,7 +612,7 @@ def test_no_dead_parameters():
     params = init_params(TINY, seed=6)
     sig = np.random.default_rng(7).normal(size=(3, TINY.n_leads, TINY.L))
     res = forward(sig, TINY, params)
-    tc.backward(tc.sum(tc.mul(res.probs, res.probs)))
+    tc.backward(ref.sum(ref.mul(res.probs, res.probs)))
     for name, p in params.items():
         assert p.grad is not None and np.abs(p.grad).max() > 0, name
 
@@ -595,6 +683,20 @@ def test_dropped_forward_leaves_no_cyclic_garbage():
         del res
 
     assert _cyclic_garbage_after(step) == 0
+
+
+def test_training_step_records_nine_fused_ops_and_eval_none():
+    cfg = MswConfig(L=200, n_leads=4, P=5, C=32, heads=4, windows=(5, 10, 20), K=3)
+    params = init_params(cfg, seed=0)
+    rng = np.random.default_rng(16)
+    sig = rng.normal(size=(2, cfg.n_leads, cfg.L))
+    res = forward(sig, cfg, params, train=True, rng=rng)
+    graph = tc.Graph.trace(bce_loss(res.probs, np.ones((2, cfg.K))))
+    assert len(graph) == 9
+    assert Counter(rec.name for rec in graph.ops) == {
+        "embed": 1, "window_attention": 3, "mlp": 3, "fuse": 1, "bce": 1}
+    with tc.no_grad():
+        assert len(tc.Graph.trace(forward(sig, cfg, params).probs)) == 0
 
 
 def test_no_grad_forward_is_tape_free_and_bitwise_equal():

@@ -1,3 +1,7 @@
+"""The tape engine of ``mswecg.tensor``, and the value, finite-difference and
+property checks of the primitive reference ops in ``util`` (``ref`` below)
+that the fused ops are compared against."""
+
 import math
 
 import numpy as np
@@ -8,74 +12,75 @@ from hypothesis import strategies as st
 from mswecg import tensor as tc
 from mswecg.errors import DimensionError, GraphError
 from mswecg.model import mlp_sublayer, window_attention
+import util as ref
 from util import finite_diff_check
 
 
 def test_matmul_identity():
     eye = tc.tensor(np.eye(2))
     a = tc.tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(tc.matmul(eye, a).data, a.data)
+    assert np.array_equal(ref.matmul(eye, a).data, a.data)
 
 
 def test_matmul_hand_case():
-    out = tc.matmul(tc.tensor([[1.0, 2.0]]), tc.tensor([[3.0], [4.0]]))
+    out = ref.matmul(tc.tensor([[1.0, 2.0]]), tc.tensor([[3.0], [4.0]]))
     assert out.data.tolist() == [[11.0]]
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-        tc.matmul(tc.tensor(np.zeros((2, 3))), tc.tensor(np.zeros((2, 2))))
+        ref.matmul(tc.tensor(np.zeros((2, 3))), tc.tensor(np.zeros((2, 2))))
 
 
 def test_matmul_grad_of_sum_is_ones_bt():
     rng = np.random.default_rng(3)
     a = tc.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     b = tc.tensor(rng.normal(size=(5, 3)))
-    tc.backward(tc.sum(tc.matmul(a, b)))
+    tc.backward(ref.sum(ref.matmul(a, b)))
     expected = np.ones((4, 3)) @ b.data.T
     assert np.allclose(a.grad, expected, atol=1e-12)
-    assert finite_diff_check(lambda x: tc.matmul(x, tc.tensor(b.data)), [(4, 5)], seed=3) < 1e-4
+    assert finite_diff_check(lambda x: ref.matmul(x, tc.tensor(b.data)), [(4, 5)], seed=3) < 1e-4
 
 
 def test_softmax_symmetry_and_ratio():
-    assert np.allclose(tc.softmax_lastdim(tc.tensor([0.0, 0.0])).data, [0.5, 0.5])
-    out = tc.softmax_lastdim(tc.tensor([0.0, math.log(3.0)])).data
+    assert np.allclose(ref.softmax_lastdim(tc.tensor([0.0, 0.0])).data, [0.5, 0.5])
+    out = ref.softmax_lastdim(tc.tensor([0.0, math.log(3.0)])).data
     assert np.allclose(out, [0.25, 0.75], atol=1e-12)
 
 
 def test_softmax_overflow_safe():
-    out = tc.softmax_lastdim(tc.tensor([1000.0, 0.0])).data
+    out = ref.softmax_lastdim(tc.tensor([1000.0, 0.0])).data
     assert np.isfinite(out).all()
     assert out[0] == pytest.approx(1.0)
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
-    out = tc.softmax_lastdim(tc.tensor(rng.normal(size=(7, 5)) * 30)).data
+    out = ref.softmax_lastdim(tc.tensor(rng.normal(size=(7, 5)) * 30)).data
     assert np.all(out >= 0) and np.all(out <= 1)
     assert np.abs(out.sum(axis=-1) - 1.0).max() <= 1e-12
 
 
 def test_softmax_empty_lastdim_rejected():
     with pytest.raises(DimensionError):
-        tc.softmax_lastdim(tc.tensor(np.zeros((3, 0))))
+        ref.softmax_lastdim(tc.tensor(np.zeros((3, 0))))
 
 
 def test_backward_sum_gives_ones():
     x = tc.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    tc.backward(tc.sum(x))
+    tc.backward(ref.sum(x))
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
 
 def test_backward_quadratic():
     x = tc.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    tc.backward(tc.scale(tc.sum(tc.mul(x, x)), 0.5))
+    tc.backward(ref.scale(ref.sum(ref.mul(x, x)), 0.5))
     assert np.allclose(x.grad, x.data)
 
 
 def test_backward_rejects_nonscalar_and_detached():
     x = tc.Tensor(np.ones(3), requires_grad=True)
-    y = tc.mul(x, x)
+    y = ref.mul(x, x)
     with pytest.raises(GraphError, match="scalar"):
         tc.backward(y)
     leaf = tc.Tensor(np.ones(()), requires_grad=True)
@@ -85,7 +90,7 @@ def test_backward_rejects_nonscalar_and_detached():
 
 def test_backward_twice_is_an_error():
     x = tc.Tensor(np.ones(3), requires_grad=True)
-    loss = tc.sum(tc.mul(x, x))
+    loss = ref.sum(ref.mul(x, x))
     tc.backward(loss)
     with pytest.raises(GraphError, match="already"):
         tc.backward(loss)
@@ -94,10 +99,10 @@ def test_backward_twice_is_an_error():
 def test_graph_trace_is_topological_with_shared_nodes():
     # Diamond: the trunk feeds two consumers plus a residual skip.
     x = tc.Tensor(np.ones((2, 2)), requires_grad=True)
-    h = tc.mul(x, x)
-    a = tc.add(h, 1.0)
-    b = tc.mul(h, 3.0)
-    loss = tc.sum(tc.add(tc.add(a, b), h))
+    h = ref.mul(x, x)
+    a = ref.add(h, 1.0)
+    b = ref.mul(h, 3.0)
+    loss = ref.sum(ref.add(ref.add(a, b), h))
     graph = tc.Graph.trace(loss)
     pos = {id(rec): i for i, rec in enumerate(graph.ops)}
     for rec in graph.ops:
@@ -115,8 +120,8 @@ def test_graph_trace_is_topological_with_shared_nodes():
 
 def test_graph_trace_has_no_side_effects():
     x = tc.Tensor(np.ones(3), requires_grad=True)
-    h = tc.mul(x, x)
-    loss = tc.sum(tc.add(h, h))
+    h = ref.mul(x, x)
+    loss = ref.sum(ref.add(h, h))
     first = tc.Graph.trace(loss)
     second = tc.Graph.trace(loss)
     assert [r.name for r in first.ops] == [r.name for r in second.ops] == ["mul", "add", "sum"]
@@ -130,8 +135,8 @@ def test_graph_trace_has_no_side_effects():
 def test_backward_frees_the_graph_and_leaves_keep_grads():
     x = tc.Tensor(np.arange(3.0), requires_grad=True)
     w = tc.Tensor(np.ones(3), requires_grad=True)
-    h = tc.mul(x, w)
-    loss = tc.sum(tc.sigmoid(h))
+    h = ref.mul(x, w)
+    loss = ref.sum(ref.sigmoid(h))
     tc.backward(loss)
     assert x.grad is not None and w.grad is not None
     assert h.grad is None and loss.grad is None
@@ -141,63 +146,63 @@ def test_backward_frees_the_graph_and_leaves_keep_grads():
 
 def test_backward_through_a_consumed_shared_subgraph_is_an_error():
     x = tc.Tensor(np.ones(3), requires_grad=True)
-    h = tc.mul(x, x)
-    tc.backward(tc.sum(h))
+    h = ref.mul(x, x)
+    tc.backward(ref.sum(h))
     with pytest.raises(GraphError, match="already"):
-        tc.backward(tc.mean(h))
+        tc.backward(ref.mean(h))
 
 
 def test_no_grad_records_nothing_and_restores():
     x = tc.Tensor(np.ones((2, 3)), requires_grad=True)
     with tc.no_grad():
-        y = tc.matmul(tc.sigmoid(x), tc.tensor(np.ones((3, 2))))
+        y = ref.matmul(ref.sigmoid(x), tc.tensor(np.ones((3, 2))))
         with tc.no_grad():
             pass
-        z = tc.sum(y)
+        z = ref.sum(y)
     assert y.op is None and z.op is None and not z.requires_grad
     with pytest.raises(GraphError, match="detached"):
         tc.backward(z)
-    recorded = tc.sum(tc.matmul(tc.sigmoid(x), tc.tensor(np.ones((3, 2)))))
+    recorded = ref.sum(ref.matmul(ref.sigmoid(x), tc.tensor(np.ones((3, 2)))))
     assert recorded.op is not None
     assert recorded.data == z.data
 
 
 def test_concat_shape_error():
     with pytest.raises(DimensionError):
-        tc.concat([tc.tensor(np.zeros((2, 3))), tc.tensor(np.zeros((3, 3)))], axis=1)
+        ref.concat([tc.tensor(np.zeros((2, 3))), tc.tensor(np.zeros((3, 3)))], axis=1)
 
 
 def test_mac_counter_counts_matmul_shapes():
     counter = tc.MacCounter()
     with counter.active():
         with counter.phase("a"):
-            tc.matmul(tc.tensor(np.ones((3, 4))), tc.tensor(np.ones((4, 5))))
+            ref.matmul(tc.tensor(np.ones((3, 4))), tc.tensor(np.ones((4, 5))))
         with counter.phase("b"):
-            tc.matmul(tc.tensor(np.ones((2, 3, 4))), tc.tensor(np.ones((2, 4, 5))))
+            ref.matmul(tc.tensor(np.ones((2, 3, 4))), tc.tensor(np.ones((2, 4, 5))))
     assert counter.phases == {"a": 3 * 4 * 5, "b": 2 * 3 * 4 * 5}
     assert counter.total == 60 + 120
     # Nothing is counted outside the active context.
-    tc.matmul(tc.tensor(np.ones((3, 4))), tc.tensor(np.ones((4, 5))))
+    ref.matmul(tc.tensor(np.ones((3, 4))), tc.tensor(np.ones((4, 5))))
     assert counter.total == 180
 
 
 _GRAD_CASES = [
-    ("add_broadcast", lambda a, b: tc.add(a, b), [(3, 4), (4,)]),
-    ("sub", lambda a, b: tc.sub(a, b), [(3, 4), (3, 4)]),
-    ("mul_broadcast", lambda a, b: tc.mul(a, b), [(2, 3, 1), (3, 4)]),
-    ("scale", lambda x: tc.scale(x, -1.7), [(3, 4)]),
-    ("matmul", lambda a, b: tc.matmul(a, b), [(3, 4), (4, 2)]),
-    ("matmul_stacked", lambda a, b: tc.matmul(a, b), [(2, 3, 4), (4, 2)]),
-    ("linear", lambda x, w, b: tc.linear(x, w, b), [(3, 4), (4, 2), (2,)]),
-    ("concat", lambda a, b: tc.concat([a, b], axis=0), [(2, 3), (4, 3)]),
-    ("sum_axis", lambda x: tc.sum(x, axis=1), [(3, 4, 2)]),
-    ("mean_axis", lambda x: tc.mean(x, axis=-2), [(3, 4, 2)]),
-    ("mean_all", lambda x: tc.reshape(tc.mean(x), (1, 1)), [(3, 4)]),
-    ("reshape", lambda x: tc.reshape(x, (6, 2)), [(3, 4)]),
-    ("transpose", lambda x: tc.transpose(x, (2, 0, 1)), [(2, 3, 4)]),
-    ("softmax", lambda x: tc.softmax_lastdim(x), [(4, 6)]),
-    ("sigmoid", lambda x: tc.sigmoid(x), [(4, 5)]),
-    ("log_clip", lambda x: tc.log(tc.clip(tc.sigmoid(x), 1e-12, 1 - 1e-12)), [(4, 5)]),
+    ("add_broadcast", lambda a, b: ref.add(a, b), [(3, 4), (4,)]),
+    ("sub", lambda a, b: ref.sub(a, b), [(3, 4), (3, 4)]),
+    ("mul_broadcast", lambda a, b: ref.mul(a, b), [(2, 3, 1), (3, 4)]),
+    ("scale", lambda x: ref.scale(x, -1.7), [(3, 4)]),
+    ("matmul", lambda a, b: ref.matmul(a, b), [(3, 4), (4, 2)]),
+    ("matmul_stacked", lambda a, b: ref.matmul(a, b), [(2, 3, 4), (4, 2)]),
+    ("linear", lambda x, w, b: ref.linear(x, w, b), [(3, 4), (4, 2), (2,)]),
+    ("concat", lambda a, b: ref.concat([a, b], axis=0), [(2, 3), (4, 3)]),
+    ("sum_axis", lambda x: ref.sum(x, axis=1), [(3, 4, 2)]),
+    ("mean_axis", lambda x: ref.mean(x, axis=-2), [(3, 4, 2)]),
+    ("mean_all", lambda x: ref.reshape(ref.mean(x), (1, 1)), [(3, 4)]),
+    ("reshape", lambda x: ref.reshape(x, (6, 2)), [(3, 4)]),
+    ("transpose", lambda x: ref.transpose(x, (2, 0, 1)), [(2, 3, 4)]),
+    ("softmax", lambda x: ref.softmax_lastdim(x), [(4, 6)]),
+    ("sigmoid", lambda x: ref.sigmoid(x), [(4, 5)]),
+    ("log_clip", lambda x: ref.log(ref.clip(ref.sigmoid(x), 1e-12, 1 - 1e-12)), [(4, 5)]),
 ]
 
 
@@ -214,7 +219,7 @@ def test_gradients_match_finite_differences(name, build, shapes):
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_matmul_gradient_property(rows, cols, inner, seed):
-    err = finite_diff_check(lambda a, b: tc.matmul(a, b), [(rows, inner), (inner, cols)],
+    err = finite_diff_check(lambda a, b: ref.matmul(a, b), [(rows, inner), (inner, cols)],
                             seed=seed)
     assert err < 1e-4
 
@@ -227,7 +232,7 @@ def test_matmul_gradient_property(rows, cols, inner, seed):
 )
 def test_softmax_rows_property(rows, cols, seed):
     rng = np.random.default_rng(seed)
-    out = tc.softmax_lastdim(tc.tensor(rng.normal(size=(rows, cols)) * 50)).data
+    out = ref.softmax_lastdim(tc.tensor(rng.normal(size=(rows, cols)) * 50)).data
     assert np.abs(out.sum(axis=-1) - 1.0).max() <= 1e-12
     assert out.min() >= 0.0 and out.max() <= 1.0
 
@@ -242,7 +247,7 @@ def test_distinct_graphs_on_distinct_threads():
     def run_once():
         x = tc.Tensor(x_data.copy(), requires_grad=True)
         w = tc.Tensor(w_data.copy(), requires_grad=True)
-        tc.backward(tc.sum(tc.sigmoid(tc.matmul(x, w))))
+        tc.backward(ref.sum(ref.sigmoid(ref.matmul(x, w))))
         return x.grad, w.grad
 
     expected_x, expected_w = run_once()
@@ -269,11 +274,11 @@ def test_mac_counter_is_thread_local():
 
     def other_thread():
         # No counter active on this thread: nothing is recorded.
-        tc.matmul(a, b)
+        ref.matmul(a, b)
 
     with counter.active():
         with counter.phase("mine"):
-            tc.matmul(a, b)
+            ref.matmul(a, b)
         t = threading.Thread(target=other_thread)
         t.start()
         t.join()
@@ -284,8 +289,8 @@ def test_forward_ops_stay_finite_on_finite_inputs():
     rng = np.random.default_rng(1)
     x = tc.tensor(rng.normal(size=(4, 6)) * 500)
     for out in (
-        tc.softmax_lastdim(x),
-        tc.sigmoid(x),
+        ref.softmax_lastdim(x),
+        ref.sigmoid(x),
     ):
         assert np.isfinite(out.data).all()
 

@@ -1,13 +1,14 @@
 """Shared test oracles: finite differences, a from-scratch global-attention
-layer, the unfused tape composition of the block, and brute-force metric
-loops."""
+layer, the primitive tape ops and the compositions of them that the model's
+fused ops replaced, and brute-force metric loops."""
 
 import math
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, expit
 
 from mswecg import tensor as tc
+from mswecg.errors import DimensionError
 
 
 def global_block_oracle(x, p, heads, eps=1e-5):
@@ -38,6 +39,244 @@ def global_block_oracle(x, p, heads, eps=1e-5):
     m = h2 @ p["mlp.W1"] + p["mlp.b1"]
     m = 0.5 * m * (1.0 + erf(m / math.sqrt(2.0)))
     return x1 + m @ p["mlp.W2"] + p["mlp.b2"]
+
+
+# ---------------------------------------------------------------------------
+# Primitive tape ops: a small broadcasting autodiff library built on
+# ``tc.apply_op``.  The model's fused ops replaced compositions of these;
+# they stay here as the reference those ops are checked against.
+
+
+def _as_tensor(x):
+    return x if isinstance(x, tc.Tensor) else tc.Tensor(x)
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum ``g`` down to ``shape`` (the inverse of numpy broadcasting)."""
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
+    """Broadcast a reduction gradient back to the pre-reduction shape."""
+    if axis is None:
+        return np.broadcast_to(g, shape).copy()
+    axes = (axis,) if isinstance(axis, int) else tuple(axis)
+    axes = tuple(a % len(shape) for a in axes)
+    if not keepdims:
+        kd = list(g.shape)
+        for a in sorted(axes):
+            kd.insert(a, 1)
+        g = g.reshape(kd)
+    return np.broadcast_to(g, shape).copy()
+
+
+# ---------------------------------------------------------------------------
+# Elementwise and structural ops
+
+
+def add(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    out = a.data + b.data
+
+    def fn(g):
+        ga = _unbroadcast(g, a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(g, b.data.shape) if b.requires_grad else None
+        return ga, gb
+
+    return tc.apply_op("add", (a, b), out, fn)
+
+
+def sub(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    out = a.data - b.data
+
+    def fn(g):
+        ga = _unbroadcast(g, a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g, b.data.shape) if b.requires_grad else None
+        return ga, gb
+
+    return tc.apply_op("sub", (a, b), out, fn)
+
+
+def mul(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    out = a.data * b.data
+
+    def fn(g):
+        ga = _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None
+        return ga, gb
+
+    return tc.apply_op("mul", (a, b), out, fn)
+
+
+def scale(x, s: float):
+    x = _as_tensor(x)
+    s = float(s)
+
+    def fn(g):
+        return (g * s if x.requires_grad else None,)
+
+    return tc.apply_op("scale", (x,), x.data * s, fn)
+
+
+def matmul(a, b):
+    """Standard matrix product; leading dims are stacked numpy-style.
+
+    Backward: da = g @ b^T, db = a^T @ g (summed over broadcast stacking).
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionError(f"matmul needs 2-D or stacked operands, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
+    out = a.data @ b.data
+    tc.count_macs(math.prod(out.shape[:-2]) * a.shape[-2] * a.shape[-1] * b.shape[-1])
+
+    def fn(g):
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        return ga, gb
+
+    return tc.apply_op("matmul", (a, b), out, fn)
+
+
+def linear(x, w, b=None):
+    """x @ w (+ b)."""
+    y = matmul(x, w)
+    return y if b is None else add(y, b)
+
+
+def concat(tensors, axis: int = 0):
+    ts = [_as_tensor(t) for t in tensors]
+    if not ts:
+        raise DimensionError("concat needs at least one tensor")
+    axis = axis % ts[0].ndim
+    for t in ts[1:]:
+        if t.ndim != ts[0].ndim:
+            raise DimensionError(f"concat rank mismatch: {ts[0].shape} vs {t.shape}")
+        for ax, (s0, s1) in enumerate(zip(ts[0].shape, t.shape)):
+            if ax != axis and s0 != s1:
+                raise DimensionError(f"concat shapes differ off axis {axis}: {ts[0].shape} vs {t.shape}")
+    out = np.concatenate([t.data for t in ts], axis=axis)
+    sizes = [t.shape[axis] for t in ts]
+    bounds = np.cumsum(sizes)[:-1]
+
+    def fn(g):
+        pieces = np.split(g, bounds, axis=axis)
+        return tuple(p if t.requires_grad else None for t, p in zip(ts, pieces))
+
+    return tc.apply_op("concat", ts, out, fn)
+
+
+def sum(x, axis=None, keepdims: bool = False):
+    x = _as_tensor(x)
+    out = x.data.sum(axis=axis, keepdims=keepdims)
+
+    def fn(g):
+        if not x.requires_grad:
+            return (None,)
+        return (_expand_reduced(g, x.data.shape, axis, keepdims),)
+
+    return tc.apply_op("sum", (x,), out, fn)
+
+
+def mean(x, axis=None, keepdims: bool = False):
+    x = _as_tensor(x)
+    out = x.data.mean(axis=axis, keepdims=keepdims)
+    count = x.data.size if axis is None else math.prod(
+        x.data.shape[a] for a in ((axis,) if isinstance(axis, int) else tuple(axis))
+    )
+
+    def fn(g):
+        if not x.requires_grad:
+            return (None,)
+        return (_expand_reduced(g, x.data.shape, axis, keepdims) / count,)
+
+    return tc.apply_op("mean", (x,), out, fn)
+
+
+def reshape(x, shape):
+    x = _as_tensor(x)
+    out = x.data.reshape(shape)
+
+    def fn(g):
+        return (g.reshape(x.data.shape) if x.requires_grad else None,)
+
+    return tc.apply_op("reshape", (x,), out, fn)
+
+
+def transpose(x, axes):
+    x = _as_tensor(x)
+    axes = tuple(a % x.ndim for a in axes)
+    inv = np.argsort(axes)
+
+    def fn(g):
+        return (g.transpose(inv) if x.requires_grad else None,)
+
+    return tc.apply_op("transpose", (x,), x.data.transpose(axes), fn)
+
+
+def clip(x, lo: float, hi: float):
+    """Clamp values to [lo, hi]; gradient passes through unclipped entries."""
+    x = _as_tensor(x)
+    out = np.clip(x.data, lo, hi)
+    mask = (x.data >= lo) & (x.data <= hi)
+
+    def fn(g):
+        return (g * mask if x.requires_grad else None,)
+
+    return tc.apply_op("clip", (x,), out, fn)
+
+
+def log(x):
+    x = _as_tensor(x)
+
+    def fn(g):
+        return (g / x.data if x.requires_grad else None,)
+
+    return tc.apply_op("log", (x,), np.log(x.data), fn)
+
+
+# ---------------------------------------------------------------------------
+# Nonlinearities
+
+
+def softmax_lastdim(x):
+    """Overflow-safe softmax over the last axis (max-subtracted)."""
+    x = _as_tensor(x)
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise DimensionError(f"softmax needs a non-empty last dim, got shape {x.shape}")
+    z = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def fn(g):
+        if not x.requires_grad:
+            return (None,)
+        dot = (g * p).sum(axis=-1, keepdims=True)
+        return ((g - dot) * p,)
+
+    return tc.apply_op("softmax", (x,), p, fn)
+
+
+def sigmoid(x):
+    x = _as_tensor(x)
+    p = expit(x.data)
+
+    def fn(g):
+        return (g * p * (1.0 - p) if x.requires_grad else None,)
+
+    return tc.apply_op("sigmoid", (x,), p, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -95,27 +334,64 @@ def reference_branch(x, p, M, heads, shift=0, attn_dropout=0.0, train=False, rng
 
     def split_heads(t):  # (..., M, C) -> (..., heads, M, d)
         n = t.ndim + 1
-        return tc.transpose(tc.reshape(t, (*t.shape[:-1], heads, d)),
+        return transpose(reshape(t, (*t.shape[:-1], heads, d)),
                             (*range(n - 3), n - 2, n - 3, n - 1))
 
     h = _ref_layernorm(x, p("ln1.gamma"), p("ln1.beta"))
-    w = tc.reshape(_ref_roll(h, -shift) if shift else h, (*lead, T // M, M, C))
-    q, k, v = (split_heads(tc.matmul(w, p(f"attn.{n}"))) for n in ("Wq", "Wk", "Wv"))
+    w = reshape(_ref_roll(h, -shift) if shift else h, (*lead, T // M, M, C))
+    q, k, v = (split_heads(matmul(w, p(f"attn.{n}"))) for n in ("Wq", "Wk", "Wv"))
     n = k.ndim
-    scores = tc.scale(tc.matmul(q, tc.transpose(k, (*range(n - 2), n - 1, n - 2))),
+    scores = scale(matmul(q, transpose(k, (*range(n - 2), n - 1, n - 2))),
                       1.0 / math.sqrt(d))
-    attn = tc.softmax_lastdim(tc.add(scores, _ref_relative_bias(p("attn.bias"), M)))
+    attn = softmax_lastdim(add(scores, _ref_relative_bias(p("attn.bias"), M)))
     a = attn
     if train and attn_dropout > 0.0:
         mask = (rng.random(attn.shape) >= attn_dropout) / (1.0 - attn_dropout)
         a = tc.apply_op("dropout", (attn,), attn.data * mask, lambda g: (g * mask,))
-    z = tc.matmul(a, v)
-    z = tc.reshape(tc.transpose(z, (*range(n - 3), n - 2, n - 3, n - 1)), (*lead, T, C))
-    z = tc.matmul(z, p("attn.Wz"))
-    x1 = tc.add(x, _ref_roll(z, shift) if shift else z)
-    m = tc.linear(_ref_layernorm(x1, p("ln2.gamma"), p("ln2.beta")), p("mlp.W1"), p("mlp.b1"))
-    m = tc.linear(_ref_gelu(m), p("mlp.W2"), p("mlp.b2"))
-    return tc.add(x1, m), attn
+    z = matmul(a, v)
+    z = reshape(transpose(z, (*range(n - 3), n - 2, n - 3, n - 1)), (*lead, T, C))
+    z = matmul(z, p("attn.Wz"))
+    x1 = add(x, _ref_roll(z, shift) if shift else z)
+    m = linear(_ref_layernorm(x1, p("ln2.gamma"), p("ln2.beta")), p("mlp.W1"), p("mlp.b1"))
+    m = linear(_ref_gelu(m), p("mlp.W2"), p("mlp.b2"))
+    return add(x1, m), attn
+
+
+# ---------------------------------------------------------------------------
+# The embedding, heads + fusion and loss as primitive ops: the compositions
+# ``model.linear_embed``, ``model.fuse`` and ``train.bce_loss`` replaced.
+
+
+def reference_linear_embed(patches, w, b):
+    return linear(tc.tensor(patches), w, b)
+
+
+def reference_branch_project(tokens, M, w, b):
+    """Mean-pool each window of M tokens, concatenate, project to K logits."""
+    *lead, T, C = tokens.shape
+    pooled = mean(reshape(tokens, (*lead, T // M, M, C)), axis=-2)
+    logits = add(matmul(reshape(pooled, (-1, (T // M) * C)), w), b)
+    return reshape(logits, (*lead, w.shape[1]))
+
+
+def reference_fuse(branch_tokens, windows, head_ws, head_bs, fusion_w):
+    """(sigmoid(sum_i beta_i alpha_i), beta), beta = softmax(concat(alphas) @ fusion_w)."""
+    alphas = [reference_branch_project(x, M, w, b)
+              for x, M, w, b in zip(branch_tokens, windows, head_ws, head_bs)]
+    nb = len(alphas)
+    *lead, K = alphas[0].shape
+    stacked = concat([reshape(a, (*lead, 1, K)) for a in alphas], axis=-2)
+    rows = reshape(stacked, (-1, nb * K))
+    beta = softmax_lastdim(reshape(matmul(rows, fusion_w), (*lead, nb)))
+    y = sigmoid(sum(mul(reshape(beta, (*lead, nb, 1)), stacked), axis=-2))
+    return y, beta
+
+
+def reference_bce_loss(probs, labels):
+    y = np.asarray(labels, dtype=np.float64)
+    p = clip(probs, 1e-12, 1.0 - 1e-12)
+    term = add(mul(tc.tensor(y), log(p)), mul(tc.tensor(1.0 - y), log(sub(1.0, p))))
+    return scale(mean(term), -1.0)
 
 
 def finite_diff_check(build, shapes, seed=0, h=1e-6, floor=1e-3):
@@ -127,7 +403,7 @@ def finite_diff_check(build, shapes, seed=0, h=1e-6, floor=1e-3):
     rng = np.random.default_rng(seed)
     xs = [tc.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
     out = build(*xs)
-    tc.backward(tc.sum(tc.mul(out, out)))
+    tc.backward(sum(mul(out, out)))
 
     def value():
         frozen = [tc.Tensor(x.data) for x in xs]

@@ -188,7 +188,7 @@ def load_model(checkpoint) -> tuple[MswConfig, ParamStore, dict]:
     """
     store, saved = load_checkpoint(checkpoint)
     model_cfg = saved.get("model")
-    if not model_cfg:
+    if not model_cfg or not isinstance(model_cfg, dict):
         raise ConfigError(f"checkpoint {checkpoint} carries no model config")
     cfg = MswConfig.from_dict(model_cfg)
     want = init_params(cfg)

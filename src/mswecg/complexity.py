@@ -79,10 +79,6 @@ class ComplexityReport:
         return sum(self.measured.values())
 
     @property
-    def reconciled(self) -> bool:
-        return self.measured == self.analytic
-
-    @property
     def ratio(self) -> float:
         return self.omega_msa / self.omega_mswsa
 

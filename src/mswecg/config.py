@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
+from numbers import Integral, Real
 
 from .errors import AdmissibilityError, ConfigError
 
@@ -33,7 +34,14 @@ class MswConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self):
-        object.__setattr__(self, "windows", tuple(int(m) for m in self.windows))
+        kinds = {"heads": (Integral, type(None)), "attn_dropout": Real}  # the rest: integers
+        windows = self.windows if isinstance(self.windows, (list, tuple)) else [None]
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        wrong = {k: v for k, v in values.items() if not all(
+            isinstance(x, kinds.get(k, Integral)) for x in (windows if k == "windows" else [v]))}
+        if wrong:
+            raise ConfigError(f"model config values of the wrong type: {wrong}")
+        object.__setattr__(self, "windows", tuple(int(m) for m in windows))
         if self.heads is None:
             object.__setattr__(self, "heads", default_heads(self.C))
         for name in ("L", "n_leads", "P", "C", "K", "mlp_ratio"):
@@ -70,10 +78,6 @@ class MswConfig:
         return self.n_leads * self.P
 
     @property
-    def head_dim(self) -> int:
-        return self.C // self.heads
-
-    @property
     def n_branches(self) -> int:
         return len(self.windows)
 
@@ -101,7 +105,4 @@ class MswConfig:
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
         if missing:
             raise ConfigError(f"missing required model config keys: {missing}")
-        kwargs = dict(d)
-        if "windows" in kwargs:
-            kwargs["windows"] = tuple(kwargs["windows"])
-        return cls(**kwargs)
+        return cls(**d)

@@ -12,7 +12,6 @@ Conventions, all surfaced in the report rather than hidden:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,9 +188,6 @@ class MetricReport:
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def evaluate(batch: EvalBatch) -> MetricReport:

@@ -35,6 +35,9 @@ from .tensor import Tensor
 _LN_EPS = 1e-5
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# Token rows per ``predict`` forward: 8 records at 12 leads x 1000 samples, 32 at 4 x 200.
+PREDICT_TOKEN_ROWS = 2048
+
 
 @dataclass
 class BranchOutput:
@@ -367,30 +370,32 @@ def forward(
     return ForwardResult(probs=probs, beta=beta, branches=branches)
 
 
-def predict(
-    signals: np.ndarray,
-    cfg: MswConfig,
-    params: ParamStore,
-    batch_size: int = 64,
-) -> np.ndarray:
-    """Evaluation-mode probabilities (B, K) computed in fixed-size chunks.
+def predict(signals: np.ndarray, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarray:
+    """Evaluation-mode probabilities (N, K) of ``signals[rows]`` (default: all rows).
 
-    Chunking is part of the contract: re-evaluating with the same chunk size
-    reproduces results bitwise.  No graph is recorded.  Raises
-    :class:`NumericError` naming the first record whose probabilities are
-    not finite.
+    Each no-tape forward gathers and runs one chunk: the largest power of two
+    of records whose token rows fit :data:`PREDICT_TOKEN_ROWS` (at least one),
+    with a 1-record tail joined to the chunk before it, so memory does not
+    grow with N.  Power-of-two chunks start on the BLAS kernels' row tiles,
+    so outputs are bitwise reproducible for a geometry and equal the former
+    64-record chunks' bar their 1-record tails.  Raises :class:`NumericError`
+    naming the first non-finite ``signals`` row.
     """
     signals = np.asarray(signals, dtype=np.float64)
-    out = np.empty((signals.shape[0], cfg.K))
+    idx = np.arange(signals.shape[0]) if rows is None else np.asarray(rows)
+    out = np.empty((len(idx), cfg.K))
+    per_chunk = 1 << (max(1, PREDICT_TOKEN_ROWS // cfg.tokens).bit_length() - 1)
+    starts = list(range(0, len(idx), per_chunk))
+    if len(starts) > 1 and starts[-1] == len(idx) - 1:
+        starts.pop()  # no 1-record tail
     with tc.no_grad():
-        for start in range(0, signals.shape[0], batch_size):
-            chunk = signals[start : start + batch_size]
-            probs = forward(chunk, cfg, params).probs.data
+        for start, stop in zip(starts, [*starts[1:], len(idx)]):
+            chunk = idx[start:stop]
+            probs = forward(signals[chunk], cfg, params).probs.data
             bad = np.argwhere(~np.isfinite(probs))
             if bad.size:
                 row, k = bad[0]
-                raise NumericError(
-                    f"non-finite probability {probs[row, k]} for record {start + row}, class {k}"
-                )
-            out[start : start + chunk.shape[0]] = probs
+                raise NumericError(f"non-finite probability {probs[row, k]} for record "
+                                   f"{chunk[row]}, class {k}")
+            out[start:stop] = probs
     return out

@@ -8,6 +8,7 @@ round trip is bitwise exact.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -138,20 +139,26 @@ def load_checkpoint(base) -> tuple[ParamStore, dict]:
     if not manifest_path.exists() or not blob_path.exists():
         raise DataError(f"checkpoint not found at {manifest_path} / {blob_path}")
     blob = blob_path.read_bytes()
-    store = ParamStore()
     try:
         manifest = json.loads(manifest_path.read_text())
-        for name, meta in manifest["params"].items():
-            shape = tuple(meta["shape"])
-            start, nbytes = meta["offset"], meta["nbytes"]
-            if meta["dtype"] != _DTYPE or nbytes != 8 * int(np.prod(shape)):
-                raise DataError(f"checkpoint entry {name} is not {_DTYPE} of shape {shape} "
-                                f"(dtype {meta['dtype']!r}, {nbytes} bytes)")
-            if start + nbytes > len(blob):
-                raise DataError(f"checkpoint blob truncated while reading {name}")
-            arr = np.frombuffer(blob[start : start + nbytes], dtype=_DTYPE).reshape(shape)
-            store.add(name, arr.copy())
-    except (json.JSONDecodeError, KeyError) as exc:
+    except json.JSONDecodeError as exc:
         raise DataError(f"malformed checkpoint manifest {manifest_path}: "
                         f"{type(exc).__name__}: {exc}") from exc
+    for key, default in (("params", None), ("config", {})):
+        if not isinstance(manifest, dict) or not isinstance(manifest.get(key, default), dict):
+            raise DataError(f"malformed checkpoint manifest {manifest_path}: "
+                            f"{key!r} is not a JSON object")
+    store = ParamStore()
+    for name, meta in manifest["params"].items():
+        shape, start, nbytes = (meta.get(k) if isinstance(meta, dict) else None
+                                for k in ("shape", "offset", "nbytes"))
+        counts = [start, nbytes, *shape] if isinstance(shape, list) else [None]
+        if (not all(type(c) is int and c >= 0 for c in counts) or meta.get("dtype") != _DTYPE
+                or nbytes != 8 * math.prod(shape)):
+            raise DataError(f"checkpoint entry {name} is not {_DTYPE} with a non-negative "
+                            f"offset and a byte count matching its shape: {meta!r}")
+        if start + nbytes > len(blob):
+            raise DataError(f"checkpoint blob truncated while reading {name}")
+        arr = np.frombuffer(blob[start : start + nbytes], dtype=_DTYPE).reshape(shape)
+        store.add(name, arr.copy())
     return store, manifest.get("config", {})

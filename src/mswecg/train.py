@@ -26,7 +26,6 @@ from .params import ParamStore, save_checkpoint
 from .tensor import Tensor
 
 PROB_CLIP = 1e-12
-EVAL_BATCH = 64
 
 LOG_COLUMNS = (
     "epoch", "split", "loss", "accuracy", "macro_f1", "samples_f1",
@@ -233,15 +232,10 @@ def train_loop(
         log.append(_row(epoch, "train", loss_sum / n, train_report, lr))
 
         if len(val):
-            val_probs = np.empty(y_val.shape)
-            for start in range(0, len(val), EVAL_BATCH):  # predict's chunks, one at a time
-                rows = val[start : start + EVAL_BATCH]
-                try:
-                    val_probs[start : start + len(rows)] = predict(signals[rows], cfg, params,
-                                                                   batch_size=EVAL_BATCH)
-                except NumericError as exc:
-                    msg = f"validation at epoch {epoch}: rows from {start}: {exc}"
-                    raise NumericError(msg) from exc
+            try:
+                val_probs = predict(signals, cfg, params, rows=val)
+            except NumericError as exc:
+                raise NumericError(f"validation at epoch {epoch}: {exc}") from exc
             val_report = evaluate(EvalBatch(scores=val_probs, labels=y_val))
             val_loss = _np_bce(val_probs, y_val.astype(np.float64))
             log.append(_row(epoch, "val", val_loss, val_report, lr))

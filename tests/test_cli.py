@@ -316,6 +316,36 @@ def test_malformed_checkpoint_exits_3_naming_the_parameter(synth_dir, trained_di
         assert err.startswith(f"{argv[0]}: data error:") and needle in err
 
 
+# (case, manifest edit, exit code, text the error must contain)
+_MALFORMED_MANIFEST_VALUES = [
+    ("params-list", lambda m: m.update(params=[]), 3, "'params' is not a JSON object"),
+    ("string-shape", lambda m: m["params"]["embed.b"].update(shape="8"), 3, "embed.b"),
+    ("config-list", lambda m: m.update(config=[]), 3, "'config' is not a JSON object"),
+    ("negative-offset", lambda m: m["params"]["branch0.mlp.b1"].update(offset=-8), 3,
+     "branch0.mlp.b1"),
+    ("windows-string", lambda m: m["config"]["model"].update(windows="5,10,20"), 2,
+     "'windows': '5,10,20'"),
+]
+
+
+@pytest.mark.parametrize("edit,code,needle", [c[1:] for c in _MALFORMED_MANIFEST_VALUES],
+                         ids=[c[0] for c in _MALFORMED_MANIFEST_VALUES])
+def test_malformed_manifest_values_exit_cleanly_naming_the_entry(synth_dir, trained_dir,
+                                                                 tmp_path, capsys, edit, code,
+                                                                 needle):
+    store, config = load_checkpoint(trained_dir / "checkpoint")
+    manifest_path, _ = save_checkpoint(store, tmp_path / "bad", config=config)
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    kind = {2: "config error", 3: "data error"}[code]
+    data = ["--signals", str(synth_dir / "signals.bin"), "--labels", str(synth_dir / "labels.csv")]
+    for argv in (["eval", *data], ["attn", *data, "--out-dir", str(tmp_path / "viz")]):
+        assert main([argv[0], "--checkpoint", str(tmp_path / "bad"), *argv[1:]]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"{argv[0]}: {kind}:") and needle in err, err
+
+
 @pytest.mark.parametrize("missing", ["P", "C"])
 def test_train_without_a_required_model_key_exits_2(synth_dir, tmp_path, capsys, missing):
     settings = [arg for pair in zip(TINY_SETTINGS[::2], TINY_SETTINGS[1::2])

@@ -34,7 +34,7 @@ def test_measured_total_example():
     report = measure_macs(8, 4, (2,))
     assert report.measured_total == 640
     assert report.measured_total == omega_mswsa(8, 4, (2,))
-    assert report.reconciled
+    assert report.measured == report.analytic
 
 
 def test_measured_equals_msa_when_window_spans_all():

@@ -15,7 +15,7 @@ def test_defaults_and_derived():
     assert cfg.tokens == 200
     assert cfg.patch_width == 60
     assert cfg.windows == (5, 10, 20)
-    assert cfg.head_dim == 64
+    assert cfg.C // cfg.heads == 64
     assert cfg.shift == 0 and cfg.attn_dropout == 0.2 and cfg.mlp_ratio == 4
 
 

@@ -1,5 +1,7 @@
 import gc
+import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from mswecg import tensor as tc
 from mswecg.config import MswConfig
 from mswecg.errors import AdmissibilityError, DimensionError, NumericError
 from mswecg.model import (
+    PREDICT_TOKEN_ROWS,
     forward,
     fuse,
     linear_embed,
@@ -724,9 +727,82 @@ def test_mac_count_is_the_same_without_a_tape():
     assert counters[0].phases == counters[1].phases
 
 
-def test_predict_names_the_first_non_finite_record():
+def test_predict_names_the_first_non_finite_record(monkeypatch):
+    monkeypatch.setattr("mswecg.model.PREDICT_TOKEN_ROWS", 2 * TINY.tokens)  # chunks 2 + 3
     params = init_params(TINY, seed=14)
     sig = np.random.default_rng(15).normal(size=(5, TINY.n_leads, TINY.L))
     sig[3, 1, 7] = np.nan
     with pytest.raises(NumericError, match=r"record 3, class 0"):
-        predict(sig, TINY, params, batch_size=2)
+        predict(sig, TINY, params)
+
+
+def test_predict_rows_name_the_signals_row_and_match_a_gathered_copy(monkeypatch):
+    monkeypatch.setattr("mswecg.model.PREDICT_TOKEN_ROWS", 2 * TINY.tokens)
+    params = init_params(TINY, seed=16)
+    sig = np.random.default_rng(17).normal(size=(9, TINY.n_leads, TINY.L))
+    rows = np.array([8, 1, 4, 6, 2])
+    assert predict(sig, TINY, params, rows=rows).tobytes() == predict(sig[rows], TINY,
+                                                                      params).tobytes()
+    assert predict(sig, TINY, params, rows=rows[:0]).shape == (0, TINY.K)
+    sig[6, 0, 3] = np.inf
+    with pytest.raises(NumericError, match=r"record 6, class 0"), np.errstate(invalid="ignore"):
+        predict(sig, TINY, params, rows=rows)
+
+
+def _chunk_sizes(monkeypatch, cfg, n):
+    """Record counts of the forward passes ``predict`` runs over n records."""
+    sizes = []
+
+    def fake_forward(record, cfg, params):
+        sizes.append(len(record))
+        return SimpleNamespace(probs=tc.Tensor(np.zeros((len(record), cfg.K))))
+
+    monkeypatch.setattr("mswecg.model.forward", fake_forward)
+    predict(np.zeros((n, cfg.n_leads, cfg.L)), cfg, None)
+    return sizes
+
+
+@pytest.mark.parametrize("L,n_leads,per_chunk", [(1000, 12, 8), (200, 4, 32), (40, 2, 256)])
+def test_predict_chunks_are_power_of_two_records_with_no_one_record_tail(monkeypatch, L,
+                                                                         n_leads, per_chunk):
+    cfg = MswConfig(L=L, n_leads=n_leads, P=5, C=8, heads=2, windows=(2,), K=3)
+    assert per_chunk * cfg.tokens <= PREDICT_TOKEN_ROWS < 2 * per_chunk * cfg.tokens
+    for n in range(1, 3 * per_chunk + 3):
+        sizes = _chunk_sizes(monkeypatch, cfg, n)
+        assert sum(sizes) == n
+        assert all(s == per_chunk for s in sizes[:-1]), (n, sizes)
+        assert 1 <= sizes[-1] <= per_chunk + 1 and (sizes[-1] > 1 or n == 1), (n, sizes)
+
+
+def _old_predict(sig, cfg, params):
+    """The former rule: no-tape forwards over consecutive 64-record slices."""
+    with tc.no_grad():
+        return np.concatenate([forward(sig[s : s + 64], cfg, params).probs.data
+                               for s in range(0, len(sig), 64)])
+
+
+@pytest.mark.parametrize("n,n_leads,L", [(100, 12, 1000), (75, 4, 200)])
+def test_predict_equals_the_former_64_record_chunks_bitwise(n, n_leads, L):
+    cfg = MswConfig(L=L, n_leads=n_leads, P=5, C=32, heads=4, windows=(5, 10, 20), K=3)
+    params = init_params(cfg, seed=18)
+    rng = np.random.default_rng(19)
+    for _, t in params.items():  # non-trivial biases and tables, so every term counts
+        t.data = t.data + rng.normal(scale=0.05, size=t.shape)
+    sig = rng.normal(size=(n, n_leads, L))
+    assert predict(sig, cfg, params).tobytes() == _old_predict(sig, cfg, params).tobytes()
+
+
+def test_predict_memory_does_not_grow_with_the_record_count():
+    cfg = MswConfig(L=1000, n_leads=1, P=5, C=8, heads=2, windows=(5, 10, 20), K=3)
+    params = init_params(cfg, seed=20)
+    peaks = {}
+    for n in (16, 160):
+        sig = np.random.default_rng(21).normal(size=(n, cfg.n_leads, cfg.L))
+        predict(sig, cfg, params)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            predict(sig, cfg, params)
+            peaks[n] = tracemalloc.get_traced_memory()[1] - n * cfg.K * 8  # minus the output
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[160] - peaks[16]) <= 0.1 * peaks[16], peaks

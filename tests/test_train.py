@@ -245,9 +245,26 @@ def test_non_finite_validation_probs_abort_with_coordinates():
     ds = tiny_dataset(40)
     first_val_row = np.flatnonzero(ds.folds == 9)[0]
     ds.signals[first_val_row, 0, 0] = np.nan
-    with pytest.raises(NumericError, match=r"validation at epoch 0: .*record 0, class 0"):
+    with pytest.raises(NumericError,
+                       match=rf"validation at epoch 0: .*record {first_val_row}, class 0"):
         train_loop(TINY, init_params(TINY, seed=2), ds,
                    TrainConfig(max_epochs=1, batch_size=8, seed=0))
+
+
+def test_validation_is_one_predict_call_per_epoch_over_the_validation_rows(monkeypatch):
+    ds = tiny_dataset(40)
+    calls = []
+
+    def counting_predict(signals, cfg, params, rows=None):
+        calls.append((signals, rows))
+        return predict(signals, cfg, params, rows=rows)
+
+    monkeypatch.setattr("mswecg.train.predict", counting_predict)
+    train_loop(TINY, init_params(TINY, seed=2), ds, TrainConfig(max_epochs=2, batch_size=8))
+    assert len(calls) == 2
+    for signals, rows in calls:
+        assert signals is ds.signals
+        assert np.array_equal(rows, np.flatnonzero(ds.folds == 9))
 
 
 def test_checkpoint_round_trip_reproduces_val_metrics(tmp_path):

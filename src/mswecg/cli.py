@@ -25,7 +25,6 @@ from .data import (
     SPLIT_FOLDS,
     DatasetHeader,
     SynthSpec,
-    lead_statistics,
     load_dataset,
     read_header,
     save_dataset,
@@ -161,8 +160,7 @@ def run_train(args) -> int:
     resolved = {"model": cfg.to_dict(), "train": tcfg.to_dict()}
     echo_config({**cfg.to_dict(), **tcfg.to_dict()})
 
-    ds = standardize(load_dataset(args.signals, args.labels),
-                     folds=(*SPLIT_FOLDS["train"], *SPLIT_FOLDS["val"]))
+    ds = load_dataset(args.signals, args.labels)
     params = init_params(cfg, seed=tcfg.seed)
     result = train_loop(cfg, params, ds, tcfg, verbose=not args.quiet)
     # The log embeds the run config but not the artifact location, so two
@@ -207,11 +205,12 @@ def load_model(checkpoint) -> tuple[MswConfig, ParamStore, dict]:
 def run_eval(args) -> int:
     cfg, store, saved = load_model(args.checkpoint)
     echo_config(cfg.to_dict())
-    split = standardize(load_dataset(args.signals, args.labels), folds=SPLIT_FOLDS[args.split])
-    if not len(split):
+    ds = load_dataset(args.signals, args.labels)
+    rows = np.flatnonzero(np.isin(ds.folds, SPLIT_FOLDS[args.split]))
+    if not len(rows):
         raise DataError(f"split {args.split!r} holds no records")
-    probs = predict(split.signals, cfg, store)
-    report = evaluate(EvalBatch(scores=probs, labels=split.labels))
+    probs = predict(standardize(ds), cfg, store, rows=rows)
+    report = evaluate(EvalBatch(scores=probs, labels=ds.labels[rows]))
     payload = {"split": args.split, "config": saved, "metrics": report.to_dict()}
     text = json.dumps(payload, indent=1)
     print(text)
@@ -249,12 +248,10 @@ def run_attn(args) -> int:
     cfg, store, _ = load_model(args.checkpoint)
     echo_config(cfg.to_dict())
     ds = load_dataset(args.signals, args.labels)
-    mean, std = lead_statistics(ds)
     if args.record and args.record not in ds.ids:
         raise DataError(f"record id {args.record!r} not in dataset")
     row = ds.ids.index(args.record) if args.record else 0
-    # Indexing the map for one record touches only that record's pages.
-    record_id, signal = ds.ids[row], (ds.signals[row] - mean[:, None]) / std[:, None]
+    record_id, signal = ds.ids[row], standardize(ds)[row]
     leads = _int_list(args.leads) if args.leads else ()
     dump, _ = dump_for_record(record_id, signal, cfg, store)
     written = export(dump, signal, args.out_dir, leads=leads,

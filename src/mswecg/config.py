@@ -82,18 +82,8 @@ class MswConfig:
         return len(self.windows)
 
     def to_dict(self) -> dict:
-        return {
-            "L": self.L,
-            "n_leads": self.n_leads,
-            "P": self.P,
-            "C": self.C,
-            "K": self.K,
-            "heads": self.heads,
-            "windows": list(self.windows),
-            "shift": self.shift,
-            "attn_dropout": self.attn_dropout,
-            "mlp_ratio": self.mlp_ratio,
-        }
+        return {f.name: list(self.windows) if f.name == "windows" else getattr(self, f.name)
+                for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MswConfig":

@@ -3,19 +3,20 @@
 A :class:`Dataset` is columnar: one ``(N, n_leads, L)`` float64 signal
 array, one ``(N, K)`` int64 multi-hot label matrix, one ``(N,)`` fold
 vector and a tuple of record ids, all in file row order.  Loading maps the
-signal blob read-only instead of copying it; :func:`standardize` makes an
-in-memory, standardized copy of only the folds a command uses: ``eval``
-holds its split, ``train`` its training and validation rows once, and
-``attn`` standardizes its one record with :func:`lead_statistics`.
+signal blob read-only instead of copying it.  :func:`standardize` returns a
+:class:`StandardizedRows` view: indexing it reads just the requested rows
+and scales them by the training folds' :func:`lead_statistics`, so a command
+holds the rows it is working on (a batch, a ``predict`` chunk, one record)
+and never a copy of a split.
 
-The mapped blob is never scanned through the map.  Touching rows of a map
+The mapped blob is never read through the map.  Touching rows of a map
 makes their pages, and the kernel's read-around of them, resident in this
 process: selecting every tenth 96 KB record of a 96 MB blob that way made
-nearly all of it resident.  The finite check of :func:`load_dataset`, the
-passes of :func:`standardize` and :meth:`Dataset.take` (so :func:`fold_split`)
-read the blob in blocks of about ``BLOCK_BYTES`` with positioned reads
-instead, so a command holds one block and the rows it keeps, whatever the
-size of the set.
+nearly all of it resident.  Rows are read with positioned reads instead, in
+file order (:func:`_read_rows`); the finite check of :func:`load_dataset`
+and the passes of :func:`lead_statistics` read blocks of about
+``BLOCK_BYTES`` that way, so a command holds one block and the rows it
+uses, whatever the size of the set.
 
 On-disk format, chosen to be trivially writable from any conversion script:
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import mmap
 import warnings
 from dataclasses import dataclass
@@ -82,23 +84,6 @@ class Dataset:
     def __len__(self):
         return len(self.ids)
 
-    def take(self, mask: np.ndarray) -> "Dataset":
-        """The records where the boolean ``mask`` holds, as in-memory copies
-        gathered block by block (:func:`_row_blocks`), never through a map."""
-        signals = np.empty((int(mask.sum()), *self.signals.shape[1:]))
-        done = 0
-        for start, block in _row_blocks(self.signals):
-            rows = mask[start : start + len(block)]
-            np.compress(rows, block, axis=0, out=signals[done : done + int(rows.sum())])
-            done += int(rows.sum())
-        return Dataset(
-            header=self.header,
-            ids=tuple(i for i, keep in zip(self.ids, mask) if keep),
-            signals=signals,
-            labels=self.labels[mask],
-            folds=self.folds[mask],
-        )
-
 
 def read_header(signal_file) -> tuple[DatasetHeader, int]:
     """Parse the signal file's header line, reading nothing else.
@@ -132,29 +117,41 @@ def _first(bad: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _row_blocks(signals: np.ndarray):
-    """Yield ``(start, rows)`` over consecutive blocks of about BLOCK_BYTES.
+def _read_rows(signals: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A fresh array of ``signals[rows]`` for a 1-D integer array ``rows``.
 
-    The whole-blob map made by :func:`load_dataset` is read with positioned
-    reads into a fresh array per block, never through the map (see the
-    module docstring); any other array, a slice of a map included, is
-    sliced.
+    The whole-blob map of :func:`load_dataset` is read, never indexed, with
+    one positioned read per run of rows consecutive both in the file and in
+    ``rows``, in file order.  Any other array is indexed.  A row outside
+    ``0..N-1`` raises :class:`IndexError` (row -1 would read header bytes).
     """
-    n, row_shape = len(signals), signals.shape[1:]
-    row_bytes = max(1, int(np.prod(row_shape)) * signals.dtype.itemsize)
-    step = max(1, BLOCK_BYTES // row_bytes)
+    bad = _first((rows < 0) | (rows >= len(signals)))
+    if bad is not None:
+        raise IndexError(f"row {rows[bad]} outside 0..{len(signals) - 1}")
     if not (isinstance(signals, np.memmap) and isinstance(signals.base, mmap.mmap)):
-        for start in range(0, n, step):
-            yield start, signals[start : start + step]
-        return
+        return signals[rows]
+    out = np.empty((len(rows), *signals.shape[1:]), dtype=signals.dtype)
+    row_bytes = signals.strides[0]  # the map is C-contiguous
+    dst = np.argsort(rows, kind="stable")
+    src = rows[dst]
+    starts = np.flatnonzero((np.diff(src, prepend=-2) != 1) | (np.diff(dst, prepend=-2) != 1))
     with open(signals.filename, "rb") as fh:
-        for start in range(0, n, step):
-            block = np.empty((min(step, n - start), *row_shape), dtype=signals.dtype)
-            fh.seek(signals.offset + start * row_bytes)
-            if fh.readinto(block) != block.nbytes:
-                raise DataError(f"{signals.filename}: blob ends inside rows "
-                                f"{start}..{start + len(block) - 1}")
-            yield start, block
+        for a, b in zip(starts, [*starts[1:], len(rows)]):
+            fh.seek(signals.offset + int(src[a]) * row_bytes)
+            got = fh.readinto(out[dst[a] : dst[a] + b - a])
+            if got != (b - a) * row_bytes:
+                raise DataError(f"{signals.filename}: blob ends inside row "
+                                f"{src[a] + got // row_bytes}")
+    return out
+
+
+def _row_blocks(signals: np.ndarray):
+    """Yield ``(start, rows)`` over consecutive blocks of about BLOCK_BYTES."""
+    n = len(signals)
+    row_bytes = max(1, int(np.prod(signals.shape[1:])) * signals.dtype.itemsize)
+    step = max(1, BLOCK_BYTES // row_bytes)
+    for start in range(0, n, step):
+        yield start, _read_rows(signals, np.arange(start, min(start + step, n)))
 
 
 def load_dataset(signal_file, label_file, header: DatasetHeader | None = None) -> Dataset:
@@ -171,11 +168,13 @@ def load_dataset(signal_file, label_file, header: DatasetHeader | None = None) -
         raise DataError(f"label file not found: {label_file}")
     n_leads, L, K = file_header.n_leads, file_header.L, file_header.K
 
-    with open(label_file, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:2] != ["id", "fold"]:
+    with open(label_file, newline="") as fh:  # counted now, parsed below, never all held
+        reader = csv.reader(fh)
+        head = next(reader, [])
+        n_records = sum(1 for _ in reader)
+    if head[:2] != ["id", "fold"]:
         raise DataError(f"{label_file}: first row must be 'id,fold,<class names...>'")
-    class_names = tuple(rows[0][2:])
+    class_names = tuple(head[2:])
     if len(class_names) != K:
         raise DataError(
             f"{label_file}: {len(class_names)} label columns but signal header declares K={K}"
@@ -193,8 +192,6 @@ def load_dataset(signal_file, label_file, header: DatasetHeader | None = None) -
             raise DataError(f"{label_file}: class columns {class_names} are not in the expected "
                             f"order {header.class_names}")
 
-    body = rows[1:]
-    n_records = len(body)
     blob_bytes = signal_file.stat().st_size - offset
     row_bytes = n_leads * L * 8
     expected = n_records * row_bytes
@@ -211,18 +208,20 @@ def load_dataset(signal_file, label_file, header: DatasetHeader | None = None) -
         )
 
     values = np.empty((n_records, 1 + K), dtype=np.int64)  # fold, then labels
-    seen_ids = set()
-    for row, fields in enumerate(body):
-        if len(fields) != 2 + K:
-            raise DataError(f"{label_file} row {row}: expected {2 + K} fields, got {len(fields)}")
-        if fields[0] in seen_ids:
-            raise DataError(f"{label_file} row {row}: duplicate id {fields[0]!r}")
-        seen_ids.add(fields[0])
-        try:
-            values[row] = [int(v) for v in fields[1:]]
-        except (ValueError, OverflowError) as exc:
-            raise DataError(f"{label_file} row {row}: non-integer fold/label field") from exc
-    ids = tuple(fields[0] for fields in body)
+    ids = {}  # record ids in row order (a dict, for the duplicate check)
+    with open(label_file, newline="") as fh:
+        for row, fields in enumerate(itertools.islice(csv.reader(fh), 1, None)):
+            if len(fields) != 2 + K:
+                raise DataError(f"{label_file} row {row}: expected {2 + K} fields, "
+                                f"got {len(fields)}")
+            if fields[0] in ids:
+                raise DataError(f"{label_file} row {row}: duplicate id {fields[0]!r}")
+            ids[fields[0]] = None
+            try:
+                values[row] = [int(v) for v in fields[1:]]
+            except (ValueError, OverflowError) as exc:
+                raise DataError(f"{label_file} row {row}: non-integer fold/label field") from exc
+    ids = tuple(ids)
     folds, labels = values[:, 0].copy(), values[:, 1:].copy()
 
     if n_records:
@@ -279,11 +278,6 @@ def fold_masks(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return train, val, test
 
 
-def fold_split(ds: Dataset) -> tuple[Dataset, Dataset, Dataset]:
-    """Partition records into train (folds 1-8), validation (9), test (10)."""
-    return tuple(ds.take(mask) for mask in fold_masks(ds))
-
-
 def lead_statistics(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Per-lead mean and std (floored at SIGMA_FLOOR) over the training folds.
 
@@ -317,20 +311,42 @@ def lead_statistics(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.maximum(std, SIGMA_FLOOR)
 
 
-def standardize(ds: Dataset, folds=None) -> Dataset:
+@dataclass(frozen=True, eq=False)
+class StandardizedRows:
+    """Read-only view of a dataset's signals, standardized on demand.
+
+    ``view[rows]`` (an integer row or array of rows) returns a fresh array of
+    just those rows, shifted and scaled per lead by ``mean`` and ``std``;
+    nothing else of the set is read or held.
+    """
+
+    signals: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
+
+    def __len__(self):
+        return len(self.signals)
+
+    def __getitem__(self, rows) -> np.ndarray:
+        idx = np.asarray(rows)
+        if idx.dtype.kind not in "iu" and idx.size:
+            raise IndexError(f"rows must be integers, got {idx.dtype}")
+        out = _read_rows(self.signals, idx.reshape(-1).astype(np.intp))
+        out = out.reshape(*idx.shape, *self.signals.shape[1:])
+        out -= self.mean[:, None]
+        out /= self.std[:, None]
+        return out
+
+
+def standardize(ds: Dataset) -> StandardizedRows:
     """Shift/scale every lead by statistics pooled over the training folds only.
 
-    Returns the records in ``folds`` (all of them by default), in file row
-    order, as one standardized in-memory copy; nothing else of the set is
-    held.  Constant leads map to zeros (the scale is floored at a small
-    epsilon).
+    Computes :func:`lead_statistics` once and returns a view whose indexed
+    rows come out standardized.  Constant leads map to zeros (the scale is
+    floored at a small epsilon).
     """
     mean, std = lead_statistics(ds)
-    out = ds.take(np.ones(len(ds), dtype=bool) if folds is None else np.isin(ds.folds, folds))
-    signals = out.signals
-    signals -= mean[:, None]
-    signals /= std[:, None]
-    return out
+    return StandardizedRows(ds.signals, mean, std)
 
 
 # ---------------------------------------------------------------------------

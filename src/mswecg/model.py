@@ -370,19 +370,20 @@ def forward(
     return ForwardResult(probs=probs, beta=beta, branches=branches)
 
 
-def predict(signals: np.ndarray, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarray:
+def predict(signals, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarray:
     """Evaluation-mode probabilities (N, K) of ``signals[rows]`` (default: all rows).
 
-    Each no-tape forward gathers and runs one chunk: the largest power of two
-    of records whose token rows fit :data:`PREDICT_TOKEN_ROWS` (at least one),
-    with a 1-record tail joined to the chunk before it, so memory does not
-    grow with N.  Power-of-two chunks start on the BLAS kernels' row tiles,
-    so outputs are bitwise reproducible for a geometry and equal the former
-    64-record chunks' bar their 1-record tails.  Raises :class:`NumericError`
-    naming the first non-finite ``signals`` row.
+    ``signals`` is a float64 ``(N, n_leads, L)`` array or a
+    :class:`~mswecg.data.StandardizedRows` view.  Each no-tape forward gathers
+    and runs one chunk: the largest power of two of records whose token rows
+    fit :data:`PREDICT_TOKEN_ROWS` (at least one), with a 1-record tail joined
+    to the chunk before it, so memory does not grow with N.  Power-of-two
+    chunks start on the BLAS kernels' row tiles, so outputs are bitwise
+    reproducible for a geometry and equal the former 64-record chunks' bar
+    their 1-record tails.  Raises :class:`NumericError` naming the first
+    non-finite ``signals`` row.
     """
-    signals = np.asarray(signals, dtype=np.float64)
-    idx = np.arange(signals.shape[0]) if rows is None else np.asarray(rows)
+    idx = np.arange(len(signals)) if rows is None else np.asarray(rows)
     out = np.empty((len(idx), cfg.K))
     per_chunk = 1 << (max(1, PREDICT_TOKEN_ROWS // cfg.tokens).bit_length() - 1)
     starts = list(range(0, len(idx), per_chunk))

@@ -11,26 +11,21 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as tc
 from .config import MswConfig
-from .data import Dataset, fold_masks
-from .errors import ConfigError, DataError, DimensionError, NumericError
+from .data import Dataset, fold_masks, standardize
+from .errors import ConfigError, DimensionError, NumericError
 from .metrics import EvalBatch, MetricReport, evaluate
 from .model import forward, predict
 from .params import ParamStore, save_checkpoint
 from .tensor import Tensor
 
 PROB_CLIP = 1e-12
-
-LOG_COLUMNS = (
-    "epoch", "split", "loss", "accuracy", "macro_f1", "samples_f1",
-    "auc_macro", "auc_samples", "lr",
-)
 
 
 @dataclass(frozen=True)
@@ -143,11 +138,12 @@ class EpochRow:
     lr: float
 
     def as_csv_row(self) -> list[str]:
-        return [
-            str(self.epoch), self.split, repr(self.loss), repr(self.accuracy),
-            repr(self.macro_f1), repr(self.samples_f1), repr(self.auc_macro),
-            repr(self.auc_samples), repr(self.lr),
-        ]
+        """Floats as ``repr`` (round-trips exactly), the rest as ``str``."""
+        values = (getattr(self, name) for name in LOG_COLUMNS)
+        return [repr(v) if isinstance(v, float) else str(v) for v in values]
+
+
+LOG_COLUMNS = tuple(f.name for f in fields(EpochRow))
 
 
 @dataclass
@@ -183,16 +179,15 @@ def train_loop(
 ) -> TrainResult:
     """Seeded mini-batch training with per-epoch validation on fold 9.
 
-    The dataset should already be standardized; its training and validation
-    rows are indexed in place one batch at a time, never copied out whole.
-    Train-split metrics are computed from the predictions gathered while the
-    parameters moved during the epoch; validation metrics come from a
-    dedicated evaluation pass.
+    ``dataset`` is the raw set (a mapped one after ``load_dataset``); it is
+    standardized here by :func:`standardize`, and each batch and the
+    validation pass read and scale only their own rows, so memory does not
+    grow with the set.  Train-split metrics are computed from the predictions
+    gathered while the parameters moved during the epoch; validation metrics
+    come from a dedicated evaluation pass.
     """
     train, val, _ = (np.flatnonzero(mask) for mask in fold_masks(dataset))
-    if not len(train):
-        raise DataError("training folds are empty")
-    signals = dataset.signals
+    signals = standardize(dataset)  # a DataError when the training folds are empty
     y_train = dataset.labels[train].astype(np.float64)
     y_val = dataset.labels[val]
 

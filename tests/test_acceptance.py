@@ -13,7 +13,7 @@ import pytest
 from mswecg import tensor as tc
 from mswecg.complexity import analytic_phases, measure_macs, omega_mswsa, sweep
 from mswecg.config import MswConfig
-from mswecg.data import SynthSpec, fold_split, standardize, synth_generate
+from mswecg.data import SynthSpec, fold_masks, standardize, synth_generate
 from mswecg.errors import AdmissibilityError, UndefinedMetricError
 from mswecg.metrics import EvalBatch, accuracy, evaluate, macro_f1, roc_auc, samples_f1
 from mswecg.model import forward, msw_block, predict, window_partition
@@ -46,16 +46,16 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def learn_dataset():
     # 750 records split 600/75/75 by the round-robin folds.
-    return standardize(synth_generate(SynthSpec(seed=DATA_SEED, n_records=750)))
+    return synth_generate(SynthSpec(seed=DATA_SEED, n_records=750))
 
 
 def _train_and_test_f1(cfg, dataset, seed, max_epochs):
     result = train_loop(cfg, init_params(cfg, seed=seed), dataset,
                         TrainConfig(max_epochs=max_epochs, batch_size=16, lr0=1e-4,
                                     seed=seed))
-    _, _, test = fold_split(dataset)
-    probs = predict(test.signals, cfg, result.best_params)
-    return evaluate(EvalBatch(scores=probs, labels=test.labels)).macro_f1
+    test = np.flatnonzero(fold_masks(dataset)[2])
+    probs = predict(standardize(dataset), cfg, result.best_params, rows=test)
+    return evaluate(EvalBatch(scores=probs, labels=dataset.labels[test])).macro_f1
 
 
 def test_criterion_1_gradient_audit():
@@ -237,7 +237,7 @@ def test_criterion_8_ablation_direction(learn_dataset):
 
 
 def test_criterion_9_determinism_and_persistence(tmp_path):
-    ds = standardize(synth_generate(SynthSpec(seed=9, n_records=40, n_leads=2, L=40)))
+    ds = synth_generate(SynthSpec(seed=9, n_records=40, n_leads=2, L=40))
     cfg = MswConfig(L=40, n_leads=2, P=5, C=8, heads=2, windows=(2, 4), K=3)
     tcfg = TrainConfig(max_epochs=3, batch_size=8, seed=9,
                        checkpoint=str(tmp_path / "best"))
@@ -247,9 +247,9 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
     logs_equal = format_metric_log(run_a.log) == format_metric_log(run_b.log)
 
     store, _ = load_checkpoint(tmp_path / "best")
-    _, val, _ = fold_split(ds)
-    x, y = val.signals, val.labels
-    probs = predict(x, cfg, store)
+    val = np.flatnonzero(fold_masks(ds)[1])
+    probs = predict(standardize(ds), cfg, store, rows=val)
+    y = ds.labels[val]
     rep = evaluate(EvalBatch(scores=probs, labels=y))
     logged = next(r for r in run_a.log if r.split == "val" and r.epoch == run_a.best_epoch)
     bitwise = (

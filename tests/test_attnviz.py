@@ -24,8 +24,8 @@ CFG = MswConfig(L=40, n_leads=2, P=5, C=8, heads=2, windows=(2, 4), K=3)
 
 
 def fitted_record_and_params(seed=0):
-    ds = standardize(synth_generate(SynthSpec(seed=seed, n_records=20, n_leads=2, L=40)))
-    return (ds.ids[0], ds.signals[0]), init_params(CFG, seed=seed)
+    ds = synth_generate(SynthSpec(seed=seed, n_records=20, n_leads=2, L=40))
+    return (ds.ids[0], standardize(ds)[0]), init_params(CFG, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +164,9 @@ def test_dump_rejects_non_finite_attention_naming_branch_and_window():
 
 def test_scores_invariant_to_batch_composition():
     _, params = fitted_record_and_params(seed=3)
-    ds = standardize(synth_generate(SynthSpec(seed=3, n_records=20, n_leads=2, L=40)))
-    solo = forward(ds.signals[0], CFG, params)
-    batch = forward(ds.signals[:4], CFG, params)
+    view = standardize(synth_generate(SynthSpec(seed=3, n_records=20, n_leads=2, L=40)))
+    solo = forward(view[0], CFG, params)
+    batch = forward(view[np.arange(4)], CFG, params)
     solo_dump = build_dump("x", solo, CFG)
     for br_solo, br_batch in zip(solo.branches, batch.branches):
         assert np.allclose(br_solo.attn.data, br_batch.attn.data[0], atol=1e-12)

@@ -167,7 +167,8 @@ def test_eval_nan_weight_checkpoint_exit_4(synth_dir, trained_dir, tmp_path, cap
         "--out", str(report_path),
     ])
     assert code == 4
-    assert "non-finite probability nan for record 0" in capsys.readouterr().err
+    # The first test-fold record: file row 9 (folds are assigned round-robin).
+    assert "non-finite probability nan for record 9" in capsys.readouterr().err
     assert not report_path.exists()
 
 

@@ -22,7 +22,6 @@ from mswecg.data import (
     DatasetHeader,
     SynthSpec,
     fold_masks,
-    fold_split,
     lead_statistics,
     load_dataset,
     read_header,
@@ -31,7 +30,9 @@ from mswecg.data import (
     synth_generate,
 )
 from mswecg.errors import DataError
+from mswecg.model import predict
 from mswecg.params import init_params, save_checkpoint
+from mswecg.train import TrainConfig, format_metric_log, train_loop
 from util import pairwise_auc
 
 
@@ -171,24 +172,23 @@ def test_signal_file_size_is_header_plus_blob(tmp_path):
 
 def test_fold_split_partition():
     ds = small_dataset(10)
-    train, val, test = fold_split(ds)
-    assert (len(train), len(val), len(test)) == (8, 1, 1)
-    assert set(train.ids) | set(val.ids) | set(test.ids) == set(ds.ids)
-    assert np.array_equal(test.signals, ds.signals[ds.folds == 10])
-    assert np.array_equal(test.labels, ds.labels[ds.folds == 10])
+    train, val, test = fold_masks(ds)
+    assert (train.sum(), val.sum(), test.sum()) == (8, 1, 1)
+    assert np.array_equal(np.flatnonzero(test), np.flatnonzero(ds.folds == 10))
+    assert np.array_equal(np.flatnonzero(val), np.flatnonzero(ds.folds == 9))
 
 
 def test_fold_split_empty_val_warns():
     ds = small_dataset(8)  # folds 1..8 only
     with pytest.warns(UserWarning, match="validation fold"):
-        train, val, test = fold_split(ds)
-    assert len(val) == 0 and len(test) == 0 and len(train) == 8
+        train, val, test = fold_masks(ds)
+    assert not val.any() and not test.any() and train.all()
 
 
 def test_fold_split_rejects_bad_fold():
     broken = constant_dataset([1, 2, 11])
     with pytest.raises(DataError, match="record r2: fold 11"):
-        fold_split(broken)
+        fold_masks(broken)
 
 
 @settings(max_examples=30, deadline=None)
@@ -199,32 +199,31 @@ def test_fold_split_disjoint_and_covering(folds):
     ds = constant_dataset(folds, L=2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        train, val, test = fold_split(ds)
-    assert len(train) + len(val) + len(test) == len(ds)
-    assert sorted(train.ids + val.ids + test.ids) == sorted(ds.ids)
-    assert (train.folds <= 8).all()
-    assert (val.folds == 9).all()
-    assert (test.folds == 10).all()
+        train, val, test = fold_masks(ds)
+    assert np.array_equal(train.astype(int) + val + test, np.ones(len(ds), dtype=int))
+    assert (ds.folds[train] <= 8).all()
+    assert (ds.folds[val] == 9).all()
+    assert (ds.folds[test] == 10).all()
 
 
 def test_standardize_train_statistics():
-    ds = standardize(small_dataset(40, seed=3))
-    train = ds.signals[ds.folds <= 8]
+    ds = small_dataset(40, seed=3)
+    train = standardize(ds)[np.flatnonzero(ds.folds <= 8)]
     assert np.abs(train.mean(axis=(0, 2))).max() < 1e-9
     assert np.abs(train.std(axis=(0, 2)) - 1.0).max() < 1e-9
 
 
 def test_standardize_does_not_leak_test_folds():
-    ds = standardize(small_dataset(60, seed=4))
-    held = ds.signals[ds.folds > 8]
+    ds = small_dataset(60, seed=4)
+    held = standardize(ds)[np.flatnonzero(ds.folds > 8)]
     # Held-out statistics must come out shifted, not exactly 0/1.
     assert np.abs(held.mean(axis=(0, 2))).max() > 1e-9
     assert np.abs(held.std(axis=(0, 2)) - 1.0).max() > 1e-9
 
 
 def test_standardize_constant_lead_maps_to_zero():
-    ds = standardize(constant_dataset(range(1, 11), value=2.5))
-    assert np.array_equal(ds.signals, np.zeros((10, 1, 4)))
+    view = standardize(constant_dataset(range(1, 11), value=2.5))
+    assert np.array_equal(view[np.arange(10)], np.zeros((10, 1, 4)))
 
 
 def test_standardize_requires_training_folds():
@@ -237,9 +236,20 @@ def test_standardize_copies_a_mapped_dataset(tmp_path):
     save_dataset(ds, tmp_path / "sig.bin", tmp_path / "lab.csv")
     mapped = standardize(load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv"))
     in_memory = standardize(ds)
-    assert type(mapped.signals) is np.ndarray and mapped.signals.flags.writeable
-    assert mapped.signals.tobytes() == in_memory.signals.tobytes()
-    assert mapped.ids == ds.ids and np.array_equal(mapped.labels, ds.labels)
+    mean, std = lead_statistics(ds)
+    assert len(mapped) == 20
+    # Unsorted, repeated and consecutive rows, a single row and no rows.
+    for rows in ([5, 3, 4, 19, 0, 3, 6, 7], np.arange(20), 7, np.array([], dtype=int)):
+        got = mapped[rows]
+        assert type(got) is np.ndarray and got.flags.writeable
+        assert got.tobytes() == in_memory[rows].tobytes()
+        want = ds.signals[rows].copy()
+        want -= mean[:, None]
+        want /= std[:, None]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    batch = mapped[[2, 1]]
+    batch[:] = 0.0  # a fresh copy: the next read is unchanged
+    assert mapped[[2, 1]].tobytes() == in_memory[[2, 1]].tobytes()
 
 
 @pytest.mark.parametrize("n_leads,L", [(4, 200), (12, 1000)])
@@ -260,39 +270,75 @@ def mapped_12x1000(tmp_path_factory):
     return out / "sig.bin", out / "lab.csv"
 
 
-def test_standardize_of_one_split_holds_only_that_split(mapped_12x1000, monkeypatch):
+def test_a_batch_read_holds_only_its_rows(mapped_12x1000, monkeypatch):
     sig, lab = mapped_12x1000
-    blob = 200 * 12 * 1000 * 8
-    # Blocks of five records, so the bound below reads: the test split
-    # (1.9 MB) plus a few blocks, not anything proportional to the set.
-    monkeypatch.setattr(data, "BLOCK_BYTES", 5 * 12 * 1000 * 8)
+    row_bytes = 12 * 1000 * 8
+    # Blocks of five records, so the bound below reads: the batch plus a
+    # few blocks, not anything proportional to the 200-record set.
+    monkeypatch.setattr(data, "BLOCK_BYTES", 5 * row_bytes)
+    rows = np.random.default_rng(0).permutation(200)[:16]
     tracemalloc.start()
     try:
-        test = standardize(load_dataset(sig, lab), folds=SPLIT_FOLDS["test"])
-        peak = tracemalloc.get_traced_memory()[1]
+        view = standardize(load_dataset(sig, lab))
+        whole = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        batch = view[rows]
+        read = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < blob / 4, f"peak {peak} bytes for a {blob}-byte blob"
-    full = standardize(load_dataset(sig, lab))
-    rows = np.isin(full.folds, SPLIT_FOLDS["test"])
-    assert test.signals.tobytes() == full.signals[rows].tobytes()
-    assert test.ids == tuple(i for i, k in zip(full.ids, rows) if k)
-    assert np.array_equal(test.labels, full.labels[rows])
-    assert (test.folds == 10).all() and len(test) == 20
-
-
-def test_load_and_standardize_read_blocks_instead_of_indexing_the_map(mapped_12x1000):
-    sig, lab = mapped_12x1000
-    with mock.patch.object(np.memmap, "__getitem__", side_effect=AssertionError("map indexed")):
-        val = standardize(load_dataset(sig, lab), folds=SPLIT_FOLDS["val"])
-        split = fold_split(load_dataset(sig, lab))
-    assert len(val) == 20
-    assert [len(part) for part in split] == [160, 20, 20]
+    assert whole < 4 * 5 * row_bytes, f"load and standardize peaked at {whole} bytes"
+    # The batch and the reader's file buffer, not one extra row.
+    assert batch.nbytes <= read < batch.nbytes + row_bytes, f"{read} bytes for the batch"
     in_memory = synth_generate(SynthSpec(seed=2, n_records=200, n_leads=12, L=1000))
-    for part, mask in zip(split, fold_masks(in_memory)):
-        assert type(part.signals) is np.ndarray
-        assert part.signals.tobytes() == in_memory.signals[mask].tobytes()
-        assert part.ids == tuple(i for i, k in zip(in_memory.ids, mask) if k)
+    assert batch.tobytes() == standardize(in_memory)[rows].tobytes()
+
+
+def test_load_and_standardize_read_blocks_instead_of_indexing_the_map(mapped_12x1000, tmp_path):
+    sig, lab = mapped_12x1000
+    cfg = MswConfig(L=1000, n_leads=12, P=5, C=8, heads=2, windows=(5, 10, 20), K=3)
+    params = init_params(cfg, seed=0)
+    save_checkpoint(params, tmp_path / "ckpt", config={"model": cfg.to_dict()})
+    in_memory = synth_generate(SynthSpec(seed=2, n_records=200, n_leads=12, L=1000))
+    val = np.flatnonzero(in_memory.folds == 9)
+    with mock.patch.object(np.memmap, "__getitem__", side_effect=AssertionError("map indexed")):
+        ds = load_dataset(sig, lab)
+        view = standardize(ds)
+        batch = view[val[::-1]]
+        probs = predict(view, cfg, params, rows=val)
+        result = train_loop(cfg, params.copy(), ds, TrainConfig(max_epochs=1, batch_size=32))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["attn", "--checkpoint", str(tmp_path / "ckpt"), "--signals", str(sig),
+                         "--labels", str(lab), "--record", "synth-00009",
+                         "--out-dir", str(tmp_path / "viz")])
+    assert code == 0 and (tmp_path / "viz" / "synth-00009.json").exists()
+    want = standardize(in_memory)
+    assert batch.tobytes() == want[val[::-1]].tobytes()
+    assert probs.tobytes() == predict(want, cfg, params, rows=val).tobytes()
+    again = train_loop(cfg, params.copy(), in_memory, TrainConfig(max_epochs=1, batch_size=32))
+    assert format_metric_log(result.log) == format_metric_log(again.log)
+
+
+def test_row_outside_the_set_is_an_index_error(mapped_12x1000):
+    view = standardize(load_dataset(*mapped_12x1000))
+    for rows in (-1, 200, [3, -1], [0, 200]):
+        with pytest.raises(IndexError, match=r"outside 0\.\.199"):
+            view[rows]
+    with pytest.raises(IndexError, match="integers"):
+        view[np.ones(200, dtype=bool)]
+
+
+def test_short_read_names_the_file_and_the_row(tmp_path):
+    ds = small_dataset(20, seed=6)
+    sig = tmp_path / "sig.bin"
+    save_dataset(ds, sig, tmp_path / "lab.csv")
+    view = standardize(load_dataset(sig, tmp_path / "lab.csv"))
+    with open(sig, "r+b") as fh:  # cut row 17 short after loading
+        fh.truncate(sig.stat().st_size - 3 * 2 * 6 * 8 + 5)
+    assert view[[16, 3]].tobytes() == standardize(ds)[[16, 3]].tobytes()
+    for rows, first_missing in (([17], 17), ([19, 16, 17, 18], 17), (18, 18)):
+        with pytest.raises(DataError, match=rf"sig\.bin: blob ends inside row {first_missing}"):
+            view[rows]
 
 
 def test_dataset_rejects_columns_of_different_lengths():

@@ -1,12 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mswecg import data
 from mswecg import tensor as tc
 from mswecg.config import MswConfig
-from mswecg.data import SynthSpec, fold_split, standardize, synth_generate
-from mswecg.errors import ConfigError, DimensionError, NumericError
+from mswecg.data import (
+    Dataset,
+    StandardizedRows,
+    SynthSpec,
+    load_dataset,
+    save_dataset,
+    standardize,
+    synth_generate,
+)
+from mswecg.errors import ConfigError, DataError, DimensionError, NumericError
 from mswecg.metrics import EvalBatch, evaluate
 from mswecg.model import forward, predict
 from mswecg.params import init_params, load_checkpoint
@@ -26,9 +36,19 @@ TINY = MswConfig(L=40, n_leads=2, P=5, C=8, heads=2, windows=(2, 4), K=3)
 
 
 def tiny_dataset(n=40, seed=0):
-    return standardize(
-        synth_generate(SynthSpec(seed=seed, n_records=n, n_leads=TINY.n_leads, L=TINY.L))
-    )
+    return synth_generate(SynthSpec(seed=seed, n_records=n, n_leads=TINY.n_leads, L=TINY.L))
+
+
+def subset(ds, keep):
+    """The records where the boolean mask ``keep`` holds, as a new dataset."""
+    return Dataset(header=ds.header, ids=tuple(np.array(ds.ids)[keep]),
+                   signals=ds.signals[keep], labels=ds.labels[keep], folds=ds.folds[keep])
+
+
+def split_rows(ds, folds):
+    """Standardized signals and labels of the records in ``folds``."""
+    rows = np.flatnonzero(np.isin(ds.folds, folds))
+    return standardize(ds)[rows], ds.labels[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +201,8 @@ def test_train_config_validation():
 def test_one_epoch_decreases_loss_on_same_batch_order():
     ds = tiny_dataset(40)
     params = init_params(TINY, seed=0)
-    train, _, _ = fold_split(ds)
-    x = train.signals
-    y = train.labels.astype(float)
+    x, y = split_rows(ds, range(1, 9))
+    y = y.astype(float)
     initial = bce_loss(forward(x, TINY, params).probs, y).item()
     result = train_loop(TINY, params, ds, TrainConfig(max_epochs=1, batch_size=8,
                                                       lr0=1e-3, seed=0))
@@ -200,10 +219,8 @@ def test_seeded_runs_produce_identical_logs():
 
 
 def test_overfit_one_batch_monotone():
-    ds = tiny_dataset(40)
-    train, _, _ = fold_split(ds)
-    x = train.signals[:8]
-    y = train.labels[:8].astype(float)
+    x, y = split_rows(tiny_dataset(40), range(1, 9))
+    x, y = x[:8], y[:8].astype(float)
     params = init_params(TINY, seed=1)
     state = AdamState()
     losses = []
@@ -263,7 +280,7 @@ def test_validation_is_one_predict_call_per_epoch_over_the_validation_rows(monke
     train_loop(TINY, init_params(TINY, seed=2), ds, TrainConfig(max_epochs=2, batch_size=8))
     assert len(calls) == 2
     for signals, rows in calls:
-        assert signals is ds.signals
+        assert isinstance(signals, StandardizedRows) and signals.signals is ds.signals
         assert np.array_equal(rows, np.flatnonzero(ds.folds == 9))
 
 
@@ -275,8 +292,7 @@ def test_checkpoint_round_trip_reproduces_val_metrics(tmp_path):
     store, saved_cfg = load_checkpoint(tmp_path / "best")
     assert saved_cfg["best_epoch"] == result.best_epoch
 
-    _, val, _ = fold_split(ds)
-    x, y = val.signals, val.labels
+    x, y = split_rows(ds, [9])
     probs_best = predict(x, TINY, result.best_params)
     probs_loaded = predict(x, TINY, store)
     assert probs_best.tobytes() == probs_loaded.tobytes()
@@ -308,7 +324,7 @@ def test_train_loop_with_cyclic_shift():
 def test_train_loop_without_validation_fold():
     # Only folds 1..8 populated: no val rows, best checkpoint never chosen.
     ds = tiny_dataset(40)
-    trimmed = ds.take(ds.folds <= 8)
+    trimmed = subset(ds, ds.folds <= 8)
     with pytest.warns(UserWarning, match="validation fold"):
         result = train_loop(TINY, init_params(TINY, seed=0), trimmed,
                             TrainConfig(max_epochs=1, batch_size=8, seed=0))
@@ -328,3 +344,30 @@ def test_finite_difference_audit_tiny_model():
     worst, per_param = finite_difference_audit(TINY, params, signals, labels)
     assert worst < 1e-4
     assert set(per_param) == set(params.names())
+
+
+def test_train_loop_memory_does_not_grow_with_a_mapped_set(tmp_path, monkeypatch):
+    cfg = MswConfig(L=1000, n_leads=12, P=5, C=8, heads=2, windows=(5, 10, 20), K=3)
+    # Blocks of four records for the statistics passes, so both sets are
+    # read in blocks of the same size (the default block holds 87 records).
+    monkeypatch.setattr(data, "BLOCK_BYTES", 4 * 12 * 1000 * 8)
+    peaks = {}
+    for n in (20, 200):
+        sig, lab = tmp_path / f"sig{n}.bin", tmp_path / f"lab{n}.csv"
+        save_dataset(synth_generate(SynthSpec(seed=5, n_records=n, n_leads=12, L=1000)), sig, lab)
+        ds = load_dataset(sig, lab)
+        params = init_params(cfg, seed=0)
+        tracemalloc.start()
+        try:
+            train_loop(cfg, params, ds, TrainConfig(max_epochs=1, batch_size=8, seed=0))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[200] <= 1.10 * peaks[20], peaks
+
+
+def test_train_loop_without_training_folds_is_a_data_error():
+    ds = tiny_dataset(40)
+    held_out = subset(ds, ds.folds > 8)
+    with pytest.raises(DataError, match="training folds 1-8 are empty"):
+        train_loop(TINY, init_params(TINY, seed=0), held_out, TrainConfig(max_epochs=1))

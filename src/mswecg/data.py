@@ -33,6 +33,7 @@ import csv
 import io
 import itertools
 import mmap
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -121,27 +122,39 @@ def _read_rows(signals: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """A fresh array of ``signals[rows]`` for a 1-D integer array ``rows``.
 
     The whole-blob map of :func:`load_dataset` is read, never indexed, with
-    one positioned read per run of rows consecutive both in the file and in
-    ``rows``, in file order.  Any other array is indexed.  A row outside
-    ``0..N-1`` raises :class:`IndexError` (row -1 would read header bytes).
+    one positioned read (``os.preadv``) per run of rows consecutive both in
+    the file and in ``rows``, in file order, on an unbuffered descriptor.
+    Positioned reads share no file offset, so threads may read one map at
+    once.  Any other array is indexed.  A row outside ``0..N-1`` raises
+    :class:`IndexError` (row -1 would read header bytes).
     """
-    bad = _first((rows < 0) | (rows >= len(signals)))
-    if bad is not None:
-        raise IndexError(f"row {rows[bad]} outside 0..{len(signals) - 1}")
+    r, n = rows.tolist(), len(signals)  # Python ints: a batch is a few dozen rows
+    if r and (min(r) < 0 or max(r) >= n):
+        raise IndexError(f"row {next(x for x in r if not 0 <= x < n)} outside 0..{n - 1}")
     if not (isinstance(signals, np.memmap) and isinstance(signals.base, mmap.mmap)):
         return signals[rows]
-    out = np.empty((len(rows), *signals.shape[1:]), dtype=signals.dtype)
+    out = np.empty((len(r), *signals.shape[1:]), dtype=signals.dtype)
+    runs = []  # [position in rows, file row, row count], in file order
+    for i in sorted(range(len(r)), key=r.__getitem__):
+        if runs and i == runs[-1][0] + runs[-1][2] and r[i] == runs[-1][1] + runs[-1][2]:
+            runs[-1][2] += 1
+        else:
+            runs.append([i, r[i], 1])
     row_bytes = signals.strides[0]  # the map is C-contiguous
-    dst = np.argsort(rows, kind="stable")
-    src = rows[dst]
-    starts = np.flatnonzero((np.diff(src, prepend=-2) != 1) | (np.diff(dst, prepend=-2) != 1))
-    with open(signals.filename, "rb") as fh:
-        for a, b in zip(starts, [*starts[1:], len(rows)]):
-            fh.seek(signals.offset + int(src[a]) * row_bytes)
-            got = fh.readinto(out[dst[a] : dst[a] + b - a])
-            if got != (b - a) * row_bytes:
-                raise DataError(f"{signals.filename}: blob ends inside row "
-                                f"{src[a] + got // row_bytes}")
+    buf = memoryview(out.reshape(-1).view(np.uint8))
+    fd = os.open(signals.filename, os.O_RDONLY)
+    try:
+        for i, row, count in runs:
+            at, size, got = i * row_bytes, count * row_bytes, 0
+            while got < size:  # a read stops short only at the end of the file (or 2 GB)
+                step = os.preadv(fd, [buf[at + got : at + size]],
+                                 signals.offset + row * row_bytes + got)
+                if not step:
+                    raise DataError(f"{signals.filename}: blob ends inside row "
+                                    f"{row + got // row_bytes}")
+                got += step
+    finally:
+        os.close(fd)
     return out
 
 

@@ -20,7 +20,11 @@ single record (T, C) and a batch (B, T, C).
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +41,8 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Token rows per ``predict`` forward: 8 records at 12 leads x 1000 samples, 32 at 4 x 200.
 PREDICT_TOKEN_ROWS = 2048
+# Most ``predict`` chunks in flight at once, one per thread (capped by the usable CPUs).
+PREDICT_WORKERS = 2
 
 
 @dataclass
@@ -370,6 +376,13 @@ def forward(
     return ForwardResult(probs=probs, beta=beta, branches=branches)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def predict(signals, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarray:
     """Evaluation-mode probabilities (N, K) of ``signals[rows]`` (default: all rows).
 
@@ -377,11 +390,19 @@ def predict(signals, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarra
     :class:`~mswecg.data.StandardizedRows` view.  Each no-tape forward gathers
     and runs one chunk: the largest power of two of records whose token rows
     fit :data:`PREDICT_TOKEN_ROWS` (at least one), with a 1-record tail joined
-    to the chunk before it, so memory does not grow with N.  Power-of-two
-    chunks start on the BLAS kernels' row tiles, so outputs are bitwise
-    reproducible for a geometry and equal the former 64-record chunks' bar
-    their 1-record tails.  Raises :class:`NumericError` naming the first
-    non-finite ``signals`` row.
+    to the chunk before it.  Power-of-two chunks start on the BLAS kernels'
+    row tiles, so outputs are bitwise reproducible for a geometry and equal
+    the former 64-record chunks' bar their 1-record tails.
+
+    Chunks run on up to :data:`PREDICT_WORKERS` threads (no more than the
+    usable CPUs or the chunks; one means a plain loop), each in a copy of the
+    caller's context, so ``no_grad``, an active ``MacCounter`` and
+    ``np.errstate`` hold inside them.  Each chunk writes its own slice of the
+    output, so outputs are bitwise equal to the serial loop.  At most
+    ``PREDICT_WORKERS`` chunks are in flight, so memory is bounded by that
+    many chunks and does not grow with N.  Raises :class:`NumericError`
+    naming the first non-finite ``signals`` row of the first chunk holding
+    one; chunks not yet started are then cancelled.
     """
     idx = np.arange(len(signals)) if rows is None else np.asarray(rows)
     out = np.empty((len(idx), cfg.K))
@@ -389,14 +410,34 @@ def predict(signals, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarra
     starts = list(range(0, len(idx), per_chunk))
     if len(starts) > 1 and starts[-1] == len(idx) - 1:
         starts.pop()  # no 1-record tail
+    spans = list(zip(starts, [*starts[1:], len(idx)]))
+
+    def run_chunk(start: int, stop: int) -> None:
+        chunk = idx[start:stop]
+        probs = forward(signals[chunk], cfg, params).probs.data
+        bad = np.argwhere(~np.isfinite(probs))
+        if bad.size:
+            row, k = bad[0]
+            raise NumericError(f"non-finite probability {probs[row, k]} for record "
+                               f"{chunk[row]}, class {k}")
+        out[start:stop] = probs
+
+    workers = min(PREDICT_WORKERS, _usable_cpus(), len(spans))
     with tc.no_grad():
-        for start, stop in zip(starts, [*starts[1:], len(idx)]):
-            chunk = idx[start:stop]
-            probs = forward(signals[chunk], cfg, params).probs.data
-            bad = np.argwhere(~np.isfinite(probs))
-            if bad.size:
-                row, k = bad[0]
-                raise NumericError(f"non-finite probability {probs[row, k]} for record "
-                                   f"{chunk[row]}, class {k}")
-            out[start:stop] = probs
+        if workers <= 1:
+            for span in spans:
+                run_chunk(*span)
+            return out
+        with ThreadPoolExecutor(workers) as pool:
+            pending = deque()  # futures in chunk order, at most `workers` of them
+            try:
+                for span in spans:
+                    if len(pending) == workers:
+                        pending.popleft().result()
+                    pending.append(pool.submit(contextvars.copy_context().run, run_chunk, *span))
+                while pending:
+                    pending.popleft().result()
+            finally:
+                for future in pending:
+                    future.cancel()
     return out

@@ -22,13 +22,18 @@ recorded at all.
 Tensors are treated as immutable once created, grad buffers excepted (the
 optimizer mutates parameter data in place, but only between passes).  A graph
 and its tensors belong to one thread for the duration of a forward/backward
-pass; distinct graphs may run on distinct threads.
+pass; distinct graphs may run on distinct threads.  So may no-tape forwards
+over shared parameters, one per thread, as ``model.predict`` runs them.  The
+recording switch and the active :class:`MacCounter` are context variables, so
+a worker thread must run in a copy of its caller's context to see them; a
+counter shared that way adds under a lock.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import threading
 
 import numpy as np
 
@@ -229,15 +234,18 @@ class MacCounter:
 
     Counts are exact Python integers (no overflow) and grouped by a caller
     supplied phase label.  The counter is pass-local: it only sees products
-    run in the context (and thread) that activated it.
+    run in the context that activated it, or in a copy of that context taken
+    while it was active, such as the ones ``model.predict`` runs its chunks in.
     """
 
     def __init__(self):
         self.phases: dict[str, int] = {}
         self._label = "untagged"
+        self._lock = threading.Lock()
 
     def _add(self, macs: int) -> None:
-        self.phases[self._label] = self.phases.get(self._label, 0) + int(macs)
+        with self._lock:  # ops on several threads may share one counter
+            self.phases[self._label] = self.phases.get(self._label, 0) + int(macs)
 
     @property
     def total(self) -> int:

@@ -1,4 +1,6 @@
 import gc
+import threading
+import time
 import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
@@ -10,8 +12,10 @@ from scipy.special import expit
 from mswecg import tensor as tc
 from mswecg.config import MswConfig
 from mswecg.errors import AdmissibilityError, DimensionError, NumericError
+from mswecg import model
 from mswecg.model import (
     PREDICT_TOKEN_ROWS,
+    PREDICT_WORKERS,
     forward,
     fuse,
     linear_embed,
@@ -750,16 +754,26 @@ def test_predict_rows_name_the_signals_row_and_match_a_gathered_copy(monkeypatch
 
 
 def _chunk_sizes(monkeypatch, cfg, n):
-    """Record counts of the forward passes ``predict`` runs over n records."""
-    sizes = []
+    """Record counts of the forward passes ``predict`` runs over n records, in row order.
+
+    Row r of the input is filled with r, so each forward names its chunk by
+    content whichever thread runs it and in whatever order.
+    """
+    chunks = []
 
     def fake_forward(record, cfg, params):
-        sizes.append(len(record))
+        first = int(record[0, 0, 0])
+        assert np.array_equal(record, sig[first : first + len(record)])
+        chunks.append((first, len(record)))
         return SimpleNamespace(probs=tc.Tensor(np.zeros((len(record), cfg.K))))
 
     monkeypatch.setattr("mswecg.model.forward", fake_forward)
-    predict(np.zeros((n, cfg.n_leads, cfg.L)), cfg, None)
-    return sizes
+    sig = np.broadcast_to(np.arange(n, dtype=float)[:, None, None], (n, cfg.n_leads, cfg.L))
+    predict(sig, cfg, None)
+    chunks.sort()
+    assert [first for first, _ in chunks] == [sum(s for _, s in chunks[:i])
+                                              for i in range(len(chunks))]
+    return [size for _, size in chunks]
 
 
 @pytest.mark.parametrize("L,n_leads,per_chunk", [(1000, 12, 8), (200, 4, 32), (40, 2, 256)])
@@ -772,6 +786,77 @@ def test_predict_chunks_are_power_of_two_records_with_no_one_record_tail(monkeyp
         assert sum(sizes) == n
         assert all(s == per_chunk for s in sizes[:-1]), (n, sizes)
         assert 1 <= sizes[-1] <= per_chunk + 1 and (sizes[-1] > 1 or n == 1), (n, sizes)
+
+
+def test_predict_runs_at_most_predict_workers_chunks_at_once(monkeypatch):
+    monkeypatch.setattr("mswecg.model.PREDICT_TOKEN_ROWS", TINY.tokens)  # 1-record chunks
+    workers = min(PREDICT_WORKERS, model._usable_cpus())
+    together = threading.Barrier(workers, timeout=10)  # the first chunks must overlap
+    lock, in_flight, most = threading.Lock(), [0], [0]
+
+    def fake_forward(record, cfg, params):
+        with lock:
+            in_flight[0] += 1
+            most[0] = max(most[0], in_flight[0])
+        if int(record[0, 0, 0]) < workers:
+            together.wait()
+        time.sleep(0.002)
+        with lock:
+            in_flight[0] -= 1
+        return SimpleNamespace(probs=tc.Tensor(record[:, :1, 0].repeat(cfg.K, axis=1)))
+
+    monkeypatch.setattr("mswecg.model.forward", fake_forward)
+    sig = np.broadcast_to(np.arange(12.0)[:, None, None], (12, TINY.n_leads, TINY.L))
+    assert predict(sig, TINY, None).tolist() == [[r] * TINY.K for r in range(12)]
+    assert most[0] == workers
+
+
+def test_predict_reports_the_first_failing_chunk_and_starts_no_more(monkeypatch):
+    monkeypatch.setattr("mswecg.model.PREDICT_TOKEN_ROWS", TINY.tokens)
+    started = []
+
+    def fake_forward(record, cfg, params):
+        first = int(record[0, 0, 0])
+        started.append(first)
+        if first == 0:
+            time.sleep(0.05)  # chunk 1 fails first, but chunk 0 is reported
+        return SimpleNamespace(probs=tc.Tensor(np.full((len(record), cfg.K), np.nan)))
+
+    monkeypatch.setattr("mswecg.model.forward", fake_forward)
+    sig = np.broadcast_to(np.arange(12.0)[:, None, None], (12, TINY.n_leads, TINY.L))
+    with pytest.raises(NumericError, match=r"record 0, class 0"):
+        predict(sig, TINY, None)
+    assert sorted(started) == list(range(min(PREDICT_WORKERS, model._usable_cpus())))
+
+
+def test_predict_counts_the_macs_of_a_serial_forward_and_records_no_tape(monkeypatch):
+    monkeypatch.setattr("mswecg.model.PREDICT_TOKEN_ROWS", 2 * TINY.tokens)  # chunks 2+2+2+3
+    params = init_params(TINY, seed=22)
+    sig = np.random.default_rng(23).normal(size=(9, TINY.n_leads, TINY.L))
+    taped = []
+
+    def spy_forward(record, cfg, params):
+        result = forward(record, cfg, params)
+        taped.append(result.probs.op is not None)
+        return result
+
+    monkeypatch.setattr("mswecg.model.forward", spy_forward)
+    chunked, serial = tc.MacCounter(), tc.MacCounter()
+    with chunked.active():
+        predict(sig, TINY, params)
+    with serial.active(), tc.no_grad():
+        forward(sig, TINY, params)
+    assert chunked.phases == serial.phases and serial.total > 0
+    assert taped == [False] * 4
+
+
+def test_predict_chunks_keep_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr("mswecg.model.PREDICT_TOKEN_ROWS", 2 * TINY.tokens)
+    params = init_params(TINY, seed=24)
+    sig = np.random.default_rng(25).normal(size=(9, TINY.n_leads, TINY.L))
+    sig[6, 0, 3] = np.inf  # an invalid operation in the fourth chunk
+    with pytest.raises(FloatingPointError, match="invalid"), np.errstate(invalid="raise"):
+        predict(sig, TINY, params)
 
 
 def _old_predict(sig, cfg, params):
@@ -796,7 +881,7 @@ def test_predict_memory_does_not_grow_with_the_record_count():
     cfg = MswConfig(L=1000, n_leads=1, P=5, C=8, heads=2, windows=(5, 10, 20), K=3)
     params = init_params(cfg, seed=20)
     peaks = {}
-    for n in (16, 160):
+    for n in (8, 16, 160):  # 8 records are one chunk
         sig = np.random.default_rng(21).normal(size=(n, cfg.n_leads, cfg.L))
         predict(sig, cfg, params)  # warm caches outside the measurement
         tracemalloc.start()
@@ -805,4 +890,5 @@ def test_predict_memory_does_not_grow_with_the_record_count():
             peaks[n] = tracemalloc.get_traced_memory()[1] - n * cfg.K * 8  # minus the output
         finally:
             tracemalloc.stop()
-    assert abs(peaks[160] - peaks[16]) <= 0.1 * peaks[16], peaks
+    # Up to PREDICT_WORKERS chunks are in flight; where their peaks overlap depends on timing.
+    assert max(peaks[16], peaks[160]) <= PREDICT_WORKERS * peaks[8] * 1.1, peaks

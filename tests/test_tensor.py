@@ -3,6 +3,7 @@ property checks of the primitive reference ops in ``util`` (``ref`` below)
 that the fused ops are compared against."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -283,6 +284,32 @@ def test_mac_counter_is_thread_local():
         t.start()
         t.join()
     assert counter.total == 3 * 4 * 5
+
+
+def test_mac_counter_adds_exactly_from_threads_that_share_its_context():
+    import contextvars
+    import threading
+
+    counter = tc.MacCounter()
+
+    def add_many():
+        for _ in range(20_000):
+            tc.count_macs(3)
+
+    with counter.active():
+        threads = [threading.Thread(target=contextvars.copy_context().run, args=(add_many,))
+                   for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside an unlocked add too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert counter.phases == {"untagged": 4 * 20_000 * 3}
 
 
 def test_forward_ops_stay_finite_on_finite_inputs():

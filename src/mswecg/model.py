@@ -20,10 +20,13 @@ single record (T, C) and a batch (B, T, C).
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
+import ctypes
+import functools
+import importlib
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -383,6 +386,45 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@functools.cache
+def _openblas_thread_calls():
+    """numpy's OpenBLAS ``(get, set)`` thread-count functions, or None for another BLAS."""
+    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:  # the extension's handle also resolves the BLAS library it links
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        except (ImportError, OSError):
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                set_.argtypes = [ctypes.c_int]
+                return get, set_
+        return None
+    return None
+
+
+@contextlib.contextmanager
+def _blas_threads_shared_by(workers: int):
+    """Give each of ``workers`` threads an equal share of OpenBLAS's threads, then restore.
+
+    Each worker calling a BLAS that itself runs one thread per CPU would put
+    ``workers`` times as many busy threads as CPUs.  The count is process-wide,
+    so other threads' BLAS calls get the same share meanwhile.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(max(1, before // workers))
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def predict(signals, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarray:
     """Evaluation-mode probabilities (N, K) of ``signals[rows]`` (default: all rows).
 
@@ -394,15 +436,17 @@ def predict(signals, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarra
     row tiles, so outputs are bitwise reproducible for a geometry and equal
     the former 64-record chunks' bar their 1-record tails.
 
-    Chunks run on up to :data:`PREDICT_WORKERS` threads (no more than the
-    usable CPUs or the chunks; one means a plain loop), each in a copy of the
-    caller's context, so ``no_grad``, an active ``MacCounter`` and
-    ``np.errstate`` hold inside them.  Each chunk writes its own slice of the
-    output, so outputs are bitwise equal to the serial loop.  At most
-    ``PREDICT_WORKERS`` chunks are in flight, so memory is bounded by that
-    many chunks and does not grow with N.  Raises :class:`NumericError`
-    naming the first non-finite ``signals`` row of the first chunk holding
-    one; chunks not yet started are then cancelled.
+    Chunks run on a pool of up to :data:`PREDICT_WORKERS` threads (no more
+    than the usable CPUs or the chunks), each in a copy of the caller's
+    context, so ``no_grad``, an active ``MacCounter`` and ``np.errstate``
+    hold inside them.  Each chunk writes its own slice of the output, so
+    outputs are bitwise equal to a serial loop's.  Each chunk gathers its rows
+    in its thread, so memory is bounded by ``PREDICT_WORKERS`` chunks and does
+    not grow with N.  While the pool runs, numpy's OpenBLAS (where it is
+    OpenBLAS) has its threads shared out among the workers, so two workers on
+    two CPUs use one BLAS thread each rather than two.  Raises
+    :class:`NumericError` naming the first non-finite ``signals`` row of the
+    first chunk holding one; chunks not yet started are then cancelled.
     """
     idx = np.arange(len(signals)) if rows is None else np.asarray(rows)
     out = np.empty((len(idx), cfg.K))
@@ -422,22 +466,11 @@ def predict(signals, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarra
                                f"{chunk[row]}, class {k}")
         out[start:stop] = probs
 
-    workers = min(PREDICT_WORKERS, _usable_cpus(), len(spans))
+    workers = max(1, min(PREDICT_WORKERS, _usable_cpus(), len(spans)))
     with tc.no_grad():
-        if workers <= 1:
-            for span in spans:
-                run_chunk(*span)
-            return out
-        with ThreadPoolExecutor(workers) as pool:
-            pending = deque()  # futures in chunk order, at most `workers` of them
-            try:
-                for span in spans:
-                    if len(pending) == workers:
-                        pending.popleft().result()
-                    pending.append(pool.submit(contextvars.copy_context().run, run_chunk, *span))
-                while pending:
-                    pending.popleft().result()
-            finally:
-                for future in pending:
-                    future.cancel()
+        ctxs = [contextvars.copy_context() for _ in spans]
+    with _blas_threads_shared_by(workers), ThreadPoolExecutor(workers) as pool:
+        # map yields in chunk order and cancels the queued chunks on an error
+        for _ in pool.map(lambda ctx, span: ctx.run(run_chunk, *span), ctxs, spans):
+            pass
     return out

@@ -811,22 +811,47 @@ def test_predict_runs_at_most_predict_workers_chunks_at_once(monkeypatch):
     assert most[0] == workers
 
 
-def test_predict_reports_the_first_failing_chunk_and_starts_no_more(monkeypatch):
-    monkeypatch.setattr("mswecg.model.PREDICT_TOKEN_ROWS", TINY.tokens)
-    started = []
+def test_predict_reports_the_first_failing_chunk_and_cancels_the_queued_ones(monkeypatch):
+    monkeypatch.setattr("mswecg.model.PREDICT_TOKEN_ROWS", TINY.tokens)  # 1-record chunks
+    n, started = 40, []
 
     def fake_forward(record, cfg, params):
         first = int(record[0, 0, 0])
         started.append(first)
-        if first == 0:
+        fail = first <= 1
+        if first != 1:
             time.sleep(0.05)  # chunk 1 fails first, but chunk 0 is reported
-        return SimpleNamespace(probs=tc.Tensor(np.full((len(record), cfg.K), np.nan)))
+        probs = np.full((len(record), cfg.K), np.nan if fail else 0.5)
+        return SimpleNamespace(probs=tc.Tensor(probs))
 
     monkeypatch.setattr("mswecg.model.forward", fake_forward)
-    sig = np.broadcast_to(np.arange(12.0)[:, None, None], (12, TINY.n_leads, TINY.L))
+    sig = np.broadcast_to(np.arange(float(n))[:, None, None], (n, TINY.n_leads, TINY.L))
     with pytest.raises(NumericError, match=r"record 0, class 0"):
         predict(sig, TINY, None)
-    assert sorted(started) == list(range(min(PREDICT_WORKERS, model._usable_cpus())))
+    assert 0 in started and len(started) < n // 2  # the queued chunks were cancelled
+
+
+def test_predict_shares_the_blas_threads_among_its_workers(monkeypatch):
+    calls = model._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, set_ = calls
+    monkeypatch.setattr("mswecg.model.PREDICT_TOKEN_ROWS", TINY.tokens)
+    seen = []
+
+    def fake_forward(record, cfg, params):
+        seen.append(get())
+        return SimpleNamespace(probs=tc.Tensor(np.zeros((len(record), cfg.K))))
+
+    monkeypatch.setattr("mswecg.model.forward", fake_forward)
+    before = get()
+    set_(2)
+    try:
+        predict(np.zeros((6, TINY.n_leads, TINY.L)), TINY, None)
+        assert set(seen) == {2 // min(PREDICT_WORKERS, model._usable_cpus())}
+        assert get() == 2  # restored
+    finally:
+        set_(before)
 
 
 def test_predict_counts_the_macs_of_a_serial_forward_and_records_no_tape(monkeypatch):

@@ -379,7 +379,8 @@ def _keep_freed_memory() -> None:
     Each batch allocates the same large numpy temporaries.  By default glibc
     unmaps or trims them when they are freed, and the next batch faults them
     back in: about 17k page faults per 100-record ``predict`` at 12 leads x
-    1000 samples.  ``predict``'s worker threads would each get a fresh malloc
+    1000 samples.  The model's pool threads, which run ``predict``'s chunks
+    and a training step's window-scale branches, would each get a fresh malloc
     arena that cannot reuse the heap set-up freed (eval at 1000 x 12 x 1000
     peaked at 93 rather than 75 MB), so all threads share the main arena.
     Does nothing where the C library has no ``mallopt``.

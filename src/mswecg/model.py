@@ -6,13 +6,22 @@ bias, then a GELU MLP, residuals around both) -> per-branch window pooling
 and projection to class logits -> learned softmax-weighted fusion -> sigmoid
 probabilities.
 
-The network is five kinds of recorded op, each with a hand-written backward
-rule: :func:`linear_embed`, then per branch :func:`window_attention` (LN,
-one QKV product, biased softmax, dropout, AV, output projection, residual)
-and :func:`mlp_sublayer` (LN, GELU MLP, residual), then :func:`fuse` (pooled
-heads, fusion softmax, sigmoid); ``train.bce_loss`` is the fifth.  Each op
+The network is recorded ops with hand-written backward rules:
+:func:`linear_embed`, then per branch :func:`window_attention` (LN, one QKV
+product, biased softmax, dropout, AV, output projection, residual) and
+:func:`mlp_sublayer` (LN, GELU MLP, residual), then :func:`fuse` (pooled
+heads, fusion softmax, sigmoid); ``train.bce_loss`` is the last.  Each op
 computes on numpy arrays and tallies the MACs of the products it runs on the
 active ``tensor.MacCounter`` through ``tensor.count_macs``.
+
+The branches depend on one another only through their shared input, so when
+a tape is recorded :func:`msw_block` is one op of its own: it runs each
+branch's two ops as a separate graph on a persistent pool of threads, and its
+backward rule replays those graphs on the pool.  A training step's top-level
+graph is then four ops (embed, msw_block, fuse, bce).  Forwards without a
+tape run the branches in the calling thread; :func:`predict` runs such
+forwards on the same pool, one chunk of records per thread, so no pool task
+ever waits on the pool.
 
 All functions accept arbitrary leading axes, so the same code serves a
 single record (T, C) and a batch (B, T, C).
@@ -27,7 +36,7 @@ import functools
 import importlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +53,8 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Token rows per ``predict`` forward: 8 records at 12 leads x 1000 samples, 32 at 4 x 200.
 PREDICT_TOKEN_ROWS = 2048
-# Most ``predict`` chunks in flight at once, one per thread (capped by the usable CPUs).
+# Threads of the pool that runs ``predict``'s chunks and a training step's branches
+# (capped by the usable CPUs).
 PREDICT_WORKERS = 2
 
 
@@ -58,11 +68,24 @@ class BranchOutput:
     attn: Tensor  # (..., nW, heads, M, M) softmax probabilities (pre-dropout)
 
 
+class BlockOutput(list):
+    """:func:`msw_block`'s :class:`BranchOutput` per window scale, in order.
+
+    ``stacked`` holds every branch's tokens on a leading axis, (n_branches,
+    ..., T, C).  Under a tape it is the block's one recorded op, and each
+    branch's ``tokens`` is the output of that branch's own graph.
+    """
+
+    def __init__(self, branches, stacked: Tensor):
+        super().__init__(branches)
+        self.stacked = stacked
+
+
 @dataclass
 class ForwardResult:
     probs: Tensor  # (..., K) sigmoid outputs
     beta: Tensor  # (..., n_branches) fusion weights
-    branches: list[BranchOutput]
+    branches: BlockOutput
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +189,17 @@ def _layernorm_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.
 def window_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: Tensor,
                      wv: Tensor, wz: Tensor, bias_table: Tensor, M: int, heads: int,
                      shift: int = 0, attn_dropout: float = 0.0, train: bool = False,
-                     rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
+                     rng: np.random.Generator | None = None,
+                     uniforms: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Attention sublayer x + unpartition(attention(partition(LN(x)))), one op.
 
     x: (..., T, C).  Per window of M tokens and head h the map is
     softmax(Q_h K_h^T / sqrt(d) + B_h) V_h, where B_h[i, j] reads the head's
     relative-offset table at i - j + M - 1; heads are merged and projected by
-    Wz.  In training, inverted dropout drawn from ``rng`` hits the map.  Q, K
+    Wz.  In training, inverted dropout hits the map: an entry is kept where its
+    uniform draw is >= ``attn_dropout``.  The draws are ``uniforms`` when
+    given, one per map entry (:func:`msw_block` takes every branch's from its
+    generator before it runs them), and otherwise come from ``rng``.  Q, K
     and V come from one (rows, C) @ (C, 3C) product over ``[Wq|Wk|Wv]``, and
     weight gradients are 2-D products over all rows.  Returns (out, attn
     (..., T/M, heads, M, M)): the probabilities before dropout, off the graph.
@@ -184,7 +211,7 @@ def window_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: Ten
         raise DimensionError(f"bias table shape {bias_table.shape} does not match {heads} heads "
                              f"at window scale {M} (need ({heads}, {2 * M - 1}))")
     drop = train and attn_dropout > 0.0
-    if drop and rng is None:
+    if drop and rng is None and uniforms is None:
         raise ValueError("dropout in training mode needs an explicit rng")
 
     h, xhat, inv = _layernorm(x.data, gamma.data, beta.data)
@@ -200,7 +227,9 @@ def window_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: Ten
     scores -= scores.max(axis=-1, keepdims=True)
     attn = np.exp(scores, out=scores)
     attn /= attn.sum(axis=-1, keepdims=True)
-    mask = (rng.random(attn.shape) >= attn_dropout) / (1.0 - attn_dropout) if drop else None
+    if drop:
+        u = rng.random(attn.shape) if uniforms is None else uniforms
+        mask = (u >= attn_dropout) / (1.0 - attn_dropout)
     a = attn * mask if drop else attn
     z = (a @ v).transpose(0, 1, 3, 2, 4).reshape(n, C)  # merged heads, window order
     y = window_unpartition((z @ wz.data).reshape(-1, nW, M, C), shift).reshape(x.shape)
@@ -274,8 +303,8 @@ def mlp_sublayer(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
 # Block, heads, fusion
 
 
-def _branch_params(params: ParamStore, i: int):
-    return lambda leaf: params[f"branch{i}.{leaf}"]
+_BRANCH_LEAVES = ("ln1.gamma", "ln1.beta", "attn.Wq", "attn.Wk", "attn.Wv", "attn.Wz",
+                  "attn.bias", "ln2.gamma", "ln2.beta", "mlp.W1", "mlp.b1", "mlp.W2", "mlp.b2")
 
 
 def msw_block(
@@ -284,32 +313,67 @@ def msw_block(
     params: ParamStore,
     train: bool = False,
     rng: np.random.Generator | None = None,
-) -> list[BranchOutput]:
+) -> BlockOutput:
     """Run the single block once per window scale on shared input tokens.
 
     Per branch: x' = x + windowed-attention(LN(x)); y = x' + MLP(LN(x')).
     Branches own their parameters; only the input is shared.  Training
-    draws the branches' dropout masks from ``rng`` in branch order.
+    draws every branch's dropout uniforms from ``rng`` in branch order before
+    any branch runs, so the masks do not depend on which thread runs which.
+
+    When a tape is recorded the block is one op, ``msw_block``, whose output
+    is ``stacked``.  Each branch records its two ops as a graph of its own,
+    over leaves that share the arrays of ``tokens`` and of its parameters,
+    and the branches run on the pool of :func:`_on_pool`.  The op's backward
+    rule replays the branch graphs on the pool and adds their token
+    gradients in branch order, as one tape holding every branch op would.
+    Without a tape the branches run one after another in the calling thread.
     """
-    outs = []
-    for i, M in enumerate(cfg.windows):
-        p = _branch_params(params, i)
-        x1, attn = window_attention(
-            tokens, p("ln1.gamma"), p("ln1.beta"),
-            p("attn.Wq"), p("attn.Wk"), p("attn.Wv"), p("attn.Wz"), p("attn.bias"),
-            M, cfg.heads, cfg.shift, attn_dropout=cfg.attn_dropout, train=train, rng=rng,
-        )
-        y = mlp_sublayer(x1, p("ln2.gamma"), p("ln2.beta"),
-                         p("mlp.W1"), p("mlp.b1"), p("mlp.W2"), p("mlp.b2"))
-        outs.append(BranchOutput(M=M, shift=cfg.shift, tokens=y, attn=attn))
-    return outs
+    *lead, T, _ = tokens.shape
+    branch_params = [[params[f"branch{i}.{leaf}"] for leaf in _BRANCH_LEAVES]
+                     for i in range(cfg.n_branches)]
+    uniforms = [None] * cfg.n_branches
+    if train and cfg.attn_dropout > 0.0:
+        if rng is None:
+            raise ValueError("dropout in training mode needs an explicit rng")
+        uniforms = [rng.random((math.prod(lead), T // M, cfg.heads, M, M)) for M in cfg.windows]
+
+    def run(i, x, p):
+        x1, attn = window_attention(x, *p[:7], cfg.windows[i], cfg.heads, cfg.shift,
+                                    attn_dropout=cfg.attn_dropout, train=train,
+                                    uniforms=uniforms[i])
+        return mlp_sublayer(x1, *p[7:]), attn
+
+    inputs = (tokens, *(t for p in branch_params for t in p))
+    if not tc.recording(inputs):
+        outs = [run(i, tokens, p) for i, p in enumerate(branch_params)]
+        stacked = Tensor(np.stack([y.data for y, _ in outs]))
+    else:
+        leaves = [[Tensor(t.data, requires_grad=True) for t in (tokens, *p)]
+                  for p in branch_params]
+        outs = _on_pool(lambda i: run(i, leaves[i][0], leaves[i][1:]), range(len(leaves)))
+        ys = [y for y, _ in outs]
+
+        def backward_fn(g):
+            _on_pool(lambda i: tc._replay(ys[i], g[i]), range(len(ys)))
+            dx = leaves[0][0].grad
+            for branch in leaves[1:]:
+                dx = dx + branch[0].grad
+            return (dx, *(t.grad for branch in leaves for t in branch[1:]))
+
+        stacked = tc.apply_op("msw_block", inputs, np.stack([y.data for y in ys]), backward_fn)
+    return BlockOutput([BranchOutput(M=M, shift=cfg.shift, tokens=y, attn=attn)
+                        for M, (y, attn) in zip(cfg.windows, outs)], stacked)
 
 
-def fuse(branch_tokens: list[Tensor], windows, head_ws: list[Tensor], head_bs: list[Tensor],
-         fusion_w: Tensor) -> tuple[Tensor, Tensor]:
+def fuse(branch_tokens: Tensor | list[Tensor], windows, head_ws: list[Tensor],
+         head_bs: list[Tensor], fusion_w: Tensor) -> tuple[Tensor, Tensor]:
     """Pooled heads, learned fusion and sigmoid: one recorded op.
 
-    Branch i mean-pools each window of M_i tokens, concatenates the (T/M_i)
+    ``branch_tokens`` holds each branch's (..., T, C) tokens, either stacked
+    on a leading axis in one tensor, as :func:`msw_block` gives them, or as a
+    list of tensors; the input gradient takes the same form.  Branch i
+    mean-pools each window of M_i tokens, concatenates the (T/M_i)
     pooled vectors and projects them to K logits alpha_i = pooled @ W_i + b_i;
     the pooled width differs per branch, which is what makes the fused
     feature vectors complementary.  Then beta = softmax(concat(alphas) @
@@ -317,17 +381,20 @@ def fuse(branch_tokens: list[Tensor], windows, head_ws: list[Tensor], head_bs: l
     weights are exactly uniform.  Returns (y (..., K), beta (..., n_branches)),
     beta off the graph.
     """
-    nb = len(branch_tokens)
-    *lead, T, C = branch_tokens[0].shape
+    stacked_in = isinstance(branch_tokens, Tensor)
+    token_inputs = (branch_tokens,) if stacked_in else tuple(branch_tokens)
+    xs = branch_tokens.data if stacked_in else [x.data for x in branch_tokens]
+    nb = len(xs)
+    *lead, T, C = xs[0].shape
     K = head_ws[0].shape[1]
     if fusion_w.shape != (nb * K, nb):
         raise DimensionError(f"fusion weight shape {fusion_w.shape} does not match "
                              f"({nb * K}, {nb})")
     pooled, alphas = [], []
-    for x, M, w, b in zip(branch_tokens, windows, head_ws, head_bs):
+    for x, M, w, b in zip(xs, windows, head_ws, head_bs):
         if T % M != 0:
             raise AdmissibilityError(f"window scale {M} does not divide token count {T}")
-        rows = x.data.reshape(*lead, T // M, M, C).mean(axis=-2).reshape(-1, (T // M) * C)
+        rows = x.reshape(*lead, T // M, M, C).mean(axis=-2).reshape(-1, (T // M) * C)
         pooled.append(rows)
         alphas.append(rows @ w.data + b.data)
     n = pooled[0].shape[0]
@@ -346,15 +413,17 @@ def fuse(branch_tokens: list[Tensor], windows, head_ws: list[Tensor], head_bs: l
         ds *= beta
         dstacked = (ds @ fusion_w.data.T).reshape(n, nb, K)
         dstacked += dz[:, None, :] * beta[:, :, None]
-        dxs, dws, dbs = [], [], []
-        for M, w, rows, da in zip(windows, head_ws, pooled, dstacked.transpose(1, 0, 2)):
+        dx, dws, dbs = np.empty((nb, *lead, T, C)), [], []
+        for i, (M, w, rows, da) in enumerate(zip(windows, head_ws, pooled,
+                                                  dstacked.transpose(1, 0, 2))):
             dws.append(rows.T @ da)
             dbs.append(da.sum(axis=0))
             dp = (da @ w.data.T).reshape(*lead, T // M, 1, C) / M
-            dxs.append(np.broadcast_to(dp, (*lead, T // M, M, C)).reshape(*lead, T, C))
+            dx[i].reshape(*lead, T // M, M, C)[...] = dp  # spread over each window's tokens
+        dxs = (dx,) if stacked_in else tuple(dx)
         return (*dxs, *dws, *dbs, stacked.reshape(n, nb * K).T @ ds)
 
-    inputs = (*branch_tokens, *head_ws, *head_bs, fusion_w)
+    inputs = (*token_inputs, *head_ws, *head_bs, fusion_w)
     out = tc.apply_op("fuse", inputs, y.reshape(*lead, K), backward_fn)
     return out, Tensor(beta.reshape(*lead, nb))
 
@@ -373,10 +442,14 @@ def forward(
     tokens = linear_embed(patch_split(record, cfg), params["embed.W"], params["embed.b"])
     branches = msw_block(tokens, cfg, params, train=train, rng=rng)
     heads = range(cfg.n_branches)
-    probs, beta = fuse([br.tokens for br in branches], cfg.windows,
+    probs, beta = fuse(branches.stacked, cfg.windows,
                        [params[f"branch{i}.head.W"] for i in heads],
                        [params[f"branch{i}.head.b"] for i in heads], params["fusion.W"])
     return ForwardResult(probs=probs, beta=beta, branches=branches)
+
+
+# ---------------------------------------------------------------------------
+# The worker pool
 
 
 def _usable_cpus() -> int:
@@ -425,6 +498,38 @@ def _blas_threads_shared_by(workers: int):
         set_(before)
 
 
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The persistent pool of ``workers`` threads, built on first use."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="mswecg")
+
+
+def _on_pool(fn, items) -> list:
+    """``[fn(item) for item in items]``, each call on a pool thread in a copy
+    of the caller's context, so ``no_grad``, an active ``MacCounter`` and
+    ``np.errstate`` hold inside it.
+
+    The pool has ``min(PREDICT_WORKERS, usable CPUs)`` threads and lives as
+    long as the process; no call made on it may submit to it in turn.
+    Results come in item order.  If a call raises, the calls not yet started
+    are cancelled, the running ones are waited for, and the first failing
+    item's error is raised.  While the calls run, numpy's OpenBLAS (where it
+    is OpenBLAS) has its threads shared out among the busy workers, so two
+    workers on two CPUs use one BLAS thread each rather than two.
+    """
+    items = list(items)
+    workers = max(1, min(PREDICT_WORKERS, _usable_cpus()))
+    ctxs = [contextvars.copy_context() for _ in items]
+    with _blas_threads_shared_by(max(1, min(workers, len(items)))):
+        futures = [_pool(workers).submit(ctx.run, fn, item) for ctx, item in zip(ctxs, items)]
+        try:
+            return [f.result() for f in futures]
+        finally:
+            for f in futures:
+                f.cancel()
+            wait(futures)
+
+
 def predict(signals, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarray:
     """Evaluation-mode probabilities (N, K) of ``signals[rows]`` (default: all rows).
 
@@ -436,15 +541,13 @@ def predict(signals, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarra
     row tiles, so outputs are bitwise reproducible for a geometry and equal
     the former 64-record chunks' bar their 1-record tails.
 
-    Chunks run on a pool of up to :data:`PREDICT_WORKERS` threads (no more
-    than the usable CPUs or the chunks), each in a copy of the caller's
-    context, so ``no_grad``, an active ``MacCounter`` and ``np.errstate``
-    hold inside them.  Each chunk writes its own slice of the output, so
-    outputs are bitwise equal to a serial loop's.  Each chunk gathers its rows
-    in its thread, so memory is bounded by ``PREDICT_WORKERS`` chunks and does
-    not grow with N.  While the pool runs, numpy's OpenBLAS (where it is
-    OpenBLAS) has its threads shared out among the workers, so two workers on
-    two CPUs use one BLAS thread each rather than two.  Raises
+    Chunks run through :func:`_on_pool`, on the persistent pool of up to
+    :data:`PREDICT_WORKERS` threads that a training step's branches also use,
+    each chunk in a copy of the caller's context.  A chunk's forward records
+    no tape, so it runs its branches in its own thread.  Each chunk writes
+    its own slice of the output, so outputs are bitwise equal to a serial
+    loop's.  Each chunk gathers its rows in its thread, so memory is bounded
+    by ``PREDICT_WORKERS`` chunks and does not grow with N.  Raises
     :class:`NumericError` naming the first non-finite ``signals`` row of the
     first chunk holding one; chunks not yet started are then cancelled.
     """
@@ -466,11 +569,6 @@ def predict(signals, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarra
                                f"{chunk[row]}, class {k}")
         out[start:stop] = probs
 
-    workers = max(1, min(PREDICT_WORKERS, _usable_cpus(), len(spans)))
-    with tc.no_grad():
-        ctxs = [contextvars.copy_context() for _ in spans]
-    with _blas_threads_shared_by(workers), ThreadPoolExecutor(workers) as pool:
-        # map yields in chunk order and cancels the queued chunks on an error
-        for _ in pool.map(lambda ctx, span: ctx.run(run_chunk, *span), ctxs, spans):
-            pass
+    with tc.no_grad():  # in the chunks' copies of this context
+        _on_pool(lambda span: run_chunk(*span), spans)
     return out

@@ -1,14 +1,16 @@
 """Named learnable parameters, their initialization, and checkpoint I/O.
 
-Checkpoints are a JSON manifest (name -> shape/dtype/byte offset, plus the
-resolved run config) next to a single little-endian float64 blob.  The
-round trip is bitwise exact.
+Checkpoints are a JSON manifest (name -> shape/dtype/byte offset, the
+blob's sha256, plus the resolved run config) next to a single little-endian
+float64 blob.  The round trip is bitwise exact.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -106,8 +108,25 @@ def checkpoint_paths(base) -> tuple[Path, Path]:
     return base.with_name(base.name + ".json"), base.with_name(base.name + ".bin")
 
 
+def _replace_with(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then move it onto ``path``."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(store: ParamStore, base, config: dict | None = None) -> tuple[Path, Path]:
-    """Write ``<base>.json`` (manifest) and ``<base>.bin`` (float64 blob)."""
+    """Write ``<base>.json`` (manifest) and ``<base>.bin`` (float64 blob).
+
+    Each file is written under a temporary name and moved into place, the
+    blob first, so a crash leaves each file whole: either the former
+    checkpoint, or a former manifest beside the new blob, which
+    :func:`load_checkpoint` then rejects by the blob's sha256.  Nothing is
+    synced to disk.
+    """
     manifest_path, blob_path = checkpoint_paths(base)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     entries = {}
@@ -124,16 +143,19 @@ def save_checkpoint(store: ParamStore, base, config: dict | None = None) -> tupl
         chunks.append(raw)
         offset += len(raw)
     # Insertion order is the store order; keep it so load reproduces the store.
-    manifest = {"config": config or {}, "params": entries}
-    manifest_path.write_text(json.dumps(manifest, indent=1))
-    blob_path.write_bytes(b"".join(chunks))
+    blob = b"".join(chunks)
+    manifest = {"config": config or {}, "params": entries,
+                "sha256": hashlib.sha256(blob).hexdigest()}
+    _replace_with(blob_path, blob)
+    _replace_with(manifest_path, json.dumps(manifest, indent=1).encode())
     return manifest_path, blob_path
 
 
 def load_checkpoint(base) -> tuple[ParamStore, dict]:
     """Read a checkpoint; raises :class:`DataError` for a malformed one.
 
-    Only float64 entries whose byte count matches their shape are accepted.
+    Only float64 entries whose byte count matches their shape are accepted,
+    from a blob whose sha256 matches the manifest's where it records one.
     """
     manifest_path, blob_path = checkpoint_paths(base)
     if not manifest_path.exists() or not blob_path.exists():
@@ -148,6 +170,10 @@ def load_checkpoint(base) -> tuple[ParamStore, dict]:
         if not isinstance(manifest, dict) or not isinstance(manifest.get(key, default), dict):
             raise DataError(f"malformed checkpoint manifest {manifest_path}: "
                             f"{key!r} is not a JSON object")
+    digest = manifest.get("sha256")
+    if digest is not None and digest != hashlib.sha256(blob).hexdigest():
+        raise DataError(f"checkpoint blob {blob_path} does not match the sha256 in "
+                        f"{manifest_path}; the two files are from different saves")
     store = ParamStore()
     for name, meta in manifest["params"].items():
         shape, start, nbytes = (meta.get(k) if isinstance(meta, dict) else None

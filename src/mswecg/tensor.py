@@ -22,11 +22,15 @@ recorded at all.
 Tensors are treated as immutable once created, grad buffers excepted (the
 optimizer mutates parameter data in place, but only between passes).  A graph
 and its tensors belong to one thread for the duration of a forward/backward
-pass; distinct graphs may run on distinct threads.  So may no-tape forwards
-over shared parameters, one per thread, as ``model.predict`` runs them.  The
-recording switch and the active :class:`MacCounter` are context variables, so
-a worker thread must run in a copy of its caller's context to see them; a
-counter shared that way adds under a lock.
+pass; distinct graphs may run on distinct threads.  A training step does so:
+``model.msw_block`` records one op whose window-scale branches are graphs of
+their own, each over its own leaves, built and later run backward on pool
+threads while the step's top-level graph waits in the caller's thread.
+No-tape forwards over shared parameters may run one per thread too, as
+``model.predict`` runs them.  The recording switch and the active
+:class:`MacCounter` are context variables, so a worker thread must run in a
+copy of its caller's context to see them; a counter shared that way adds
+under a lock.
 """
 
 from __future__ import annotations
@@ -201,10 +205,20 @@ def backward(loss: Tensor) -> None:
         raise GraphError(f"loss must be scalar, got shape {loss.shape}")
     if loss.op is None:
         raise GraphError("loss is detached from any recorded graph")
-    g = Graph.trace(loss)
+    _replay(loss, np.ones_like(loss.data))
+
+
+def _replay(root: Tensor, grad: np.ndarray) -> None:
+    """Run the graph under ``root`` backward from the output gradient ``grad``.
+
+    The body of :func:`backward`, which seeds it with 1 for a scalar loss.
+    An op that runs a graph of its own inside (``model.msw_block``'s
+    branches) replays that graph from its backward rule through this.
+    """
+    g = Graph.trace(root)
     if any(rec.consumed for rec in g.ops):
         raise GraphError("backward was already run on this graph")
-    loss.grad = np.ones_like(loss.data)
+    root.grad = grad
     ops, outputs = g.ops, g.outputs
     while ops:
         rec, out = ops.pop(), outputs.pop()

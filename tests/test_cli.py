@@ -295,6 +295,7 @@ _MALFORMED_CHECKPOINTS = [
     ("object", None, _manifest_entry("embed.b", dtype="|O"), "embed.b"),
     ("nbytes", None, _manifest_entry("embed.b", nbytes=8), "embed.b"),
     ("truncated-manifest", None, lambda m: json.dumps(m)[:200], "malformed checkpoint manifest"),
+    ("blob-hash", None, lambda m: json.dumps(dict(m, sha256="0" * 64)), "bad.bin does not match"),
 ]
 
 

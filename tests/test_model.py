@@ -1,4 +1,5 @@
 import gc
+import sys
 import threading
 import time
 import tracemalloc
@@ -325,25 +326,57 @@ def test_block_matches_the_unfused_composition(windows, shift, p):
     x = tc.Tensor(rng.normal(size=(3, cfg.tokens, cfg.C)), requires_grad=True)
     probes = [rng.normal(size=x.shape) for _ in windows]
 
-    def grads(outputs):
+    def grads(loss):
         params.zero_grads()
         x.grad = None
-        tc.backward(ref.sum(ref.concat([ref.mul(y, w) for y, w in zip(outputs, probes)], 0)))
+        tc.backward(loss)
         return {"x": x.grad, **{n: t.grad for n, t in params.items() if t.grad is not None}}
 
     fused = msw_block(x, cfg, params, train=p > 0, rng=np.random.default_rng(5))
-    fused_grads = grads([br.tokens for br in fused])
+    # The block's recorded output stacks the branches' tokens on a leading axis.
+    fused_grads = grads(ref.sum(ref.mul(fused.stacked, np.stack(probes))))
     ref_rng = np.random.default_rng(5)
     unfused = [reference_branch(x, lambda leaf, i=i: params[f"branch{i}.{leaf}"], M,
                                 cfg.heads, shift, p, p > 0, ref_rng)
                for i, M in enumerate(windows)]
-    ref_grads = grads([y for y, _ in unfused])
+    ref_grads = grads(ref.sum(ref.concat([ref.mul(y, w) for (y, _), w in zip(unfused, probes)],
+                                         0)))
     for br, (y, attn) in zip(fused, unfused):
         assert np.abs(br.tokens.data - y.data).max() <= 1e-12
         assert np.abs(br.attn.data - attn.data).max() <= 1e-12
     assert fused_grads.keys() == ref_grads.keys()
     for name in ref_grads:
         assert np.abs(fused_grads[name] - ref_grads[name]).max() <= 1e-10, name
+
+
+def test_block_gradients_equal_one_tape_of_its_branch_ops_bitwise():
+    cfg = MswConfig(L=200, n_leads=4, P=5, C=32, heads=4, windows=(5, 10, 20), K=3, shift=1,
+                    attn_dropout=0.2)
+    params = init_params(cfg, seed=2)
+    rng = np.random.default_rng(3)
+    x = tc.Tensor(rng.normal(size=(4, cfg.tokens, cfg.C)), requires_grad=True)
+    probes = rng.normal(size=(cfg.n_branches, *x.shape))
+
+    def grads(loss):
+        params.zero_grads()
+        x.grad = None
+        tc.backward(loss)
+        return {"x": x.grad, **{n: t.grad for n, t in params.items() if t.grad is not None}}
+
+    block = msw_block(x, cfg, params, train=True, rng=np.random.default_rng(4))
+    pooled = grads(ref.sum(ref.mul(block.stacked, probes)))
+    # The same fused ops recorded on one tape, one branch after another.
+    masks, ys = np.random.default_rng(4), []
+    for i, M in enumerate(cfg.windows):
+        p = [params[f"branch{i}.{leaf}"] for leaf in model._BRANCH_LEAVES]
+        x1, _ = window_attention(x, *p[:7], M, cfg.heads, cfg.shift,
+                                 attn_dropout=cfg.attn_dropout, train=True, rng=masks)
+        ys.append(mlp_sublayer(x1, *p[7:]))
+    one_tape = grads(ref.sum(ref.concat([ref.mul(y, w) for y, w in zip(ys, probes)], 0)))
+    assert np.array_equal(block.stacked.data, np.stack([y.data for y in ys]))
+    assert pooled.keys() == one_tape.keys()
+    for name in pooled:
+        assert np.array_equal(pooled[name], one_tape[name]), name
 
 
 def _fused_vs_reference(fused, reference, arrays):
@@ -692,18 +725,66 @@ def test_dropped_forward_leaves_no_cyclic_garbage():
     assert _cyclic_garbage_after(step) == 0
 
 
-def test_training_step_records_nine_fused_ops_and_eval_none():
+def test_training_step_records_four_top_level_ops_two_per_branch_and_eval_none():
     cfg = MswConfig(L=200, n_leads=4, P=5, C=32, heads=4, windows=(5, 10, 20), K=3)
     params = init_params(cfg, seed=0)
     rng = np.random.default_rng(16)
     sig = rng.normal(size=(2, cfg.n_leads, cfg.L))
     res = forward(sig, cfg, params, train=True, rng=rng)
     graph = tc.Graph.trace(bce_loss(res.probs, np.ones((2, cfg.K))))
-    assert len(graph) == 9
+    assert len(graph) == 4
     assert Counter(rec.name for rec in graph.ops) == {
-        "embed": 1, "window_attention": 3, "mlp": 3, "fuse": 1, "bce": 1}
+        "embed": 1, "msw_block": 1, "fuse": 1, "bce": 1}
+    for br in res.branches:  # each branch is a graph of its own, inside msw_block
+        assert Counter(rec.name for rec in tc.Graph.trace(br.tokens).ops) == {
+            "window_attention": 1, "mlp": 1}
     with tc.no_grad():
         assert len(tc.Graph.trace(forward(sig, cfg, params).probs)) == 0
+
+
+def _desk_training_step(seed):
+    """One desk-shaped training step with dropout and a shift: (probs, loss, grads,
+    dropout generator state, MACs of the recorded forward, MACs of a no-tape forward)."""
+    cfg = MswConfig(L=200, n_leads=4, P=5, C=32, heads=4, windows=(5, 10, 20), K=3,
+                    shift=1, attn_dropout=0.2)
+    params = init_params(cfg, seed=seed)
+    data = np.random.default_rng(seed + 1)
+    sig = data.normal(size=(16, cfg.n_leads, cfg.L))
+    labels = (data.random((16, cfg.K)) < 0.5).astype(np.float64)
+    rng, taped, free = np.random.default_rng(seed + 2), tc.MacCounter(), tc.MacCounter()
+    with taped.active():
+        res = forward(sig, cfg, params, train=True, rng=rng)
+    loss = bce_loss(res.probs, labels)
+    params.zero_grads()
+    tc.backward(loss)
+    with free.active(), tc.no_grad():
+        forward(sig, cfg, params)
+    return (res.probs.data, loss.data, {n: t.grad for n, t in params.items()},
+            rng.bit_generator.state, taped.total, free.total)
+
+
+def test_block_pool_training_step_is_bitwise_equal_to_one_worker(monkeypatch):
+    pooled = _desk_training_step(seed=30)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+    alone = _desk_training_step(seed=30)
+    # Stress: a thread per branch, more than the CPUs, switching as often as it can.
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(model, "PREDICT_WORKERS", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        crowded = _desk_training_step(seed=30)
+    finally:
+        sys.setswitchinterval(interval)
+    for run in (pooled, crowded):
+        for a, b in zip(run[:2], alone[:2]):
+            assert np.array_equal(a, b)
+        assert run[2].keys() == alone[2].keys()
+        for name in run[2]:
+            assert np.array_equal(run[2][name], alone[2][name]), name
+        assert run[3] == alone[3]
+    for run in (pooled, alone, crowded):
+        assert run[4] == run[5] == 16 * 1_591_131  # the pinned per-record MACs, both ways
 
 
 def test_no_grad_forward_is_tape_free_and_bitwise_equal():

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -70,3 +72,52 @@ def test_checkpoint_manifest_is_json_with_offsets(tmp_path):
 def test_missing_checkpoint_raises(tmp_path):
     with pytest.raises(DataError, match="not found"):
         load_checkpoint(tmp_path / "nope")
+
+
+def test_manifest_records_the_blob_hash_and_loads_without_it(tmp_path):
+    store = init_params(tiny_cfg(), seed=0)
+    manifest_path, blob_path = save_checkpoint(store, tmp_path / "h")
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["sha256"] == hashlib.sha256(blob_path.read_bytes()).hexdigest()
+    del manifest["sha256"]  # a manifest written before the hash was stored
+    manifest_path.write_text(json.dumps(manifest))
+    loaded, _ = load_checkpoint(tmp_path / "h")
+    assert all(t.data.tobytes() == loaded[n].data.tobytes() for n, t in store.items())
+
+
+def _fail_replace(monkeypatch, on_suffix):
+    """Make ``os.replace`` fail when it would move a file onto a ``*<on_suffix>`` path."""
+    real = os.replace
+
+    def replace(src, dst):
+        if str(dst).endswith(on_suffix):
+            raise OSError(f"simulated crash before replacing {dst}")
+        real(src, dst)
+
+    monkeypatch.setattr("mswecg.params.os.replace", replace)
+
+
+def test_save_torn_after_the_blob_is_replaced_loads_as_a_hash_mismatch(tmp_path, monkeypatch):
+    base = tmp_path / "ckpt"
+    save_checkpoint(init_params(tiny_cfg(), seed=1), base)
+    _fail_replace(monkeypatch, ".json")
+    with pytest.raises(OSError, match="simulated crash"):
+        save_checkpoint(init_params(tiny_cfg(), seed=2), base)
+    monkeypatch.undo()
+    with pytest.raises(DataError, match=r"ckpt\.bin does not match the sha256 in .*ckpt\.json"):
+        load_checkpoint(base)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "ckpt.json"]
+
+
+def test_save_failing_before_any_replace_leaves_the_former_checkpoint(tmp_path, monkeypatch):
+    base = tmp_path / "ckpt"
+    store = init_params(tiny_cfg(), seed=1)
+    paths = save_checkpoint(store, base)
+    before = [p.read_bytes() for p in paths]
+    _fail_replace(monkeypatch, ".bin")
+    with pytest.raises(OSError, match="simulated crash"):
+        save_checkpoint(init_params(tiny_cfg(), seed=2), base)
+    assert [p.read_bytes() for p in paths] == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "ckpt.json"]
+    loaded, _ = load_checkpoint(base)
+    assert all(t.data.tobytes() == loaded[n].data.tobytes() for n, t in store.items())

@@ -85,8 +85,12 @@ TRAIN_KEYS = {
 
 def parse_config_file(path) -> dict:
     """Read ``key = value`` lines; '#' starts a comment."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -98,14 +102,16 @@ def parse_config_file(path) -> dict:
 
 
 def _typed(values: dict) -> dict:
+    """Parse each raw text value by its key's schema entry."""
     out = {}
     for key, raw in values.items():
-        if key in MODEL_KEYS:
-            out[key] = MODEL_KEYS[key](raw)
-        elif key in TRAIN_KEYS:
-            out[key] = TRAIN_KEYS[key](raw)
-        else:
+        parse = MODEL_KEYS.get(key) or TRAIN_KEYS.get(key)
+        if parse is None:
             raise ConfigError(f"unknown config key: {key!r}")
+        try:
+            out[key] = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from exc
     return out
 
 
@@ -379,10 +385,10 @@ def _keep_freed_memory() -> None:
     Each batch allocates the same large numpy temporaries.  By default glibc
     unmaps or trims them when they are freed, and the next batch faults them
     back in: about 17k page faults per 100-record ``predict`` at 12 leads x
-    1000 samples.  The model's pool threads, which run ``predict``'s chunks
-    and a training step's window-scale branches, would each get a fresh malloc
-    arena that cannot reuse the heap set-up freed (eval at 1000 x 12 x 1000
-    peaked at 93 rather than 75 MB), so all threads share the main arena.
+    1000 samples.  The model's pool threads (``model._on_pool``) would each
+    get a fresh malloc arena that cannot reuse the heap set-up freed (eval at
+    1000 x 12 x 1000 peaked at 93 rather than 75 MB), so all threads share
+    the main arena.
     Does nothing where the C library has no ``mallopt``.
     """
     try:

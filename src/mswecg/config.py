@@ -44,7 +44,7 @@ class MswConfig:
         object.__setattr__(self, "windows", tuple(int(m) for m in windows))
         if self.heads is None:
             object.__setattr__(self, "heads", default_heads(self.C))
-        for name in ("L", "n_leads", "P", "C", "K", "mlp_ratio"):
+        for name in ("L", "n_leads", "P", "C", "K", "heads", "mlp_ratio"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.P > self.L or self.L % self.P != 0:

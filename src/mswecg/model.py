@@ -14,14 +14,9 @@ heads, fusion softmax, sigmoid); ``train.bce_loss`` is the last.  Each op
 computes on numpy arrays and tallies the MACs of the products it runs on the
 active ``tensor.MacCounter`` through ``tensor.count_macs``.
 
-The branches depend on one another only through their shared input, so when
-a tape is recorded :func:`msw_block` is one op of its own: it runs each
-branch's two ops as a separate graph on a persistent pool of threads, and its
-backward rule replays those graphs on the pool.  A training step's top-level
-graph is then four ops (embed, msw_block, fuse, bce).  Forwards without a
-tape run the branches in the calling thread; :func:`predict` runs such
-forwards on the same pool, one chunk of records per thread, so no pool task
-ever waits on the pool.
+Under a tape :func:`msw_block` is one op whose branches are graphs of their
+own, so a training step's top-level graph is four ops (embed, msw_block,
+fuse, bce).  :func:`_on_pool` states which threads run what.
 
 All functions accept arbitrary leading axes, so the same code serves a
 single record (T, C) and a batch (B, T, C).
@@ -33,7 +28,6 @@ import contextlib
 import contextvars
 import ctypes
 import functools
-import importlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -53,8 +47,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Token rows per ``predict`` forward: 8 records at 12 leads x 1000 samples, 32 at 4 x 200.
 PREDICT_TOKEN_ROWS = 2048
-# Threads of the pool that runs ``predict``'s chunks and a training step's branches
-# (capped by the usable CPUs).
+# Threads of the worker pool (see ``_on_pool``), capped by the usable CPUs.
 PREDICT_WORKERS = 2
 
 
@@ -189,7 +182,6 @@ def _layernorm_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.
 def window_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: Tensor,
                      wv: Tensor, wz: Tensor, bias_table: Tensor, M: int, heads: int,
                      shift: int = 0, attn_dropout: float = 0.0, train: bool = False,
-                     rng: np.random.Generator | None = None,
                      uniforms: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Attention sublayer x + unpartition(attention(partition(LN(x)))), one op.
 
@@ -197,12 +189,12 @@ def window_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: Ten
     softmax(Q_h K_h^T / sqrt(d) + B_h) V_h, where B_h[i, j] reads the head's
     relative-offset table at i - j + M - 1; heads are merged and projected by
     Wz.  In training, inverted dropout hits the map: an entry is kept where its
-    uniform draw is >= ``attn_dropout``.  The draws are ``uniforms`` when
-    given, one per map entry (:func:`msw_block` takes every branch's from its
-    generator before it runs them), and otherwise come from ``rng``.  Q, K
-    and V come from one (rows, C) @ (C, 3C) product over ``[Wq|Wk|Wv]``, and
-    weight gradients are 2-D products over all rows.  Returns (out, attn
-    (..., T/M, heads, M, M)): the probabilities before dropout, off the graph.
+    draw in ``uniforms`` is >= ``attn_dropout``.  ``uniforms`` holds one draw
+    per map entry, shaped (records, T/M, heads, M, M) with the leading axes
+    of x flattened into records.  Q, K and V come from one (rows, C) @
+    (C, 3C) product over ``[Wq|Wk|Wv]``, and weight gradients are 2-D
+    products over all rows.  Returns (out, attn (..., T/M, heads, M, M)): the
+    probabilities before dropout, off the graph.
     """
     inputs = (x, gamma, beta, wq, wk, wv, wz, bias_table)
     *lead, T, C = x.shape
@@ -211,8 +203,10 @@ def window_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: Ten
         raise DimensionError(f"bias table shape {bias_table.shape} does not match {heads} heads "
                              f"at window scale {M} (need ({heads}, {2 * M - 1}))")
     drop = train and attn_dropout > 0.0
-    if drop and rng is None and uniforms is None:
-        raise ValueError("dropout in training mode needs an explicit rng")
+    maps = (math.prod(lead), nW, heads, M, M)
+    if drop and np.shape(uniforms) != maps:
+        raise ValueError(f"dropout in training mode needs uniforms of the attention maps' "
+                         f"shape {maps}, got {'none' if uniforms is None else np.shape(uniforms)}")
 
     h, xhat, inv = _layernorm(x.data, gamma.data, beta.data)
     n = h.size // C  # token rows over all records
@@ -228,8 +222,7 @@ def window_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: Ten
     attn = np.exp(scores, out=scores)
     attn /= attn.sum(axis=-1, keepdims=True)
     if drop:
-        u = rng.random(attn.shape) if uniforms is None else uniforms
-        mask = (u >= attn_dropout) / (1.0 - attn_dropout)
+        mask = (uniforms >= attn_dropout) / (1.0 - attn_dropout)
     a = attn * mask if drop else attn
     z = (a @ v).transpose(0, 1, 3, 2, 4).reshape(n, C)  # merged heads, window order
     y = window_unpartition((z @ wz.data).reshape(-1, nW, M, C), shift).reshape(x.shape)
@@ -321,13 +314,13 @@ def msw_block(
     draws every branch's dropout uniforms from ``rng`` in branch order before
     any branch runs, so the masks do not depend on which thread runs which.
 
-    When a tape is recorded the block is one op, ``msw_block``, whose output
-    is ``stacked``.  Each branch records its two ops as a graph of its own,
-    over leaves that share the arrays of ``tokens`` and of its parameters,
-    and the branches run on the pool of :func:`_on_pool`.  The op's backward
-    rule replays the branch graphs on the pool and adds their token
-    gradients in branch order, as one tape holding every branch op would.
-    Without a tape the branches run one after another in the calling thread.
+    Under a tape the block is one op, ``msw_block``, whose output is
+    ``stacked``.  Each branch records its two ops as a graph of its own, over
+    leaves that share the arrays of ``tokens`` and of its parameters, and
+    runs it forward and backward through :func:`_on_pool`.  The backward
+    adds the branches' token gradients in branch order, as one tape holding
+    every branch op would.  Without a tape the branches run in the calling
+    thread.
     """
     *lead, T, _ = tokens.shape
     branch_params = [[params[f"branch{i}.{leaf}"] for leaf in _BRANCH_LEAVES]
@@ -356,9 +349,7 @@ def msw_block(
 
         def backward_fn(g):
             _on_pool(lambda i: tc._replay(ys[i], g[i]), range(len(ys)))
-            dx = leaves[0][0].grad
-            for branch in leaves[1:]:
-                dx = dx + branch[0].grad
+            dx = sum((branch[0].grad for branch in leaves[1:]), leaves[0][0].grad)
             return (dx, *(t.grad for branch in leaves for t in branch[1:]))
 
         stacked = tc.apply_op("msw_block", inputs, np.stack([y.data for y in ys]), backward_fn)
@@ -366,13 +357,12 @@ def msw_block(
                         for M, (y, attn) in zip(cfg.windows, outs)], stacked)
 
 
-def fuse(branch_tokens: Tensor | list[Tensor], windows, head_ws: list[Tensor],
-         head_bs: list[Tensor], fusion_w: Tensor) -> tuple[Tensor, Tensor]:
+def fuse(branch_tokens: Tensor, windows, head_ws: list[Tensor], head_bs: list[Tensor],
+         fusion_w: Tensor) -> tuple[Tensor, Tensor]:
     """Pooled heads, learned fusion and sigmoid: one recorded op.
 
-    ``branch_tokens`` holds each branch's (..., T, C) tokens, either stacked
-    on a leading axis in one tensor, as :func:`msw_block` gives them, or as a
-    list of tensors; the input gradient takes the same form.  Branch i
+    ``branch_tokens`` stacks each branch's (..., T, C) tokens on a leading
+    axis, (n_branches, ..., T, C), as :func:`msw_block` gives them.  Branch i
     mean-pools each window of M_i tokens, concatenates the (T/M_i)
     pooled vectors and projects them to K logits alpha_i = pooled @ W_i + b_i;
     the pooled width differs per branch, which is what makes the fused
@@ -381,11 +371,8 @@ def fuse(branch_tokens: Tensor | list[Tensor], windows, head_ws: list[Tensor],
     weights are exactly uniform.  Returns (y (..., K), beta (..., n_branches)),
     beta off the graph.
     """
-    stacked_in = isinstance(branch_tokens, Tensor)
-    token_inputs = (branch_tokens,) if stacked_in else tuple(branch_tokens)
-    xs = branch_tokens.data if stacked_in else [x.data for x in branch_tokens]
-    nb = len(xs)
-    *lead, T, C = xs[0].shape
+    xs = branch_tokens.data
+    nb, *lead, T, C = xs.shape
     K = head_ws[0].shape[1]
     if fusion_w.shape != (nb * K, nb):
         raise DimensionError(f"fusion weight shape {fusion_w.shape} does not match "
@@ -420,10 +407,9 @@ def fuse(branch_tokens: Tensor | list[Tensor], windows, head_ws: list[Tensor],
             dbs.append(da.sum(axis=0))
             dp = (da @ w.data.T).reshape(*lead, T // M, 1, C) / M
             dx[i].reshape(*lead, T // M, M, C)[...] = dp  # spread over each window's tokens
-        dxs = (dx,) if stacked_in else tuple(dx)
-        return (*dxs, *dws, *dbs, stacked.reshape(n, nb * K).T @ ds)
+        return (dx, *dws, *dbs, stacked.reshape(n, nb * K).T @ ds)
 
-    inputs = (*token_inputs, *head_ws, *head_bs, fusion_w)
+    inputs = (branch_tokens, *head_ws, *head_bs, fusion_w)
     out = tc.apply_op("fuse", inputs, y.reshape(*lead, K), backward_fn)
     return out, Tensor(beta.reshape(*lead, nb))
 
@@ -462,18 +448,17 @@ def _usable_cpus() -> int:
 @functools.cache
 def _openblas_thread_calls():
     """numpy's OpenBLAS ``(get, set)`` thread-count functions, or None for another BLAS."""
-    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
-        try:  # the extension's handle also resolves the BLAS library it links
-            lib = ctypes.CDLL(importlib.import_module(module).__file__)
-        except (ImportError, OSError):
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                set_.argtypes = [ctypes.c_int]
-                return get, set_
+    try:  # the extension's handle also resolves the BLAS library it links
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
         return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            set_.argtypes = [ctypes.c_int]
+            return get, set_
     return None
 
 
@@ -505,17 +490,21 @@ def _pool(workers: int) -> ThreadPoolExecutor:
 
 
 def _on_pool(fn, items) -> list:
-    """``[fn(item) for item in items]``, each call on a pool thread in a copy
-    of the caller's context, so ``no_grad``, an active ``MacCounter`` and
-    ``np.errstate`` hold inside it.
+    """``[fn(item) for item in items]``, each call on a thread of the worker pool.
 
-    The pool has ``min(PREDICT_WORKERS, usable CPUs)`` threads and lives as
-    long as the process; no call made on it may submit to it in turn.
-    Results come in item order.  If a call raises, the calls not yet started
-    are cancelled, the running ones are waited for, and the first failing
-    item's error is raised.  While the calls run, numpy's OpenBLAS (where it
-    is OpenBLAS) has its threads shared out among the busy workers, so two
-    workers on two CPUs use one BLAS thread each rather than two.
+    This is the pool's whole contract.  The pool has ``min(PREDICT_WORKERS,
+    usable CPUs)`` threads, is built on first use and lives as long as the
+    process.  It runs :func:`predict`'s chunks and, under a tape, a training
+    step's window-scale branches, forward and backward (:func:`msw_block`).
+    No call made on the pool may submit to it in turn: a forward without a
+    tape runs its branches in its own thread, so a chunk never does.  Each
+    call runs in a copy of the caller's context, so ``no_grad``, an active
+    ``MacCounter`` (which adds under a lock) and ``np.errstate`` hold inside
+    it.  Results come in item order.  If a call raises, the calls not yet
+    started are cancelled, the running ones are waited for, and the first
+    failing item's error is raised.  While the calls run, numpy's OpenBLAS
+    (where it is OpenBLAS) has its threads shared out among the busy workers,
+    so two workers on two CPUs use one BLAS thread each rather than two.
     """
     items = list(items)
     workers = max(1, min(PREDICT_WORKERS, _usable_cpus()))
@@ -541,15 +530,11 @@ def predict(signals, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarra
     row tiles, so outputs are bitwise reproducible for a geometry and equal
     the former 64-record chunks' bar their 1-record tails.
 
-    Chunks run through :func:`_on_pool`, on the persistent pool of up to
-    :data:`PREDICT_WORKERS` threads that a training step's branches also use,
-    each chunk in a copy of the caller's context.  A chunk's forward records
-    no tape, so it runs its branches in its own thread.  Each chunk writes
-    its own slice of the output, so outputs are bitwise equal to a serial
-    loop's.  Each chunk gathers its rows in its thread, so memory is bounded
-    by ``PREDICT_WORKERS`` chunks and does not grow with N.  Raises
-    :class:`NumericError` naming the first non-finite ``signals`` row of the
-    first chunk holding one; chunks not yet started are then cancelled.
+    Chunks run through :func:`_on_pool`, each gathering its own rows and
+    writing its own slice of the output, so outputs are bitwise equal to a
+    serial loop's and memory is bounded by the pool's width in chunks, not by
+    N.  Raises :class:`NumericError` naming the first non-finite ``signals``
+    row of the first chunk holding one.
     """
     idx = np.arange(len(signals)) if rows is None else np.asarray(rows)
     out = np.empty((len(idx), cfg.K))

@@ -163,7 +163,7 @@ def load_checkpoint(base) -> tuple[ParamStore, dict]:
     blob = blob_path.read_bytes()
     try:
         manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"malformed checkpoint manifest {manifest_path}: "
                         f"{type(exc).__name__}: {exc}") from exc
     for key, default in (("params", None), ("config", {})):

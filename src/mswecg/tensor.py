@@ -22,15 +22,10 @@ recorded at all.
 Tensors are treated as immutable once created, grad buffers excepted (the
 optimizer mutates parameter data in place, but only between passes).  A graph
 and its tensors belong to one thread for the duration of a forward/backward
-pass; distinct graphs may run on distinct threads.  A training step does so:
-``model.msw_block`` records one op whose window-scale branches are graphs of
-their own, each over its own leaves, built and later run backward on pool
-threads while the step's top-level graph waits in the caller's thread.
-No-tape forwards over shared parameters may run one per thread too, as
-``model.predict`` runs them.  The recording switch and the active
-:class:`MacCounter` are context variables, so a worker thread must run in a
-copy of its caller's context to see them; a counter shared that way adds
-under a lock.
+pass; distinct graphs may run on distinct threads (``model._on_pool`` states
+which).  The recording switch and the active :class:`MacCounter` are context
+variables, so a worker thread must run in a copy of its caller's context to
+see them; a counter shared that way adds under a lock.
 """
 
 from __future__ import annotations

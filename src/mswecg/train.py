@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -40,14 +42,19 @@ class TrainConfig:
     report_every: int = 1
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr0 <= 0:
-            raise ConfigError(f"lr0 must be positive, got {self.lr0}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.decay_every < 1 or self.decay_factor <= 0:
-            raise ConfigError("decay_every must be >= 1 and decay_factor positive")
+        kinds = {"lr0": Real, "decay_factor": Real, "checkpoint": (str, type(None))}
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        wrong = {k: v for k, v in values.items() if not isinstance(v, kinds.get(k, Integral))}
+        if wrong:
+            raise ConfigError(f"train config values of the wrong type: {wrong}")
+        for name in ("max_epochs", "batch_size", "decay_every", "report_every"):
+            if values[name] < 1:
+                raise ConfigError(f"{name} must be >= 1, got {values[name]}")
+        if values["seed"] < 0:
+            raise ConfigError(f"seed must be >= 0, got {values['seed']}")
+        for name in ("lr0", "decay_factor"):
+            if not (math.isfinite(values[name]) and values[name] > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {values[name]}")
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)

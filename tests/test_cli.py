@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mswecg.cli import main
+from mswecg.cli import MODEL_KEYS, TRAIN_KEYS, _typed, load_model, main, resolve_configs
+from mswecg.data import DatasetHeader
+from mswecg.errors import AdmissibilityError, ConfigError, DataError, DimensionError
 from mswecg.params import ParamStore, load_checkpoint, save_checkpoint
 
 TINY_SETTINGS = [
@@ -80,6 +84,40 @@ def test_train_unknown_key_exit_2(synth_dir, tmp_path, capsys):
     ])
     assert code == 2
     assert "bogus" in capsys.readouterr().err
+
+
+# (--set value, text the error must contain)
+_BAD_SETTINGS = [
+    ("C=abc", "config key 'C'"),
+    ("max_epochs=1.5", "config key 'max_epochs'"),
+    ("windows=5,x", "config key 'windows'"),
+    ("heads=0", "heads must be >= 1, got 0"),
+    ("heads=-4", "heads must be >= 1, got -4"),
+    ("decay_factor=nan", "decay_factor must be positive and finite, got nan"),
+    ("lr0=inf", "lr0 must be positive and finite, got inf"),
+    ("seed=-1", "seed must be >= 0, got -1"),
+    ("report_every=0", "report_every must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("setting,needle", _BAD_SETTINGS, ids=[c[0] for c in _BAD_SETTINGS])
+def test_train_bad_setting_exits_2_naming_it(synth_dir, tmp_path, capsys, setting, needle):
+    code = main(["train", "--signals", str(synth_dir / "signals.bin"),
+                 "--labels", str(synth_dir / "labels.csv"), "--out-dir", str(tmp_path),
+                 "--quiet", *TINY_SETTINGS, "--set", setting])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("train: config error:") and needle in err, err
+    assert not (tmp_path / "checkpoint.json").exists()
+
+
+def test_train_undecodable_config_file_exits_2(synth_dir, tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"\xffP = 5\n")
+    code = main(["train", "--config", str(cfg_file), "--signals", str(synth_dir / "signals.bin"),
+                 "--labels", str(synth_dir / "labels.csv"), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"cannot read config file {cfg_file}" in capsys.readouterr().err
 
 
 def test_train_seed_repeat_identical_metric_log(synth_dir, trained_dir, tmp_path):
@@ -370,3 +408,132 @@ def test_checkpoint_config_without_a_required_key_exits_2(synth_dir, trained_dir
     assert code == 2
     assert "eval: config error: missing required model config keys: ['P']" in (
         capsys.readouterr().err)
+
+
+def _eval_exit(synth_dir, checkpoint):
+    return main(["eval", "--checkpoint", str(checkpoint),
+                 "--signals", str(synth_dir / "signals.bin"),
+                 "--labels", str(synth_dir / "labels.csv")])
+
+
+def test_non_utf8_checkpoint_manifest_exits_3(synth_dir, trained_dir, tmp_path, capsys):
+    store, config = load_checkpoint(trained_dir / "checkpoint")
+    manifest_path, _ = save_checkpoint(store, tmp_path / "bad", config=config)
+    manifest_path.write_bytes(b"\xff" + manifest_path.read_bytes())
+    assert _eval_exit(synth_dir, tmp_path / "bad") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("eval: data error: malformed checkpoint manifest"), err
+
+
+def test_checkpoint_config_with_zero_heads_exits_2(synth_dir, trained_dir, tmp_path, capsys):
+    store, config = load_checkpoint(trained_dir / "checkpoint")
+    config["model"]["heads"] = 0
+    save_checkpoint(store, tmp_path / "noheads", config=config)
+    assert _eval_exit(synth_dir, tmp_path / "noheads") == 2
+    assert "eval: config error: heads must be >= 1, got 0" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Parser fuzzing: malformed settings and checkpoints fail with the package's
+# own errors (exit 2 or 3), never with another exception.
+
+_CLEAN_ERRORS = (ConfigError, AdmissibilityError, DimensionError, DataError)
+_KEYS = sorted({*MODEL_KEYS, *TRAIN_KEYS})
+_HEADER = DatasetHeader(n_leads=2, L=200, K=3, class_names=("a", "b", "c"))
+_RAW_VALUES = (st.text(max_size=12)
+               | st.from_regex(r"-?[0-9]{1,3}(\.[0-9]{1,2})?(e-?[0-9])?", fullmatch=True)
+               | st.sampled_from(["nan", "inf", "-inf", "1e999", "5,10,20", "0", "1_0", " 8 "]))
+_ANY_VALUE = (st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats()
+              | st.text(max_size=6) | st.lists(st.integers(-3, 50), max_size=4))
+
+
+def _resolve(settings):
+    try:
+        resolve_configs(settings, _HEADER)
+    except _CLEAN_ERRORS:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=4), _RAW_VALUES,
+                              max_size=8))
+def test_fuzzed_setting_text_fails_only_with_config_errors(values):
+    try:
+        typed = _typed(values)
+    except ConfigError:
+        return
+    _resolve(typed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(settings=st.dictionaries(st.sampled_from(_KEYS), _ANY_VALUE, max_size=8))
+def test_fuzzed_setting_values_fail_only_with_config_errors(settings):
+    _resolve(settings)
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON object tree, parents before children."""
+    for key, child in node.items():
+        yield (*prefix, key)
+        if isinstance(child, dict):
+            yield from _paths(child, (*prefix, key))
+
+
+# Small integers only, and huge ones only in parameter entries: a valid
+# config of huge width would allocate its parameters in full before their
+# shapes are compared.
+_JSON = st.recursive(st.none() | st.booleans() | st.integers(-3, 64) | st.floats()
+                     | st.text(max_size=6),
+                     lambda kids: st.lists(kids, max_size=3)
+                     | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+                     max_leaves=6)
+
+
+@st.composite
+def _manifest_edits(draw, manifest):
+    """(edited manifest, how many bytes of the blob to keep or None)."""
+    m = json.loads(json.dumps(manifest))
+    paths = list(_paths(m))
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, key = draw(st.sampled_from(paths))
+        node = m
+        for p in parents:
+            node = node.get(p) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            continue
+        kind = draw(st.sampled_from(["json", "huge", "delete", "flatten", "hash"]))
+        if kind == "json":
+            node[key] = draw(_JSON)
+        elif kind == "huge" and parents[:1] == ["params"]:
+            node[key] = draw(st.integers(-2**70, 2**70))
+        elif kind == "delete":
+            node.pop(key, None)
+        elif kind == "flatten" and isinstance(node.get(key), dict) and "nbytes" in node[key]:
+            node[key]["shape"] = [node[key]["nbytes"] // 8]  # right bytes, wrong shape
+        elif kind == "hash":
+            m["sha256"] = draw(st.text("0123456789abcdef", min_size=64, max_size=64))
+    keep = draw(st.none() | st.integers(0, 4096))
+    return m, keep
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(trained_dir, tmp_path_factory):
+    manifest_path, blob_path = (trained_dir / "checkpoint.json", trained_dir / "checkpoint.bin")
+    return (json.loads(manifest_path.read_text()), blob_path.read_bytes(),
+            tmp_path_factory.mktemp("fuzz") / "checkpoint")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_checkpoints_fail_only_with_config_or_data_errors(fuzz_base, data):
+    manifest, blob, base = fuzz_base
+    edited, keep = data.draw(_manifest_edits(manifest))
+    if data.draw(st.booleans()):
+        edited.pop("sha256", None)  # let a torn blob reach the entry checks
+    manifest_path, blob_path = base.with_name("checkpoint.json"), base.with_name("checkpoint.bin")
+    manifest_path.write_text(json.dumps(edited))
+    blob_path.write_bytes(blob if keep is None else blob[:keep])
+    try:
+        load_model(base)
+    except _CLEAN_ERRORS:
+        pass

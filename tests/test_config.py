@@ -40,6 +40,12 @@ def test_heads_must_divide_width():
         make(heads=3)
 
 
+@pytest.mark.parametrize("heads", [0, -4])
+def test_heads_must_be_at_least_one(heads):
+    with pytest.raises(ConfigError, match=f"heads must be >= 1, got {heads}"):
+        make(heads=heads)
+
+
 def test_shift_range():
     cfg = make(shift=1)
     assert cfg.shift == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import sys
 import threading
@@ -290,11 +291,11 @@ _ATTENTION_FD_CASES = [  # (M, shift, attn_dropout) at T = 4
                          ids=[f"M{m}-shift{s}-drop{p}" for m, s, p in _ATTENTION_FD_CASES])
 def test_window_attention_matches_finite_differences(M, shift, p):
     T, C, heads = 4, 4, 2
+    uniforms = np.random.default_rng(7).random((2, T // M, heads, M, M))  # one mask for all probes
 
     def build(x, gamma, beta, wq, wk, wv, wz, table):
-        # A fresh generator per call: every probe sees the same dropout mask.
         return window_attention(x, gamma, beta, wq, wk, wv, wz, table, M, heads, shift,
-                                attn_dropout=p, train=p > 0, rng=np.random.default_rng(7))[0]
+                                attn_dropout=p, train=p > 0, uniforms=uniforms)[0]
 
     shapes = [(2, T, C), (C,), (C,), (C, C), (C, C), (C, C), (C, C), (heads, 2 * M - 1)]
     assert finite_diff_check(build, shapes, seed=M + shift) < 1e-4
@@ -370,7 +371,8 @@ def test_block_gradients_equal_one_tape_of_its_branch_ops_bitwise():
     for i, M in enumerate(cfg.windows):
         p = [params[f"branch{i}.{leaf}"] for leaf in model._BRANCH_LEAVES]
         x1, _ = window_attention(x, *p[:7], M, cfg.heads, cfg.shift,
-                                 attn_dropout=cfg.attn_dropout, train=True, rng=masks)
+                                 attn_dropout=cfg.attn_dropout, train=True,
+                                 uniforms=masks.random((4, cfg.tokens // M, cfg.heads, M, M)))
         ys.append(mlp_sublayer(x1, *p[7:]))
     one_tape = grads(ref.sum(ref.concat([ref.mul(y, w) for y, w in zip(ys, probes)], 0)))
     assert np.array_equal(block.stacked.data, np.stack([y.data for y in ys]))
@@ -419,10 +421,13 @@ def test_fuse_matches_finite_differences_and_reference(windows):
     def split(ts):
         return list(ts[:nb]), windows, list(ts[nb : 2 * nb]), list(ts[2 * nb : 3 * nb]), ts[-1]
 
-    assert finite_diff_check(lambda *ts: fuse(*split(ts))[0], shapes, seed=nb) < 1e-4
+    def fused(*ts):  # the branch tokens stacked on a leading axis, as msw_block gives them
+        xs, *rest = split(ts)
+        return fuse(ref.concat([ref.reshape(x, (1, *x.shape)) for x in xs], 0), *rest)
+
+    assert finite_diff_check(lambda *ts: fused(*ts)[0], shapes, seed=nb) < 1e-4
     rng = np.random.default_rng(nb)
-    fwd, grad = _fused_vs_reference(lambda *ts: fuse(*split(ts)),
-                                    lambda *ts: ref.reference_fuse(*split(ts)),
+    fwd, grad = _fused_vs_reference(fused, lambda *ts: ref.reference_fuse(*split(ts)),
                                     [rng.normal(size=s) for s in shapes])
     assert fwd <= 1e-12 and grad <= 1e-10
 
@@ -456,6 +461,22 @@ def test_train_forward_draws_the_three_attention_masks_in_branch_order():
     for M in cfg.windows:
         expected.random((2, cfg.tokens // M, cfg.heads, M, M))
     assert used.bit_generator.state == expected.bit_generator.state
+
+
+def test_forward_without_dropout_draws_nothing():
+    params = init_params(TINY, seed=0)
+    sig = np.random.default_rng(1).normal(size=(2, TINY.n_leads, TINY.L))
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    forward(sig, TINY, params, rng=rng)  # eval, with dropout 0.2 configured
+    forward(sig, dataclasses.replace(TINY, attn_dropout=0.0), params, train=True, rng=rng)
+    assert rng.bit_generator.state == state
+
+
+def test_train_forward_with_dropout_needs_rng():
+    sig = np.zeros((2, TINY.n_leads, TINY.L))
+    with pytest.raises(ValueError, match="rng"):
+        forward(sig, TINY, init_params(TINY, seed=0), train=True, rng=None)
 
 
 @pytest.mark.parametrize("n_leads,L,macs", [(4, 200, 1_591_131), (12, 1000, 8_211_547)])
@@ -533,7 +554,7 @@ def test_block_branch_counts_full_scale():
 def _one_head(tokens, M, w, b):
     """fuse over one branch: beta = 1, so y = sigmoid(alpha) = sigmoid(head logits)."""
     K = w.shape[1]
-    y, beta = fuse([tokens], (M,), [w], [b], tc.tensor(np.zeros((K, 1))))
+    y, beta = fuse(tc.tensor(tokens.data[None]), (M,), [w], [b], tc.tensor(np.zeros((K, 1))))
     assert np.array_equal(beta.data, np.ones(beta.shape))
     return y.data
 
@@ -544,8 +565,8 @@ def _fuse_logits(alphas, fusion_w):
     K = len(alphas[0])
     eye, zero = tc.tensor(np.eye(K)), tc.tensor(np.zeros(K))
     n = len(alphas)
-    return fuse([tc.tensor(np.reshape(a, (1, K))) for a in alphas], (1,) * n, [eye] * n,
-                [zero] * n, fusion_w)
+    return fuse(tc.tensor(np.reshape(alphas, (n, 1, K))), (1,) * n, [eye] * n, [zero] * n,
+                fusion_w)
 
 
 def test_branch_project_identical_tokens():
@@ -601,7 +622,7 @@ def test_fuse_shape_errors():
     with pytest.raises(DimensionError, match="fusion weight"):
         _fuse_logits([np.zeros(3), np.zeros(3)], tc.tensor(np.zeros((7, 2))))
     with pytest.raises(AdmissibilityError, match="window scale 3"):
-        fuse([tc.tensor(np.zeros((4, 2)))], (3,), [tc.tensor(np.zeros((2, 1)))],
+        fuse(tc.tensor(np.zeros((1, 4, 2))), (3,), [tc.tensor(np.zeros((2, 1)))],
              [tc.tensor(np.zeros(1))], tc.tensor(np.zeros((1, 1))))
 
 

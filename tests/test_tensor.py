@@ -345,12 +345,12 @@ def _gelu(v: float) -> float:
                         one, zero, one, zero).data.item()
 
 
-def _dropout_ones(shape, p, train, rng):
+def _dropout_ones(shape, p, train, uniforms=None):
     """Dropout applied to all-one attention: one-token windows of a width-1
     signal whose LN bias is 1, so the sublayer adds exactly the mask."""
     one, gain = tc.tensor(np.ones((1, 1))), tc.tensor(np.ones(1))
-    out, _ = window_attention(tc.tensor(np.zeros((*shape, 1))), gain, gain,
-                              one, one, one, one, one, 1, 1, attn_dropout=p, train=train, rng=rng)
+    out, _ = window_attention(tc.tensor(np.zeros((*shape, 1))), gain, gain, one, one, one, one,
+                              one, 1, 1, attn_dropout=p, train=train, uniforms=uniforms)
     return out.data[..., 0]
 
 
@@ -397,23 +397,23 @@ def test_gelu_values():
 
 
 def test_dropout_eval_is_identity():
-    rng = np.random.default_rng(3)
-    state = rng.bit_generator.state
     ones = np.ones((3, 4))
-    assert np.array_equal(_dropout_ones((3, 4), 0.5, False, rng), ones)
-    assert np.array_equal(_dropout_ones((3, 4), 0.0, True, rng), ones)
-    assert rng.bit_generator.state == state  # nothing drawn
+    assert np.array_equal(_dropout_ones((3, 4), 0.5, False), ones)
+    assert np.array_equal(_dropout_ones((3, 4), 0.0, True), ones)
 
 
 def test_dropout_deterministic_and_inverted():
-    out1 = _dropout_ones((200, 50), 0.25, True, np.random.default_rng(9))
-    out2 = _dropout_ones((200, 50), 0.25, True, np.random.default_rng(9))
+    draws = np.random.default_rng(9).random((200, 50, 1, 1, 1))  # (records, windows, heads, M, M)
+    out1 = _dropout_ones((200, 50), 0.25, True, draws)
+    out2 = _dropout_ones((200, 50), 0.25, True, draws.copy())
     assert np.array_equal(out1, out2)
     survivors = out1[out1 != 0]
     assert np.allclose(survivors, 1.0 / 0.75)
     assert abs((out1 != 0).mean() - 0.75) < 0.02
 
 
-def test_dropout_needs_rng_in_train():
-    with pytest.raises(ValueError, match="rng"):
-        _dropout_ones((3,), 0.5, True, None)
+def test_dropout_needs_uniforms_of_the_maps_shape_in_train():
+    with pytest.raises(ValueError, match=r"uniforms .* shape \(1, 3, 1, 1, 1\), got none"):
+        _dropout_ones((3,), 0.5, True)
+    with pytest.raises(ValueError, match=r"shape \(1, 3, 1, 1, 1\), got \(3,\)"):
+        _dropout_ones((3,), 0.5, True, np.zeros(3))

@@ -192,6 +192,14 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(lr0=0.0)
+    for kwargs, needle in [({"decay_factor": float("nan")}, "decay_factor must be positive"),
+                           ({"lr0": float("inf")}, "lr0 must be positive and finite"),
+                           ({"report_every": 0}, "report_every must be >= 1"),
+                           ({"seed": -1}, "seed must be >= 0"),
+                           ({"max_epochs": 1.5}, "wrong type"),
+                           ({"lr0": "0.1"}, "wrong type")]:
+        with pytest.raises(ConfigError, match=needle):
+            TrainConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------

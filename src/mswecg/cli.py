@@ -41,7 +41,7 @@ from .errors import (
 )
 from .metrics import EvalBatch, evaluate
 from .model import predict
-from .params import ParamStore, init_params, load_checkpoint, save_checkpoint
+from .params import ParamStore, init_params, load_checkpoint, param_shapes, save_checkpoint
 from .train import TrainConfig, finite_difference_audit, train_loop, write_metric_log
 
 EXIT_OK = 0
@@ -187,21 +187,22 @@ def run_train(args) -> int:
 def load_model(checkpoint) -> tuple[MswConfig, ParamStore, dict]:
     """A checkpoint's model config, parameters and saved config.
 
-    Every parameter ``init_params`` makes for that config must be present
-    with its shape, and no other; the error names the first that is not.
+    Every parameter of that config (``param_shapes``) must be present with
+    its shape, and no other; the error names the first that is not.  Nothing
+    is allocated for the config before the shapes are compared.
     """
     store, saved = load_checkpoint(checkpoint)
     model_cfg = saved.get("model")
     if not model_cfg or not isinstance(model_cfg, dict):
         raise ConfigError(f"checkpoint {checkpoint} carries no model config")
     cfg = MswConfig.from_dict(model_cfg)
-    want = init_params(cfg)
-    for name, t in want.items():
+    want = dict(param_shapes(cfg))
+    for name, shape in want.items():
         if name not in store:
             raise DataError(f"checkpoint {checkpoint} lacks parameter {name}")
-        if store[name].shape != t.shape:
+        if store[name].shape != shape:
             raise DataError(f"checkpoint {checkpoint}: parameter {name} has shape "
-                            f"{store[name].shape}, the model config needs {t.shape}")
+                            f"{store[name].shape}, the model config needs {shape}")
     for name in store.names():
         if name not in want:
             raise DataError(f"checkpoint {checkpoint} has unknown parameter {name}")

@@ -8,6 +8,13 @@ Conventions, all surfaced in the report rather than hidden:
   predicted positives scores 1 (an exactly-correct empty prediction);
 * AUC uses the rank (Mann-Whitney) form with ties counted 1/2; classes or
   samples without both a positive and a negative are skipped and counted.
+
+:func:`evaluate` computes every number in one pass of array operations:
+confusion counts once per class and once per sample, and one ranking of
+the scores per class and per sample.  The single-metric functions read
+its report or its helpers.  Means of F1 values are left-to-right sums,
+so a scalar loop reproduces them bitwise; rank sums are half-integers and
+so exact in any order.
 """
 
 from __future__ import annotations
@@ -47,114 +54,56 @@ class EvalBatch:
         if not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must be 0/1")
 
-    @property
-    def predictions(self) -> np.ndarray:
-        return (self.scores >= self.threshold).astype(np.int64)
+
+def _counts(batch: EvalBatch) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """(TP, FP, FN) after thresholding once: per class, then per sample."""
+    pred, y = batch.scores >= batch.threshold, batch.labels == 1
+    cells = (pred & y, pred & ~y, ~pred & y)
+    return tuple(c.sum(0) for c in cells), tuple(c.sum(1) for c in cells)
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Elementwise ``num / den``, with 0 where ``den`` is 0."""
+    return np.divide(num, den, out=np.zeros(np.shape(den)), where=den > 0)
+
+
+def _prf(tp, fp, fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elementwise precision, recall and F1 of count arrays (0/0 -> 0)."""
+    precision, recall = _ratio(tp, tp + fp), _ratio(tp, tp + fn)
+    return precision, recall, _ratio(2 * precision * recall, precision + recall)
 
 
 def threshold_confusion(batch: EvalBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-class (TP, FP, FN, TN) counts after thresholding."""
-    pred = batch.predictions
-    y = batch.labels
-    tp = ((pred == 1) & (y == 1)).sum(axis=0)
-    fp = ((pred == 1) & (y == 0)).sum(axis=0)
-    fn = ((pred == 0) & (y == 1)).sum(axis=0)
-    tn = ((pred == 0) & (y == 0)).sum(axis=0)
-    return tp, fp, fn, tn
+    tp, fp, fn = _counts(batch)[0]
+    return tp, fp, fn, len(batch.labels) - tp - fp - fn
 
 
-def accuracy(batch: EvalBatch) -> float:
-    """Fraction of correct label decisions over all B*K of them."""
-    if batch.labels.size == 0:
-        raise ValueError("empty batch")
-    return float((batch.predictions == batch.labels).mean())
+def _aucs(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Mann-Whitney AUC of every column; NaN where a column lacks a positive
+    or a negative.  Each column is ranked once, ties sharing their mean rank."""
+    n = len(scores)
+    order = np.argsort(scores, axis=0, kind="stable")
+    ranked = np.take_along_axis(scores, order, 0)
+    pos = np.take_along_axis(labels, order, 0) == 1
+    # A tie run spans sorted rows first..last; its members share rank (first + last) / 2 + 1.
+    row = np.arange(n)[:, None]
+    starts = np.ones(ranked.shape, dtype=bool)
+    starts[1:] = ranked[1:] != ranked[:-1]
+    ends = np.ones(ranked.shape, dtype=bool)
+    ends[:-1] = starts[1:]
+    first = np.maximum.accumulate(np.where(starts, row, 0), axis=0)
+    last = np.minimum.accumulate(np.where(ends, row, n)[::-1], axis=0)[::-1]
+    npos = pos.sum(0)
+    nneg = n - npos
+    u = (((first + last) / 2 + 1) * pos).sum(0) - npos * (npos + 1) / 2.0
+    return np.divide(u, npos * nneg, out=np.full(u.shape, np.nan), where=(npos > 0) & (nneg > 0))
 
 
-def _f1(tp, fp, fn) -> tuple[float, float, float]:
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
-
-
-def macro_f1(batch: EvalBatch) -> float:
-    """Unweighted mean of per-class F1 (0/0 classes contribute 0)."""
-    if batch.labels.size == 0:
-        raise ValueError("empty batch")
-    tp, fp, fn, _ = threshold_confusion(batch)
-    per_class = [_f1(*c)[2] for c in zip(tp, fp, fn)]
-    # Sequential sum keeps the value reproducible by a scalar loop.
-    return float(sum(per_class) / len(per_class))
-
-
-def _per_sample_f1(batch: EvalBatch) -> tuple[list[float], int, int]:
-    """Each sample's F1, plus the counts of exactly-correct empty samples and
-    of samples with predictions or truths but no true positive."""
-    pred = batch.predictions
-    y = batch.labels
-    tps = ((pred == 1) & (y == 1)).sum(axis=1).tolist()
-    fps = ((pred == 1) & (y == 0)).sum(axis=1).tolist()
-    fns = ((pred == 0) & (y == 1)).sum(axis=1).tolist()
-    vals = []
-    empty_correct = zero_denom = 0
-    for tp, fp, fn in zip(tps, fps, fns):
-        if tp + fp + fn == 0:
-            vals.append(1.0)  # empty truth predicted empty
-            empty_correct += 1
-        else:
-            vals.append(_f1(tp, fp, fn)[2])
-            zero_denom += tp == 0
-    return vals, empty_correct, zero_denom
-
-
-def samples_f1(batch: EvalBatch) -> float:
-    """Mean over samples of the F1 on each sample's own label set."""
-    if batch.labels.size == 0:
-        raise ValueError("empty batch")
-    vals = _per_sample_f1(batch)[0]
-    return float(sum(vals) / len(vals))
-
-
-def _rank_average(x: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties averaged."""
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(len(x), dtype=np.float64)
-    sx = x[order]
-    start = 0
-    n = len(x)
-    for i in range(1, n + 1):
-        if i == n or sx[i] != sx[start]:
-            ranks[order[start:i]] = 0.5 * (start + 1 + i)
-            start = i
-    return ranks
-
-
-def _auc_binary(scores: np.ndarray, labels: np.ndarray) -> float | None:
-    """Mann-Whitney AUC for one score/label column; None if degenerate."""
-    pos = labels == 1
-    npos = int(pos.sum())
-    nneg = len(labels) - npos
-    if npos == 0 or nneg == 0:
-        return None
-    ranks = _rank_average(scores)
-    return float((ranks[pos].sum() - npos * (npos + 1) / 2.0) / (npos * nneg))
-
-
-def _unit_aucs(batch: EvalBatch, mode: str) -> list[float | None]:
-    """AUC of every class (``macro``) or sample (``samples``); None if degenerate."""
-    if mode not in ("macro", "samples"):
-        raise ValueError(f"mode must be 'macro' or 'samples', got {mode!r}")
-    scores, labels = batch.scores, batch.labels
-    if mode == "samples":
-        scores, labels = scores.T, labels.T
-    return [_auc_binary(scores[:, k], labels[:, k]) for k in range(scores.shape[1])]
-
-
-def _mean_auc(aucs: list[float | None], mode: str) -> float:
-    vals = [v for v in aucs if v is not None]
-    if not vals:
-        raise UndefinedMetricError(f"roc_auc[{mode}]: no unit has both a positive and a negative")
-    return float(np.mean(vals))
+def _mean_auc(aucs: np.ndarray) -> float | None:
+    """numpy's mean over the units whose AUC is defined; None if there is none."""
+    vals = aucs[~np.isnan(aucs)]
+    return float(vals.mean()) if vals.size else None
 
 
 def roc_auc(batch: EvalBatch, mode: str = "macro") -> float:
@@ -163,7 +112,15 @@ def roc_auc(batch: EvalBatch, mode: str = "macro") -> float:
     Degenerate units (no positive or no negative) are skipped; if nothing
     remains the metric is undefined and raises.
     """
-    return _mean_auc(_unit_aucs(batch, mode), mode)
+    if mode not in ("macro", "samples"):
+        raise ValueError(f"mode must be 'macro' or 'samples', got {mode!r}")
+    scores, labels = batch.scores, batch.labels
+    if mode == "samples":
+        scores, labels = scores.T, labels.T
+    mean = _mean_auc(_aucs(scores, labels))
+    if mean is None:
+        raise UndefinedMetricError(f"roc_auc[{mode}]: no unit has both a positive and a negative")
+    return mean
 
 
 @dataclass
@@ -190,36 +147,48 @@ class MetricReport:
         return dict(self.__dict__)
 
 
+def _mean(values: np.ndarray) -> float:
+    """Left-to-right mean, as a scalar loop sums."""
+    return float(sum(values.tolist()) / len(values))
+
+
 def evaluate(batch: EvalBatch) -> MetricReport:
-    """Full report over one batch; undefined AUCs are reported as None.
-
-    One per-sample pass and one AUC per class and per sample feed every
-    field.
-    """
-    tp, fp, fn, _ = threshold_confusion(batch)
-    per = [_f1(*c) for c in zip(tp, fp, fn)]
-    f1s, empty_correct, zero_denom = _per_sample_f1(batch)
-    aucs = {mode: _unit_aucs(batch, mode) for mode in ("macro", "samples")}
-
-    def auc_or_none(mode):
-        try:
-            return _mean_auc(aucs[mode], mode)
-        except UndefinedMetricError:
-            return None
-
+    """Full report over one batch; undefined AUCs are reported as None."""
+    if batch.labels.size == 0:
+        raise ValueError("empty batch")
+    (tp, fp, fn), (stp, sfp, sfn) = _counts(batch)
+    precision, recall, f1 = _prf(tp, fp, fn)
+    empty = stp + sfp + sfn == 0  # empty truth predicted empty scores 1
+    class_aucs = _aucs(batch.scores, batch.labels)
+    sample_aucs = _aucs(batch.scores.T, batch.labels.T)
     return MetricReport(
-        accuracy=accuracy(batch),
-        macro_f1=macro_f1(batch),
-        samples_f1=float(sum(f1s) / len(f1s)),
-        auc_macro=auc_or_none("macro"),
-        auc_samples=auc_or_none("samples"),
-        per_class_precision=[p for p, _, _ in per],
-        per_class_recall=[r for _, r, _ in per],
-        per_class_f1=[f for _, _, f in per],
-        degenerate_f1_classes=int(sum(1 for c in zip(tp, fp, fn) if sum(c) == 0)),
-        empty_correct_samples=empty_correct,
-        zero_denominator_samples=zero_denom,
-        skipped_auc_classes=aucs["macro"].count(None),
-        skipped_auc_samples=aucs["samples"].count(None),
+        accuracy=int(batch.labels.size - fp.sum() - fn.sum()) / batch.labels.size,
+        macro_f1=_mean(f1),
+        samples_f1=_mean(np.where(empty, 1.0, _prf(stp, sfp, sfn)[2])),
+        auc_macro=_mean_auc(class_aucs),
+        auc_samples=_mean_auc(sample_aucs),
+        per_class_precision=precision.tolist(),
+        per_class_recall=recall.tolist(),
+        per_class_f1=f1.tolist(),
+        degenerate_f1_classes=int((tp + fp + fn == 0).sum()),
+        empty_correct_samples=int(empty.sum()),
+        zero_denominator_samples=int((~empty & (stp == 0)).sum()),
+        skipped_auc_classes=int(np.isnan(class_aucs).sum()),
+        skipped_auc_samples=int(np.isnan(sample_aucs).sum()),
         threshold=batch.threshold,
     )
+
+
+def accuracy(batch: EvalBatch) -> float:
+    """Fraction of correct label decisions over all B*K of them."""
+    return evaluate(batch).accuracy
+
+
+def macro_f1(batch: EvalBatch) -> float:
+    """Unweighted mean of per-class F1 (0/0 classes contribute 0)."""
+    return evaluate(batch).macro_f1
+
+
+def samples_f1(batch: EvalBatch) -> float:
+    """Mean over samples of the F1 on each sample's own label set."""
+    return evaluate(batch).samples_f1

@@ -71,35 +71,42 @@ def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.n
     return out
 
 
-def init_params(cfg: MswConfig, seed: int = 0) -> ParamStore:
-    """Fresh parameters: truncated-normal(0.02) projections, zero biases.
+def param_shapes(cfg: MswConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Every parameter's name and shape, in store order; nothing is allocated."""
+    C, T, K = cfg.C, cfg.tokens, cfg.K
+    hidden = cfg.mlp_ratio * C
+    shapes = [("embed.W", (cfg.patch_width, C)), ("embed.b", (C,))]
+    for i, M in enumerate(cfg.windows):
+        b = f"branch{i}"
+        shapes += [(f"{b}.ln1.gamma", (C,)), (f"{b}.ln1.beta", (C,))]
+        shapes += [(f"{b}.attn.{w}", (C, C)) for w in ("Wq", "Wk", "Wv", "Wz")]
+        shapes += [
+            (f"{b}.attn.bias", (cfg.heads, 2 * M - 1)),
+            (f"{b}.ln2.gamma", (C,)), (f"{b}.ln2.beta", (C,)),
+            (f"{b}.mlp.W1", (C, hidden)), (f"{b}.mlp.b1", (hidden,)),
+            (f"{b}.mlp.W2", (hidden, C)), (f"{b}.mlp.b2", (C,)),
+            (f"{b}.head.W", ((T // M) * C, K)), (f"{b}.head.b", (K,)),
+        ]
+    # Fusion mixer is bias-free: all-zero weights give exactly uniform mixing.
+    shapes.append(("fusion.W", (cfg.n_branches * K, cfg.n_branches)))
+    return shapes
 
-    The relative-position tables start at zero, so attention begins unbiased.
+
+def init_params(cfg: MswConfig, seed: int = 0) -> ParamStore:
+    """Fresh parameters: truncated-normal(0.02) weights (names ``W...``), unit
+    LayerNorm gains, zero biases.
+
+    The weights are drawn in store order.  The relative-position tables
+    start at zero, so attention begins unbiased.
     """
     rng = np.random.default_rng(seed)
     store = ParamStore()
-    C, T, K = cfg.C, cfg.tokens, cfg.K
-    hidden = cfg.mlp_ratio * C
-
-    store.add("embed.W", truncated_normal(rng, (cfg.patch_width, C)))
-    store.add("embed.b", np.zeros(C))
-    for i, M in enumerate(cfg.windows):
-        b = f"branch{i}"
-        store.add(f"{b}.ln1.gamma", np.ones(C))
-        store.add(f"{b}.ln1.beta", np.zeros(C))
-        for w in ("Wq", "Wk", "Wv", "Wz"):
-            store.add(f"{b}.attn.{w}", truncated_normal(rng, (C, C)))
-        store.add(f"{b}.attn.bias", np.zeros((cfg.heads, 2 * M - 1)))
-        store.add(f"{b}.ln2.gamma", np.ones(C))
-        store.add(f"{b}.ln2.beta", np.zeros(C))
-        store.add(f"{b}.mlp.W1", truncated_normal(rng, (C, hidden)))
-        store.add(f"{b}.mlp.b1", np.zeros(hidden))
-        store.add(f"{b}.mlp.W2", truncated_normal(rng, (hidden, C)))
-        store.add(f"{b}.mlp.b2", np.zeros(C))
-        store.add(f"{b}.head.W", truncated_normal(rng, ((T // M) * C, K)))
-        store.add(f"{b}.head.b", np.zeros(K))
-    # Fusion mixer is bias-free: all-zero weights give exactly uniform mixing.
-    store.add("fusion.W", truncated_normal(rng, (cfg.n_branches * K, cfg.n_branches)))
+    for name, shape in param_shapes(cfg):
+        kind = name.rsplit(".", 1)[1]
+        if kind.startswith("W"):
+            store.add(name, truncated_normal(rng, shape))
+        else:
+            store.add(name, np.ones(shape) if kind == "gamma" else np.zeros(shape))
     return store
 
 
@@ -160,10 +167,13 @@ def load_checkpoint(base) -> tuple[ParamStore, dict]:
     manifest_path, blob_path = checkpoint_paths(base)
     if not manifest_path.exists() or not blob_path.exists():
         raise DataError(f"checkpoint not found at {manifest_path} / {blob_path}")
-    blob = blob_path.read_bytes()
+    try:
+        blob = blob_path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"unreadable checkpoint blob {blob_path}: {exc}") from exc
     try:
         manifest = json.loads(manifest_path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"malformed checkpoint manifest {manifest_path}: "
                         f"{type(exc).__name__}: {exc}") from exc
     for key, default in (("params", None), ("config", {})):

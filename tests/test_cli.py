@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mswecg
 from mswecg.cli import MODEL_KEYS, TRAIN_KEYS, _typed, load_model, main, resolve_configs
 from mswecg.data import DatasetHeader
 from mswecg.errors import AdmissibilityError, ConfigError, DataError, DimensionError
@@ -433,6 +438,38 @@ def test_checkpoint_config_with_zero_heads_exits_2(synth_dir, trained_dir, tmp_p
     assert "eval: config error: heads must be >= 1, got 0" in capsys.readouterr().err
 
 
+def test_checkpoint_config_of_huge_width_exits_3_naming_the_parameter(synth_dir, trained_dir,
+                                                                     tmp_path, capsys):
+    store, config = load_checkpoint(trained_dir / "checkpoint")
+    config["model"].update(C=2**40, heads=2)  # 80 TiB of parameters if allocated
+    save_checkpoint(store, tmp_path / "wide", config=config)
+    assert _eval_exit(synth_dir, tmp_path / "wide") == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"eval: data error: checkpoint {tmp_path / 'wide'}: parameter embed.W "
+                          f"has shape (10, 8), the model config needs (10, {2**40})"), err
+
+
+@pytest.mark.parametrize("which,needle", [(1, "unreadable checkpoint blob"),
+                                          (0, "malformed checkpoint manifest")])
+def test_unreadable_checkpoint_file_exits_3(synth_dir, trained_dir, tmp_path, capsys, which,
+                                            needle):
+    store, config = load_checkpoint(trained_dir / "checkpoint")
+    path = save_checkpoint(store, tmp_path / "bad", config=config)[which]
+    path.unlink()
+    path.mkdir()  # a directory in the file's place
+    assert _eval_exit(synth_dir, tmp_path / "bad") == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"eval: data error: {needle} {path}"), err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone adds about a second to every command's start-up.
+    code = "import sys, mswecg.cli; sys.exit('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(Path(mswecg.__file__).parents[1])})
+    assert done.returncode == 0
+
+
 # ---------------------------------------------------------------------------
 # Parser fuzzing: malformed settings and checkpoints fail with the package's
 # own errors (exit 2 or 3), never with another exception.
@@ -443,7 +480,7 @@ _HEADER = DatasetHeader(n_leads=2, L=200, K=3, class_names=("a", "b", "c"))
 _RAW_VALUES = (st.text(max_size=12)
                | st.from_regex(r"-?[0-9]{1,3}(\.[0-9]{1,2})?(e-?[0-9])?", fullmatch=True)
                | st.sampled_from(["nan", "inf", "-inf", "1e999", "5,10,20", "0", "1_0", " 8 "]))
-_ANY_VALUE = (st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats()
+_ANY_VALUE = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
               | st.text(max_size=6) | st.lists(st.integers(-3, 50), max_size=4))
 
 
@@ -479,10 +516,10 @@ def _paths(node, prefix=()):
             yield from _paths(child, (*prefix, key))
 
 
-# Small integers only, and huge ones only in parameter entries: a valid
-# config of huge width would allocate its parameters in full before their
-# shapes are compared.
-_JSON = st.recursive(st.none() | st.booleans() | st.integers(-3, 64) | st.floats()
+# Huge integers reach the model config too: its shapes are compared before
+# anything is allocated for it.
+_JSON = st.recursive(st.none() | st.booleans() | st.integers(-3, 64)
+                     | st.integers(-2**70, 2**70) | st.floats()
                      | st.text(max_size=6),
                      lambda kids: st.lists(kids, max_size=3)
                      | st.dictionaries(st.text(max_size=4), kids, max_size=3),
@@ -504,7 +541,7 @@ def _manifest_edits(draw, manifest):
         kind = draw(st.sampled_from(["json", "huge", "delete", "flatten", "hash"]))
         if kind == "json":
             node[key] = draw(_JSON)
-        elif kind == "huge" and parents[:1] == ["params"]:
+        elif kind == "huge":
             node[key] = draw(st.integers(-2**70, 2**70))
         elif kind == "delete":
             node.pop(key, None)

@@ -498,3 +498,49 @@ def loop_accuracy(scores, labels, tau=0.5):
             pred = 1 if scores[i, j] >= tau else 0
             correct += int(pred == labels[i, j])
     return correct / (b * k)
+
+
+def loop_report(scores, labels, tau=0.5):
+    """Every ``MetricReport`` field, by element loops and pairwise AUCs."""
+    b, k = scores.shape
+    tp, fp, fn, _ = loop_confusion(scores, labels, tau)
+    precision, recall, f1 = [], [], []
+    for j in range(k):
+        p = tp[j] / (tp[j] + fp[j]) if tp[j] + fp[j] else 0.0
+        r = tp[j] / (tp[j] + fn[j]) if tp[j] + fn[j] else 0.0
+        precision.append(float(p))
+        recall.append(float(r))
+        f1.append(float(2 * p * r / (p + r) if p + r else 0.0))
+    empty_correct = zero_denominator = 0
+    for i in range(b):
+        hits = misses = 0
+        for j in range(k):
+            hits += int(scores[i, j] >= tau and labels[i, j] == 1)
+            misses += int((scores[i, j] >= tau) != (labels[i, j] == 1))
+        empty_correct += hits + misses == 0
+        zero_denominator += hits == 0 and misses > 0
+
+    def mean_auc(rows_s, rows_l):
+        vals = [pairwise_auc(s, l) for s, l in zip(rows_s, rows_l)]
+        kept = [v for v in vals if v is not None]
+        return (float(np.mean(kept)) if kept else None), len(vals) - len(kept)
+
+    auc_macro, skipped_classes = mean_auc(scores.T, labels.T)
+    auc_samples, skipped_samples = mean_auc(scores, labels)
+    return {
+        "accuracy": loop_accuracy(scores, labels, tau),
+        "macro_f1": loop_macro_f1(scores, labels, tau),
+        "samples_f1": loop_samples_f1(scores, labels, tau),
+        "auc_macro": auc_macro,
+        "auc_samples": auc_samples,
+        "per_class_precision": precision,
+        "per_class_recall": recall,
+        "per_class_f1": f1,
+        "degenerate_f1_classes": int(np.count_nonzero(tp + fp + fn == 0)),
+        "empty_correct_samples": empty_correct,
+        "zero_denominator_samples": zero_denominator,
+        "skipped_auc_classes": skipped_classes,
+        "skipped_auc_samples": skipped_samples,
+        "threshold": tau,
+        "accuracy_mode": "per_label",
+    }

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -147,6 +148,12 @@ def resolve_configs(settings: dict, header: DatasetHeader) -> tuple[MswConfig, T
     return MswConfig.from_dict(model_kwargs), TrainConfig(**train_kwargs)
 
 
+def _check_flag(flag: str, value, ok: bool, need: str) -> None:
+    """Reject a command-line value before any compute, naming its flag."""
+    if not ok:
+        raise ConfigError(f"{flag} must be {need}, got {value!r}")
+
+
 def echo_config(config: dict) -> None:
     print("resolved config:")
     for key in sorted(config):
@@ -230,6 +237,12 @@ def run_eval(args) -> int:
 
 def run_flops(args) -> int:
     windows = _int_list(args.windows)
+    _check_flag("--channels", args.channels, args.channels >= 1, ">= 1")
+    _check_flag("--windows", args.windows, min(windows, default=0) >= 1,
+                "one or more integers >= 1")
+    _check_flag("--l-min", args.l_min, args.l_min >= 1, ">= 1")
+    _check_flag("--l-max", args.l_max, args.l_max >= args.l_min, f">= --l-min ({args.l_min})")
+    _check_flag("--l-step", args.l_step, args.l_step >= 1, ">= 1")
     lengths = range(args.l_min, args.l_max + 1, args.l_step)
     config = {
         "channels": args.channels,
@@ -269,6 +282,9 @@ def run_attn(args) -> int:
 
 
 def run_synth(args) -> int:
+    _check_flag("--noise-std", args.noise_std, math.isfinite(args.noise_std)
+                and args.noise_std >= 0, "finite and >= 0")
+    _check_flag("--seed", args.seed, args.seed is None or args.seed >= 0, ">= 0")
     spec = SynthSpec(
         seed=args.seed if args.seed is not None else 0,
         n_records=args.records,
@@ -290,6 +306,9 @@ def run_synth(args) -> int:
 
 
 def run_gradcheck(args) -> int:
+    _check_flag("--step", args.step, math.isfinite(args.step) and args.step > 0,
+                "finite and > 0")
+    _check_flag("--seed", args.seed, args.seed is None or args.seed >= 0, ">= 0")
     cfg = MswConfig(L=40, n_leads=2, P=5, C=8, heads=2, windows=(2, 4), K=3)
     echo_config({**cfg.to_dict(), "seed": args.seed or 0, "step": args.step})
     rng = np.random.default_rng(args.seed or 0)

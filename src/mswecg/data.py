@@ -167,13 +167,11 @@ def _row_blocks(signals: np.ndarray):
         yield start, _read_rows(signals, np.arange(start, min(start + step, n)))
 
 
-def load_dataset(signal_file, label_file, header: DatasetHeader | None = None) -> Dataset:
+def load_dataset(signal_file, label_file) -> Dataset:
     """Map a dataset's files; malformed rows are rejected with their index.
 
     The signal blob is memory-mapped read-only, not copied, and checked for
-    non-finite samples in blocks read from the file.  When ``header``
-    is given, the files must agree with it (lead count, record length, class
-    names); otherwise the files are trusted.
+    non-finite samples in blocks read from the file.
     """
     signal_file, label_file = Path(signal_file), Path(label_file)
     file_header, offset = read_header(signal_file)
@@ -192,19 +190,6 @@ def load_dataset(signal_file, label_file, header: DatasetHeader | None = None) -
         raise DataError(
             f"{label_file}: {len(class_names)} label columns but signal header declares K={K}"
         )
-    if header is not None:
-        if (n_leads, L, K) != (header.n_leads, header.L, header.K):
-            raise DataError(
-                f"{signal_file}: header ({n_leads}, {L}, {K}) does not match the "
-                f"expected ({header.n_leads}, {header.L}, {header.K})"
-            )
-        for name in class_names:
-            if name not in header.class_names:
-                raise DataError(f"{label_file}: unknown class name {name!r}")
-        if tuple(class_names) != tuple(header.class_names):
-            raise DataError(f"{label_file}: class columns {class_names} are not in the expected "
-                            f"order {header.class_names}")
-
     blob_bytes = signal_file.stat().st_size - offset
     row_bytes = n_leads * L * 8
     expected = n_records * row_bytes

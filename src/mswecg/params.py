@@ -1,8 +1,9 @@
 """Named learnable parameters, their initialization, and checkpoint I/O.
 
-Checkpoints are a JSON manifest (name -> shape/dtype/byte offset, the
-blob's sha256, plus the resolved run config) next to a single little-endian
-float64 blob.  The round trip is bitwise exact.
+Every parameter lives in one float64 vector, ``ParamStore.flat``, in store
+order.  Checkpoints are a JSON manifest (name -> shape/dtype/byte offset, the
+blob's sha256, plus the resolved run config) next to a blob holding that
+vector's little-endian bytes.  The round trip is bitwise exact.
 """
 
 from __future__ import annotations
@@ -23,17 +24,24 @@ _DTYPE = "<f8"
 
 
 class ParamStore:
-    """Ordered name -> parameter tensor map; names are stable across save/load."""
+    """Ordered name -> parameter tensor map; names are stable across save/load.
 
-    def __init__(self):
+    The ``(name, array)`` pairs' values are copied into one vector, ``flat``,
+    in pair order; each tensor's ``.data`` is a reshaped view of its slice.
+    """
+
+    def __init__(self, pairs=()):
+        arrays = [(name, np.asarray(data, dtype=np.float64)) for name, data in pairs]
+        self.flat = np.empty(sum(a.size for _, a in arrays))
         self._params: dict[str, Tensor] = {}
-
-    def add(self, name: str, data) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name: {name}")
-        t = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
-        self._params[name] = t
-        return t
+        offset = 0
+        for name, a in arrays:
+            if name in self._params:
+                raise ValueError(f"duplicate parameter name: {name}")
+            view = self.flat[offset : offset + a.size].reshape(a.shape)
+            view[...] = a
+            self._params[name] = Tensor(view, requires_grad=True)
+            offset += a.size
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -54,11 +62,15 @@ class ParamStore:
         for t in self._params.values():
             t.grad = None
 
-    def copy(self) -> "ParamStore":
-        out = ParamStore()
+    def flat_grad(self) -> np.ndarray:
+        """Every gradient in one vector laid out like ``flat``."""
         for name, t in self._params.items():
-            out.add(name, t.data.copy())
-        return out
+            if t.grad is None:
+                raise ValueError(f"parameter {name} has no gradient")
+        return np.concatenate([t.grad.ravel() for t in self._params.values()] or [self.flat])
+
+    def copy(self) -> "ParamStore":
+        return ParamStore((name, t.data) for name, t in self._params.items())
 
 
 def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -100,14 +112,14 @@ def init_params(cfg: MswConfig, seed: int = 0) -> ParamStore:
     start at zero, so attention begins unbiased.
     """
     rng = np.random.default_rng(seed)
-    store = ParamStore()
+    pairs = []
     for name, shape in param_shapes(cfg):
         kind = name.rsplit(".", 1)[1]
         if kind.startswith("W"):
-            store.add(name, truncated_normal(rng, shape))
+            pairs.append((name, truncated_normal(rng, shape)))
         else:
-            store.add(name, np.ones(shape) if kind == "gamma" else np.zeros(shape))
-    return store
+            pairs.append((name, np.ones(shape) if kind == "gamma" else np.zeros(shape)))
+    return ParamStore(pairs)
 
 
 def checkpoint_paths(base) -> tuple[Path, Path]:
@@ -126,7 +138,7 @@ def _replace_with(path: Path, data: bytes) -> None:
 
 
 def save_checkpoint(store: ParamStore, base, config: dict | None = None) -> tuple[Path, Path]:
-    """Write ``<base>.json`` (manifest) and ``<base>.bin`` (float64 blob).
+    """Write ``<base>.json`` (manifest) and ``<base>.bin`` (``store.flat``'s bytes).
 
     Each file is written under a temporary name and moved into place, the
     blob first, so a crash leaves each file whole: either the former
@@ -137,20 +149,12 @@ def save_checkpoint(store: ParamStore, base, config: dict | None = None) -> tupl
     manifest_path, blob_path = checkpoint_paths(base)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     entries = {}
-    chunks = []
     offset = 0
     for name, t in store.items():
-        raw = np.ascontiguousarray(t.data, dtype=_DTYPE).tobytes()
-        entries[name] = {
-            "shape": list(t.shape),
-            "dtype": _DTYPE,
-            "offset": offset,
-            "nbytes": len(raw),
-        }
-        chunks.append(raw)
-        offset += len(raw)
-    # Insertion order is the store order; keep it so load reproduces the store.
-    blob = b"".join(chunks)
+        entries[name] = {"shape": list(t.shape), "dtype": _DTYPE,
+                         "offset": offset, "nbytes": t.data.nbytes}
+        offset += t.data.nbytes
+    blob = store.flat.astype(_DTYPE, copy=False).tobytes()
     manifest = {"config": config or {}, "params": entries,
                 "sha256": hashlib.sha256(blob).hexdigest()}
     _replace_with(blob_path, blob)
@@ -184,7 +188,7 @@ def load_checkpoint(base) -> tuple[ParamStore, dict]:
     if digest is not None and digest != hashlib.sha256(blob).hexdigest():
         raise DataError(f"checkpoint blob {blob_path} does not match the sha256 in "
                         f"{manifest_path}; the two files are from different saves")
-    store = ParamStore()
+    pairs = []
     for name, meta in manifest["params"].items():
         shape, start, nbytes = (meta.get(k) if isinstance(meta, dict) else None
                                 for k in ("shape", "offset", "nbytes"))
@@ -195,6 +199,5 @@ def load_checkpoint(base) -> tuple[ParamStore, dict]:
                             f"offset and a byte count matching its shape: {meta!r}")
         if start + nbytes > len(blob):
             raise DataError(f"checkpoint blob truncated while reading {name}")
-        arr = np.frombuffer(blob[start : start + nbytes], dtype=_DTYPE).reshape(shape)
-        store.add(name, arr.copy())
-    return store, manifest.get("config", {})
+        pairs.append((name, np.frombuffer(blob, _DTYPE, nbytes // 8, start).reshape(shape)))
+    return ParamStore(pairs), manifest.get("config", {})

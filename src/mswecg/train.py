@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -92,40 +92,33 @@ def bce_loss(probs: Tensor, labels) -> Tensor:
 # Adam
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    """Step count and moment vectors, laid out like ``ParamStore.flat``."""
+
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(params: ParamStore, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update, in place, from the stored gradients."""
+    """One bias-corrected Adam update of ``params.flat``, in place."""
     if lr < 0:
         raise ValueError(f"lr must be >= 0, got {lr}")
-    # Check every gradient first, so a failed step changes nothing.
-    for name, p in params.items():
-        if p.grad is None:
-            raise ValueError(f"parameter {name} has no gradient")
+    g = params.flat_grad()  # raises before anything changes if a gradient is missing
+    if state.m is None:
+        state.m, state.v = np.zeros_like(g), np.zeros_like(g)
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
-    for name, p in params.items():
-        g = p.grad
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        else:
-            v = state.v[name]
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (g * g)
+    params.flat -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -311,25 +304,20 @@ def finite_difference_audit(
             return _np_bce(forward(signals, cfg, params).probs.data, labels)
 
     params.zero_grads()
-    loss = bce_loss(forward(signals, cfg, params).probs, labels)
-    tc.backward(loss)
-
-    per_param: dict[str, float] = {}
-    for name, p in params.items():
-        analytic = p.grad
-        flat = p.data.reshape(-1)
-        numeric = np.empty_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            lp = loss_value()
-            flat[i] = orig - step
-            lm = loss_value()
-            flat[i] = orig
-            numeric[i] = (lp - lm) / (2.0 * step)
-        numeric = numeric.reshape(p.shape)
-        denom = np.maximum.reduce(
-            [np.abs(analytic), np.abs(numeric), np.full_like(numeric, 1e-3)]
-        )
-        per_param[name] = float((np.abs(analytic - numeric) / denom).max())
+    tc.backward(bce_loss(forward(signals, cfg, params).probs, labels))
+    analytic = params.flat_grad()
+    numeric = np.empty_like(analytic)
+    flat = params.flat
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        lp = loss_value()
+        flat[i] = orig - step
+        lm = loss_value()
+        flat[i] = orig
+        numeric[i] = (lp - lm) / (2.0 * step)
+    denom = np.maximum.reduce([np.abs(analytic), np.abs(numeric), np.full_like(numeric, 1e-3)])
+    errors = np.split(np.abs(analytic - numeric) / denom,
+                      np.cumsum([p.size for _, p in params.items()])[:-1])
+    per_param = {name: float(e.max()) for name, e in zip(params.names(), errors)}
     return max(per_param.values()), per_param

@@ -295,6 +295,35 @@ def test_gradcheck_exits_zero_with_small_error(capsys):
     assert "max rel error" in out and "OK" in out
 
 
+# (subcommand, bad flag values, the flag the error must name)
+_BAD_FLAG_VALUES = [
+    ("flops", ["--l-min", "2000", "--l-max", "1000"], "--l-max"),
+    ("flops", ["--l-step", "0"], "--l-step"),
+    ("flops", ["--channels", "-1"], "--channels"),
+    ("flops", ["--windows", "0"], "--windows"),
+    ("flops", ["--windows", ","], "--windows"),
+    ("flops", ["--l-min", "0", "--l-max", "0"], "--l-min"),
+    ("synth", ["--noise-std", "-1"], "--noise-std"),
+    ("synth", ["--noise-std", "nan"], "--noise-std"),
+    ("synth", ["--seed", "-1"], "--seed"),
+    ("gradcheck", ["--step", "0"], "--step"),
+    ("gradcheck", ["--step", "nan"], "--step"),
+    ("gradcheck", ["--seed", "-1"], "--seed"),
+]
+
+
+@pytest.mark.parametrize("subcommand,flags,flag", _BAD_FLAG_VALUES,
+                         ids=[c[0] + "".join(c[1]) for c in _BAD_FLAG_VALUES])
+def test_bad_flag_values_exit_2_naming_the_flag_and_write_nothing(tmp_path, capsys,
+                                                                  subcommand, flags, flag):
+    out = {"flops": ["--out", str(tmp_path / "out" / "sweep.csv")],
+           "synth": ["--out-dir", str(tmp_path / "out"), "--records", "10"]}
+    assert main([subcommand, *flags, *out.get(subcommand, [])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{subcommand}: config error: {flag} must be"), err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_flag_rejected(synth_dir):
     with pytest.raises(SystemExit) as exc:
         main(["flops", "--bogus"])
@@ -312,11 +341,8 @@ def _replaced(name, data):
     """A store edit giving parameter ``name`` the value ``data``, or dropping
     it when ``data`` is None."""
     def edit(store):
-        out = ParamStore()
-        for n, t in store.items():
-            if n != name or data is not None:
-                out.add(n, data if n == name else t.data)
-        return out
+        return ParamStore((n, data if n == name else t.data) for n, t in store.items()
+                          if n != name or data is not None)
     return edit
 
 
@@ -333,7 +359,8 @@ _MALFORMED_CHECKPOINTS = [
     ("head-shape", _replaced("branch1.head.W", np.zeros((8, 3))), None, "branch1.head.W"),
     ("attn-shape", _replaced("branch0.attn.Wq", np.zeros((8, 4))), None, "branch0.attn.Wq"),
     ("missing", _replaced("fusion.W", None), None, "fusion.W"),
-    ("extra", lambda s: (s.add("branch9.head.W", np.zeros(2)), s)[1], None, "branch9.head.W"),
+    ("extra", lambda s: ParamStore([*((n, t.data) for n, t in s.items()),
+                                    ("branch9.head.W", np.zeros(2))]), None, "branch9.head.W"),
     ("f4", None, _manifest_entry("branch0.mlp.b1", dtype="<f4"), "branch0.mlp.b1"),
     ("object", None, _manifest_entry("embed.b", dtype="|O"), "embed.b"),
     ("nbytes", None, _manifest_entry("embed.b", nbytes=8), "embed.b"),
@@ -527,6 +554,16 @@ _JSON = st.recursive(st.none() | st.booleans() | st.integers(-3, 64)
 
 
 @st.composite
+def _wide_model(draw, model):
+    """``model`` with a valid but wide config: C in [2**30, 2**40] and large K
+    and mlp_ratio, so building its parameters would exhaust memory."""
+    heads = draw(st.integers(1, 64))
+    width = heads * draw(st.integers(-(-2**30 // heads), 2**40 // heads))
+    return dict(model, C=width, heads=heads, K=draw(st.integers(2**20, 2**40)),
+                mlp_ratio=draw(st.integers(2**10, 2**30)))
+
+
+@st.composite
 def _manifest_edits(draw, manifest):
     """(edited manifest, how many bytes of the blob to keep or None)."""
     m = json.loads(json.dumps(manifest))
@@ -538,8 +575,10 @@ def _manifest_edits(draw, manifest):
             node = node.get(p) if isinstance(node, dict) else None
         if not isinstance(node, dict):
             continue
-        kind = draw(st.sampled_from(["json", "huge", "delete", "flatten", "hash"]))
-        if kind == "json":
+        kind = draw(st.sampled_from(["json", "huge", "delete", "flatten", "hash", "model"]))
+        if kind == "model" and isinstance(m.get("config"), dict):
+            m["config"]["model"] = draw(_wide_model(manifest["config"]["model"]))
+        elif kind == "json":
             node[key] = draw(_JSON)
         elif kind == "huge":
             node[key] = draw(st.integers(-2**70, 2**70))

@@ -119,19 +119,6 @@ def test_load_rejects_bad_label_rows_with_coordinates(tmp_path):
             load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv")
 
 
-def test_load_validates_against_expected_header(tmp_path):
-    ds = small_dataset()
-    save_dataset(ds, tmp_path / "sig.bin", tmp_path / "lab.csv")
-    good = load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv", header=ds.header)
-    assert len(good) == len(ds)
-    wrong_geom = DatasetHeader(n_leads=3, L=6, K=2, class_names=("A", "B"))
-    with pytest.raises(DataError, match="does not match"):
-        load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv", header=wrong_geom)
-    wrong_names = DatasetHeader(n_leads=2, L=6, K=2, class_names=("A", "C"))
-    with pytest.raises(DataError, match="unknown class name 'B'"):
-        load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv", header=wrong_names)
-
-
 def test_load_rejects_duplicate_id(tmp_path):
     ds = small_dataset(3)
     save_dataset(ds, tmp_path / "sig.bin", tmp_path / "lab.csv")

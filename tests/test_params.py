@@ -41,10 +41,42 @@ def test_truncated_normal_bounds_and_determinism():
 
 
 def test_duplicate_name_rejected():
-    store = ParamStore()
-    store.add("w", np.zeros(2))
     with pytest.raises(ValueError, match="duplicate"):
-        store.add("w", np.zeros(2))
+        ParamStore([("w", np.zeros(2)), ("w", np.zeros(2))])
+
+
+def assert_views_of_flat(store):
+    """Every tensor's data is a view of ``store.flat``, back to back in store order."""
+    start = store.flat.__array_interface__["data"][0]
+    offset = 0
+    for name, t in store.items():
+        assert np.shares_memory(t.data, store.flat), name
+        assert t.data.flags.c_contiguous, name
+        assert t.data.__array_interface__["data"][0] == start + 8 * offset, name
+        offset += t.size
+    assert offset == store.flat.size
+    assert store.flat.dtype == np.float64 and store.flat.ndim == 1
+
+
+def test_parameters_are_views_of_one_vector_after_init_copy_and_load(tmp_path):
+    store = init_params(tiny_cfg(), seed=3)
+    assert_views_of_flat(store)
+    copied = store.copy()
+    assert_views_of_flat(copied)
+    assert not np.shares_memory(copied.flat, store.flat)
+    assert copied.flat.tobytes() == store.flat.tobytes()
+    save_checkpoint(store, tmp_path / "v")
+    loaded, _ = load_checkpoint(tmp_path / "v")
+    assert_views_of_flat(loaded)
+    assert loaded.flat.tobytes() == store.flat.tobytes()
+    store.flat[:] = 0.5  # an in-place update of the vector moves every parameter
+    assert all((t.data == 0.5).all() for _, t in store.items())
+
+
+def test_checkpoint_blob_is_the_flat_vectors_bytes(tmp_path):
+    store = init_params(tiny_cfg(), seed=4)
+    _, blob_path = save_checkpoint(store, tmp_path / "b")
+    assert blob_path.read_bytes() == store.flat.tobytes()
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):

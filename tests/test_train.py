@@ -30,7 +30,7 @@ from mswecg.train import (
     lr_at,
     train_loop,
 )
-from util import sigmoid
+from util import per_parameter_adam_step, sigmoid
 
 TINY = MswConfig(L=40, n_leads=2, P=5, C=8, heads=2, windows=(2, 4), K=3)
 
@@ -102,10 +102,7 @@ def test_bce_is_differentiable():
 def make_store(values):
     from mswecg.params import ParamStore
 
-    store = ParamStore()
-    for name, v in values.items():
-        store.add(name, v)
-    return store
+    return ParamStore(values.items())
 
 
 def test_adam_first_step_magnitude_and_sign():
@@ -147,7 +144,7 @@ def test_adam_missing_grad_changes_nothing():
         adam_step(store, state, lr=0.1)
     assert np.array_equal(store["a"].data, [1.0])
     assert np.array_equal(store["b"].data, [2.0])
-    assert state.step == 0 and state.m == {} and state.v == {}
+    assert state.step == 0 and state.m is None and state.v is None
 
 
 def test_adam_three_step_trajectory_matches_hand_unroll():
@@ -171,6 +168,31 @@ def test_adam_three_step_trajectory_matches_hand_unroll():
         adam_step(store, state, lr=lr)
         got.append(float(store["w"].data[0]))
     assert got == pytest.approx(expected, abs=1e-15)
+
+
+def test_adam_step_equals_the_per_parameter_update_bitwise():
+    rng = np.random.default_rng(8)
+    for trial in range(5):
+        shapes = [tuple(rng.integers(1, 5, size=rng.integers(0, 4))) for _ in range(6)]
+        values = {f"p{i}": rng.normal(size=s) for i, s in enumerate(shapes)}
+        store = make_store(values)
+        data = {name: v.copy() for name, v in values.items()}
+        state, oracle = AdamState(), {"step": 0, "m": {}, "v": {}}
+        for step, lr in enumerate((1e-3, 0.5, 0.0, 2e-2)):
+            grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=v.shape)
+                     for name, v in values.items()}
+            grads["p0"][...] = 0.0 if step % 2 else -0.0  # signed zeros
+            for name, g in grads.items():
+                store[name].grad = g.copy()
+            adam_step(store, state, lr)
+            per_parameter_adam_step(data, grads, oracle, lr)
+            assert state.step == oracle["step"]
+            for name in values:
+                assert np.array_equal(store[name].data, data[name]), (trial, step, name)
+                assert store[name].data.tobytes() == data[name].tobytes()
+            for mine, theirs in ((state.m, oracle["m"]), (state.v, oracle["v"])):
+                assert mine.tobytes() == np.concatenate(
+                    [theirs[name].ravel() for name in values]).tobytes()
 
 
 # ---------------------------------------------------------------------------

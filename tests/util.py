@@ -1,6 +1,7 @@
 """Shared test oracles: finite differences, a from-scratch global-attention
 layer, the primitive tape ops and the compositions of them that the model's
-fused ops replaced, and brute-force metric loops."""
+fused ops replaced, brute-force metric loops, and the per-parameter Adam
+update."""
 
 import math
 
@@ -392,6 +393,30 @@ def reference_bce_loss(probs, labels):
     p = clip(probs, 1e-12, 1.0 - 1e-12)
     term = add(mul(tc.tensor(y), log(p)), mul(tc.tensor(1.0 - y), log(sub(1.0, p))))
     return scale(mean(term), -1.0)
+
+
+def per_parameter_adam_step(data, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The former Adam update: one loop over named arrays, moments in dicts.
+
+    ``data`` and ``grads`` map names to arrays; ``state`` is a dict with
+    ``step``, ``m`` and ``v`` (the last two name -> array).  ``data`` is
+    updated by rebinding each entry.
+    """
+    state["step"] += 1
+    c1 = 1.0 - beta1 ** state["step"]
+    c2 = 1.0 - beta2 ** state["step"]
+    for name, g in grads.items():
+        m = state["m"].get(name)
+        if m is None:
+            m = np.zeros_like(data[name])
+            v = np.zeros_like(data[name])
+        else:
+            v = state["v"][name]
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        state["m"][name] = m
+        state["v"][name] = v
+        data[name] = data[name] - lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def finite_diff_check(build, shapes, seed=0, h=1e-6, floor=1e-3):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import MswConfig
 from .errors import DataError, DimensionError, NumericError
-from .model import ForwardResult, forward
+from .model import ForwardResult, forward, window_unpartition
 from .params import ParamStore
 from .tensor import no_grad
 
@@ -59,13 +59,13 @@ def token_scores(attn: np.ndarray, shift: int, T: int) -> np.ndarray:
 
     attn: (nW, heads, M, M) windowed attention over the shift-rotated
     sequence.  Token scores are column means (over heads and query rows),
-    then the rotation is undone.
+    then :func:`~mswecg.model.window_unpartition` undoes the rotation.
     """
     n_w, _, m, m2 = attn.shape
     if m != m2 or n_w * m != T:
         raise DimensionError(f"attention stack {attn.shape} does not tile {T} tokens")
-    rotated = attn.mean(axis=(1, 2)).reshape(T)  # column mean per rotated position
-    return np.roll(rotated, shift)
+    rotated = attn.mean(axis=(1, 2))[..., None]  # column mean per rotated position
+    return window_unpartition(rotated, shift).reshape(T)
 
 
 def minmax_normalize(scores: np.ndarray) -> np.ndarray:

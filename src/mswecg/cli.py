@@ -273,6 +273,9 @@ def run_attn(args) -> int:
     row = ds.ids.index(args.record) if args.record else 0
     record_id, signal = ds.ids[row], standardize(ds)[row]
     leads = _int_list(args.leads) if args.leads else ()
+    n = ds.header.n_leads
+    for lead in leads:
+        _check_flag("--leads", args.leads, 0 <= lead < n, f"lead indices in 0..{n - 1}")
     dump, _ = dump_for_record(record_id, signal, cfg, store)
     written = export(dump, signal, args.out_dir, leads=leads,
                      config={"model": cfg.to_dict(), "record_id": record_id})
@@ -285,6 +288,9 @@ def run_synth(args) -> int:
     _check_flag("--noise-std", args.noise_std, math.isfinite(args.noise_std)
                 and args.noise_std >= 0, "finite and >= 0")
     _check_flag("--seed", args.seed, args.seed is None or args.seed >= 0, ">= 0")
+    for flag, value in (("--records", args.records), ("--n-leads", args.n_leads),
+                        ("--length", args.length)):
+        _check_flag(flag, value, value >= 1, ">= 1")
     spec = SynthSpec(
         seed=args.seed if args.seed is not None else 0,
         n_records=args.records,

@@ -6,17 +6,14 @@ bias, then a GELU MLP, residuals around both) -> per-branch window pooling
 and projection to class logits -> learned softmax-weighted fusion -> sigmoid
 probabilities.
 
-The network is recorded ops with hand-written backward rules:
-:func:`linear_embed`, then per branch :func:`window_attention` (LN, one QKV
-product, biased softmax, dropout, AV, output projection, residual) and
-:func:`mlp_sublayer` (LN, GELU MLP, residual), then :func:`fuse` (pooled
-heads, fusion softmax, sigmoid); ``train.bce_loss`` is the last.  Each op
-computes on numpy arrays and tallies the MACs of the products it runs on the
-active ``tensor.MacCounter`` through ``tensor.count_macs``.
-
-Under a tape :func:`msw_block` is one op whose branches are graphs of their
-own, so a training step's top-level graph is four ops (embed, msw_block,
-fuse, bce).  :func:`_on_pool` states which threads run what.
+A forward pass records three ops, each with a hand-written backward rule:
+:func:`linear_embed`, :func:`msw_block` and :func:`fuse` (pooled heads,
+fusion softmax, sigmoid); ``train.bce_loss`` is the fourth.  In the block
+each branch runs two numpy rules that return their backward rule instead of
+recording it: :func:`window_attention` (LN, one QKV product, biased softmax,
+dropout, AV, output projection, residual) and :func:`mlp_sublayer` (LN, GELU
+MLP, residual).  Each tallies the MACs of its products through
+``tensor.count_macs``; :func:`_on_pool` states which threads run what.
 
 All functions accept arbitrary leading axes, so the same code serves a
 single record (T, C) and a batch (B, T, C).
@@ -53,11 +50,11 @@ PREDICT_WORKERS = 2
 
 @dataclass
 class BranchOutput:
-    """One window-scale pathway: attended tokens, attention maps, logits."""
+    """One window-scale pathway: attended tokens and attention maps."""
 
     M: int
     shift: int
-    tokens: Tensor  # (..., T, C) block output
+    tokens: Tensor  # (..., T, C) block output, off the graph
     attn: Tensor  # (..., nW, heads, M, M) softmax probabilities (pre-dropout)
 
 
@@ -65,8 +62,8 @@ class BlockOutput(list):
     """:func:`msw_block`'s :class:`BranchOutput` per window scale, in order.
 
     ``stacked`` holds every branch's tokens on a leading axis, (n_branches,
-    ..., T, C).  Under a tape it is the block's one recorded op, and each
-    branch's ``tokens`` is the output of that branch's own graph.
+    ..., T, C), and is the block's one recorded op under a tape; each
+    branch's ``tokens`` is a view of its slice, with no op of its own.
     """
 
     def __init__(self, branches, stacked: Tensor):
@@ -154,7 +151,7 @@ def window_unpartition(windows: np.ndarray, shift: int = 0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Fused sublayers: one recorded op each, with a hand-written backward rule
+# Branch sublayers: numpy rules that return their backward rule
 
 
 def _layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
@@ -179,11 +176,12 @@ def _layernorm_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.
     return dx, (g * xhat).reshape(-1, C).sum(axis=0), g.reshape(-1, C).sum(axis=0)
 
 
-def window_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: Tensor,
-                     wv: Tensor, wz: Tensor, bias_table: Tensor, M: int, heads: int,
-                     shift: int = 0, attn_dropout: float = 0.0, train: bool = False,
-                     uniforms: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """Attention sublayer x + unpartition(attention(partition(LN(x)))), one op.
+def window_attention(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: np.ndarray,
+                     wk: np.ndarray, wv: np.ndarray, wz: np.ndarray, bias_table: np.ndarray,
+                     M: int, heads: int, shift: int = 0, attn_dropout: float = 0.0,
+                     train: bool = False, uniforms: np.ndarray | None = None,
+                     taped: bool = True):
+    """Attention sublayer x + unpartition(attention(partition(LN(x)))) on arrays.
 
     x: (..., T, C).  Per window of M tokens and head h the map is
     softmax(Q_h K_h^T / sqrt(d) + B_h) V_h, where B_h[i, j] reads the head's
@@ -193,10 +191,10 @@ def window_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: Ten
     per map entry, shaped (records, T/M, heads, M, M) with the leading axes
     of x flattened into records.  Q, K and V come from one (rows, C) @
     (C, 3C) product over ``[Wq|Wk|Wv]``, and weight gradients are 2-D
-    products over all rows.  Returns (out, attn (..., T/M, heads, M, M)): the
-    probabilities before dropout, off the graph.
+    products over all rows.  Returns (out, attn, backward): attn (..., T/M,
+    heads, M, M) holds the probabilities before dropout, and ``backward(g)``
+    the gradients of the eight array arguments, or None if not ``taped``.
     """
-    inputs = (x, gamma, beta, wq, wk, wv, wz, bias_table)
     *lead, T, C = x.shape
     d, nW = C // heads, T // M
     if bias_table.shape != (heads, 2 * M - 1):
@@ -208,16 +206,16 @@ def window_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: Ten
         raise ValueError(f"dropout in training mode needs uniforms of the attention maps' "
                          f"shape {maps}, got {'none' if uniforms is None else np.shape(uniforms)}")
 
-    h, xhat, inv = _layernorm(x.data, gamma.data, beta.data)
+    h, xhat, inv = _layernorm(x, gamma, beta)
     n = h.size // C  # token rows over all records
     h = h.reshape(n, C)
-    w_qkv = np.concatenate((wq.data, wk.data, wv.data), axis=1)
+    w_qkv = np.concatenate((wq, wk, wv), axis=1)
     qkv = window_partition((h @ w_qkv).reshape(-1, T, 3 * C), M, shift)
     q, k, v = qkv.reshape(-1, nW, M, 3, heads, d).transpose(3, 0, 1, 4, 2, 5)
     scores = q @ k.swapaxes(-1, -2)  # (B, nW, heads, M, M)
     scores *= 1.0 / math.sqrt(d)
     offs = np.arange(M)[:, None] - np.arange(M)[None, :] + (M - 1)
-    scores += bias_table.data[:, offs]
+    scores += bias_table[:, offs]
     scores -= scores.max(axis=-1, keepdims=True)
     attn = np.exp(scores, out=scores)
     attn /= attn.sum(axis=-1, keepdims=True)
@@ -225,14 +223,14 @@ def window_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: Ten
         mask = (uniforms >= attn_dropout) / (1.0 - attn_dropout)
     a = attn * mask if drop else attn
     z = (a @ v).transpose(0, 1, 3, 2, 4).reshape(n, C)  # merged heads, window order
-    y = window_unpartition((z @ wz.data).reshape(-1, nW, M, C), shift).reshape(x.shape)
-    y += x.data
+    y = window_unpartition((z @ wz).reshape(-1, nW, M, C), shift).reshape(x.shape)
+    y += x
     tc.count_macs(n * C * 3 * C + 2 * n * M * C + n * C * C)
 
-    def backward_fn(g):
+    def backward(g):
         gz = window_partition(g.reshape(-1, T, C), M, shift).reshape(n, C)
         gwz = z.T @ gz
-        dz = (gz @ wz.data.T).reshape(-1, nW, M, heads, d).transpose(0, 1, 3, 2, 4)
+        dz = (gz @ wz.T).reshape(-1, nW, M, heads, d).transpose(0, 1, 3, 2, 4)
         dqkv = np.empty((3, *q.shape))
         np.matmul(a.swapaxes(-1, -2), dz, out=dqkv[2])
         ds = dz @ v.swapaxes(-1, -2)
@@ -240,7 +238,7 @@ def window_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: Ten
             ds *= mask
         ds -= (ds * attn).sum(axis=-1, keepdims=True)
         ds *= attn
-        gtable = np.zeros_like(bias_table.data)
+        gtable = np.zeros_like(bias_table)
         np.add.at(gtable, (slice(None), offs), ds.sum(axis=(0, 1)))
         ds *= 1.0 / math.sqrt(d)
         np.matmul(ds, k, out=dqkv[0])
@@ -248,48 +246,45 @@ def window_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: Ten
         dqkv = dqkv.transpose(1, 2, 4, 0, 3, 5).reshape(-1, nW, M, 3 * C)
         dqkv = window_unpartition(dqkv, shift).reshape(n, 3 * C)
         gw = h.T @ dqkv
-        dx, dgamma, dbeta = _layernorm_grad((dqkv @ w_qkv.T).reshape(g.shape), xhat, inv,
-                                            gamma.data)
+        dx, dgamma, dbeta = _layernorm_grad((dqkv @ w_qkv.T).reshape(g.shape), xhat, inv, gamma)
         dx += g
         return dx, dgamma, dbeta, gw[:, :C], gw[:, C : 2 * C], gw[:, 2 * C :], gwz, gtable
 
-    out = tc.apply_op("window_attention", inputs, y, backward_fn)
-    return out, Tensor(attn.reshape(*lead, nW, heads, M, M))
+    return y, attn.reshape(*lead, nW, heads, M, M), backward if taped else None
 
 
-def mlp_sublayer(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
-                 b2: Tensor) -> Tensor:
-    """MLP sublayer: x + gelu(LN(x) W1 + b1) W2 + b2, with the exact GELU u * Phi(u).
+def mlp_sublayer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, w1: np.ndarray,
+                 b1: np.ndarray, w2: np.ndarray, b2: np.ndarray, taped: bool = True):
+    """MLP sublayer x + gelu(LN(x) W1 + b1) W2 + b2 on arrays, with the exact GELU u * Phi(u).
 
-    One recorded op.  Its products, and their weight gradients, are 2-D
-    products over all (..., T) rows, tallied on the active MacCounter.
-    Without a tape the GELU is computed in place.
+    Its products, and their weight gradients, are 2-D products over all
+    (..., T) rows.  Returns (out, backward): ``backward(g)`` gives the
+    gradients of the seven array arguments, in order.  With ``taped`` false
+    it is None and the GELU is computed in place.
     """
-    inputs = (x, gamma, beta, w1, b1, w2, b2)
     C, H = w1.shape
-    h, xhat, inv = _layernorm(x.data, gamma.data, beta.data)
+    h, xhat, inv = _layernorm(x, gamma, beta)
     n = h.size // C
     h = h.reshape(n, C)
-    u = h @ w1.data
-    u += b1.data
+    u = h @ w1
+    u += b1
     cdf = ndtr(u)  # the normal CDF: GELU(u) = u * cdf
-    act = u * cdf if tc.recording(inputs) else np.multiply(u, cdf, out=u)
-    y = act @ w2.data
-    y += b2.data
+    act = u * cdf if taped else np.multiply(u, cdf, out=u)
+    y = act @ w2
+    y += b2
     y = y.reshape(x.shape)
-    y += x.data
+    y += x
     tc.count_macs(2 * n * C * H)
 
-    def backward_fn(g):
+    def backward(g):
         gy = g.reshape(n, C)
-        du = gy @ w2.data.T
+        du = gy @ w2.T
         du *= cdf + u * np.exp(-0.5 * u * u) * _INV_SQRT_2PI  # d GELU / du
-        dx, dgamma, dbeta = _layernorm_grad((du @ w1.data.T).reshape(g.shape), xhat, inv,
-                                            gamma.data)
+        dx, dgamma, dbeta = _layernorm_grad((du @ w1.T).reshape(g.shape), xhat, inv, gamma)
         dx += g
         return dx, dgamma, dbeta, h.T @ du, du.sum(axis=0), act.T @ gy, gy.sum(axis=0)
 
-    return tc.apply_op("mlp", inputs, y, backward_fn)
+    return y, backward if taped else None
 
 
 # ---------------------------------------------------------------------------
@@ -314,47 +309,46 @@ def msw_block(
     draws every branch's dropout uniforms from ``rng`` in branch order before
     any branch runs, so the masks do not depend on which thread runs which.
 
-    Under a tape the block is one op, ``msw_block``, whose output is
-    ``stacked``.  Each branch records its two ops as a graph of its own, over
-    leaves that share the arrays of ``tokens`` and of its parameters, and
-    runs it forward and backward through :func:`_on_pool`.  The backward
-    adds the branches' token gradients in branch order, as one tape holding
-    every branch op would.  Without a tape the branches run in the calling
-    thread.
+    The block is one op, ``msw_block``, whose output is ``stacked``.  Under a
+    tape the branches run on :func:`_on_pool`, and so does the op's backward:
+    each branch's MLP rule, then its attention rule.  It adds the token
+    gradients in branch order, as one tape of every branch's two ops would.
+    Without a tape the branches run in the calling thread and keep no rules.
     """
     *lead, T, _ = tokens.shape
-    branch_params = [[params[f"branch{i}.{leaf}"] for leaf in _BRANCH_LEAVES]
-                     for i in range(cfg.n_branches)]
+    branches = range(cfg.n_branches)
+    branch_params = [[params[f"branch{i}.{leaf}"] for leaf in _BRANCH_LEAVES] for i in branches]
     uniforms = [None] * cfg.n_branches
     if train and cfg.attn_dropout > 0.0:
         if rng is None:
             raise ValueError("dropout in training mode needs an explicit rng")
         uniforms = [rng.random((math.prod(lead), T // M, cfg.heads, M, M)) for M in cfg.windows]
-
-    def run(i, x, p):
-        x1, attn = window_attention(x, *p[:7], cfg.windows[i], cfg.heads, cfg.shift,
-                                    attn_dropout=cfg.attn_dropout, train=train,
-                                    uniforms=uniforms[i])
-        return mlp_sublayer(x1, *p[7:]), attn
-
     inputs = (tokens, *(t for p in branch_params for t in p))
-    if not tc.recording(inputs):
-        outs = [run(i, tokens, p) for i, p in enumerate(branch_params)]
-        stacked = Tensor(np.stack([y.data for y, _ in outs]))
-    else:
-        leaves = [[Tensor(t.data, requires_grad=True) for t in (tokens, *p)]
-                  for p in branch_params]
-        outs = _on_pool(lambda i: run(i, leaves[i][0], leaves[i][1:]), range(len(leaves)))
-        ys = [y for y, _ in outs]
+    taped = tc.recording(inputs)
 
-        def backward_fn(g):
-            _on_pool(lambda i: tc._replay(ys[i], g[i]), range(len(ys)))
-            dx = sum((branch[0].grad for branch in leaves[1:]), leaves[0][0].grad)
-            return (dx, *(t.grad for branch in leaves for t in branch[1:]))
+    def run(i):
+        p = [t.data for t in branch_params[i]]
+        x1, attn, attn_rule = window_attention(tokens.data, *p[:7], cfg.windows[i], cfg.heads,
+                                               cfg.shift, attn_dropout=cfg.attn_dropout,
+                                               train=train, uniforms=uniforms[i], taped=taped)
+        y, mlp_rule = mlp_sublayer(x1, *p[7:], taped=taped)
+        return y, attn, (mlp_rule, attn_rule)
 
-        stacked = tc.apply_op("msw_block", inputs, np.stack([y.data for y in ys]), backward_fn)
-    return BlockOutput([BranchOutput(M=M, shift=cfg.shift, tokens=y, attn=attn)
-                        for M, (y, attn) in zip(cfg.windows, outs)], stacked)
+    ys, attns, rules = zip(*(_on_pool(run, branches) if taped else map(run, branches)))
+
+    def backward_fn(g):
+        def branch(i):  # (dx, *attention gradients, *MLP gradients)
+            mlp_rule, attn_rule = rules[i]
+            dx1, *dmlp = mlp_rule(g[i])
+            return (*attn_rule(dx1), *dmlp)
+
+        grads = _on_pool(branch, branches)
+        dx = sum((gs[0] for gs in grads[1:]), grads[0][0])
+        return (dx, *(gi for gs in grads for gi in gs[1:]))
+
+    stacked = tc.apply_op("msw_block", inputs, np.stack(ys), backward_fn)
+    return BlockOutput([BranchOutput(M=M, shift=cfg.shift, tokens=Tensor(y), attn=Tensor(a))
+                        for M, y, a in zip(cfg.windows, stacked.data, attns)], stacked)
 
 
 def fuse(branch_tokens: Tensor, windows, head_ws: list[Tensor], head_bs: list[Tensor],
@@ -495,8 +489,9 @@ def _on_pool(fn, items) -> list:
     This is the pool's whole contract.  The pool has ``min(PREDICT_WORKERS,
     usable CPUs)`` threads, is built on first use and lives as long as the
     process.  It runs :func:`predict`'s chunks and, under a tape, a training
-    step's window-scale branches, forward and backward (:func:`msw_block`).
-    No call made on the pool may submit to it in turn: a forward without a
+    step's window-scale branch rules, forward and backward (:func:`msw_block`);
+    neither records an op, so no graph is built or run on a pool thread.  No
+    call made on the pool may submit to it in turn: a forward without a
     tape runs its branches in its own thread, so a chunk never does.  Each
     call runs in a copy of the caller's context, so ``no_grad``, an active
     ``MacCounter`` (which adds under a lock) and ``np.errstate`` hold inside

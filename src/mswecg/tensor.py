@@ -21,9 +21,9 @@ recorded at all.
 
 Tensors are treated as immutable once created, grad buffers excepted (the
 optimizer mutates parameter data in place, but only between passes).  A graph
-and its tensors belong to one thread for the duration of a forward/backward
-pass; distinct graphs may run on distinct threads (``model._on_pool`` states
-which).  The recording switch and the active :class:`MacCounter` are context
+is built and run backward in one thread; an op may spread its numpy work
+over worker threads (``model._on_pool`` states which), but no graph runs on
+one.  The recording switch and the active :class:`MacCounter` are context
 variables, so a worker thread must run in a copy of its caller's context to
 see them; a counter shared that way adds under a lock.
 """
@@ -200,20 +200,10 @@ def backward(loss: Tensor) -> None:
         raise GraphError(f"loss must be scalar, got shape {loss.shape}")
     if loss.op is None:
         raise GraphError("loss is detached from any recorded graph")
-    _replay(loss, np.ones_like(loss.data))
-
-
-def _replay(root: Tensor, grad: np.ndarray) -> None:
-    """Run the graph under ``root`` backward from the output gradient ``grad``.
-
-    The body of :func:`backward`, which seeds it with 1 for a scalar loss.
-    An op that runs a graph of its own inside (``model.msw_block``'s
-    branches) replays that graph from its backward rule through this.
-    """
-    g = Graph.trace(root)
+    g = Graph.trace(loss)
     if any(rec.consumed for rec in g.ops):
         raise GraphError("backward was already run on this graph")
-    root.grad = grad
+    loss.grad = np.ones_like(loss.data)
     ops, outputs = g.ops, g.outputs
     while ops:
         rec, out = ops.pop(), outputs.pop()

@@ -278,6 +278,22 @@ def test_attn_exports_json_and_svg(synth_dir, trained_dir, tmp_path):
     assert abs(sum(payload["beta"]) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("leads", ["99", "-1", "0,2"])
+def test_attn_lead_outside_the_dataset_exits_2_and_writes_nothing(synth_dir, trained_dir,
+                                                                  tmp_path, capsys, leads):
+    out = tmp_path / "viz"
+    code = main([
+        "attn", "--checkpoint", str(trained_dir / "checkpoint"),
+        "--signals", str(synth_dir / "signals.bin"),
+        "--labels", str(synth_dir / "labels.csv"),
+        "--record", "synth-00000", "--leads", leads, "--out-dir", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("attn: config error: --leads must be lead indices in 0..1"), err
+    assert not out.exists()
+
+
 def test_attn_unknown_record_exit_3(synth_dir, trained_dir, tmp_path):
     code = main([
         "attn", "--checkpoint", str(trained_dir / "checkpoint"),
@@ -306,6 +322,9 @@ _BAD_FLAG_VALUES = [
     ("synth", ["--noise-std", "-1"], "--noise-std"),
     ("synth", ["--noise-std", "nan"], "--noise-std"),
     ("synth", ["--seed", "-1"], "--seed"),
+    ("synth", ["--records", "0"], "--records"),
+    ("synth", ["--n-leads", "0"], "--n-leads"),
+    ("synth", ["--length", "0"], "--length"),
     ("gradcheck", ["--step", "0"], "--step"),
     ("gradcheck", ["--step", "nan"], "--step"),
     ("gradcheck", ["--seed", "-1"], "--seed"),
@@ -318,7 +337,8 @@ def test_bad_flag_values_exit_2_naming_the_flag_and_write_nothing(tmp_path, caps
                                                                   subcommand, flags, flag):
     out = {"flops": ["--out", str(tmp_path / "out" / "sweep.csv")],
            "synth": ["--out-dir", str(tmp_path / "out"), "--records", "10"]}
-    assert main([subcommand, *flags, *out.get(subcommand, [])]) == 2
+    # The case's flags come last, so a default here never overrides them.
+    assert main([subcommand, *out.get(subcommand, []), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{subcommand}: config error: {flag} must be"), err
     assert list(tmp_path.iterdir()) == []

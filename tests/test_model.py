@@ -4,7 +4,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,16 +22,15 @@ from mswecg.model import (
     linear_embed,
     msw_block,
     patch_split,
-    mlp_sublayer,
     predict,
-    window_attention,
     window_partition,
     window_unpartition,
 )
 from mswecg.params import init_params
 from mswecg.train import AdamState, adam_step, bce_loss
 import util as ref
-from util import finite_diff_check, global_block_oracle, reference_branch
+from util import (finite_diff_check, global_block_oracle, mlp_sublayer, reference_branch,
+                  window_attention)
 
 TINY = MswConfig(L=40, n_leads=2, P=5, C=8, heads=2, windows=(2, 4), K=3)
 
@@ -746,19 +744,16 @@ def test_dropped_forward_leaves_no_cyclic_garbage():
     assert _cyclic_garbage_after(step) == 0
 
 
-def test_training_step_records_four_top_level_ops_two_per_branch_and_eval_none():
+def test_training_step_records_four_ops_and_eval_none():
     cfg = MswConfig(L=200, n_leads=4, P=5, C=32, heads=4, windows=(5, 10, 20), K=3)
     params = init_params(cfg, seed=0)
     rng = np.random.default_rng(16)
     sig = rng.normal(size=(2, cfg.n_leads, cfg.L))
     res = forward(sig, cfg, params, train=True, rng=rng)
     graph = tc.Graph.trace(bce_loss(res.probs, np.ones((2, cfg.K))))
-    assert len(graph) == 4
-    assert Counter(rec.name for rec in graph.ops) == {
-        "embed": 1, "msw_block": 1, "fuse": 1, "bce": 1}
-    for br in res.branches:  # each branch is a graph of its own, inside msw_block
-        assert Counter(rec.name for rec in tc.Graph.trace(br.tokens).ops) == {
-            "window_attention": 1, "mlp": 1}
+    assert [rec.name for rec in graph.ops] == ["embed", "msw_block", "fuse", "bce"]
+    for br in res.branches:  # views of the block's one output, with no op of their own
+        assert br.tokens.op is None
     with tc.no_grad():
         assert len(tc.Graph.trace(forward(sig, cfg, params).probs)) == 0
 

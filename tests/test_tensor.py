@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 from mswecg import tensor as tc
 from mswecg.errors import DimensionError, GraphError
-from mswecg.model import mlp_sublayer, window_attention
 import util as ref
-from util import finite_diff_check
+from util import finite_diff_check, mlp_sublayer, window_attention
 
 
 def test_matmul_identity():

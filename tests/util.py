@@ -1,13 +1,14 @@
 """Shared test oracles: finite differences, a from-scratch global-attention
-layer, the primitive tape ops and the compositions of them that the model's
-fused ops replaced, brute-force metric loops, and the per-parameter Adam
-update."""
+layer, the block's sublayer rules recorded as ops, the primitive tape ops
+and the compositions of them that the model's fused ops replaced,
+brute-force metric loops, and the per-parameter Adam update."""
 
 import math
 
 import numpy as np
 from scipy.special import erf, expit
 
+from mswecg import model
 from mswecg import tensor as tc
 from mswecg.errors import DimensionError
 
@@ -278,6 +279,28 @@ def sigmoid(x):
         return (g * p * (1.0 - p) if x.requires_grad else None,)
 
     return tc.apply_op("sigmoid", (x,), p, fn)
+
+
+# ---------------------------------------------------------------------------
+# The block's two sublayer rules, each recorded as one op on Tensors: how
+# ``mswecg.model.msw_block`` chains them, one branch at a time.
+
+
+def window_attention(x, gamma, beta, wq, wk, wv, wz, bias_table, M, heads, shift=0,
+                     attn_dropout=0.0, train=False, uniforms=None):
+    """``model.window_attention`` as a ``window_attention`` op: (out, attn off the graph)."""
+    inputs = (x, gamma, beta, wq, wk, wv, wz, bias_table)
+    out, attn, rule = model.window_attention(*(t.data for t in inputs), M, heads, shift,
+                                             attn_dropout=attn_dropout, train=train,
+                                             uniforms=uniforms, taped=tc.recording(inputs))
+    return tc.apply_op("window_attention", inputs, out, rule), tc.Tensor(attn)
+
+
+def mlp_sublayer(x, gamma, beta, w1, b1, w2, b2):
+    """``model.mlp_sublayer`` as an ``mlp`` op."""
+    inputs = (x, gamma, beta, w1, b1, w2, b2)
+    out, rule = model.mlp_sublayer(*(t.data for t in inputs), taped=tc.recording(inputs))
+    return tc.apply_op("mlp", inputs, out, rule)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import gc
 import json
 import math
 import sys
@@ -429,6 +430,10 @@ def _keep_freed_memory() -> None:
 
 def main(argv=None) -> int:
     _keep_freed_memory()
+    if gc.get_freeze_count() == 0:
+        # What the imports built lives until exit: keep it out of every
+        # collection, the one at interpreter teardown included.
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

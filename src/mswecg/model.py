@@ -27,6 +27,7 @@ import ctypes
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -194,6 +195,12 @@ def window_attention(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: np.
     products over all rows.  Returns (out, attn, backward): attn (..., T/M,
     heads, M, M) holds the probabilities before dropout, and ``backward(g)``
     the gradients of the eight array arguments, or None if not ``taped``.
+
+    For backward the rule keeps LN's standardized rows and scales, the QKV
+    product, the maps, the merged heads and, with dropout, the boolean
+    keep-mask.  Backward rebuilds the LN output, the float mask and the
+    dropped-out maps with the forward's own operations, so they are bitwise
+    what the forward used: parameters change only between passes.
     """
     *lead, T, C = x.shape
     d, nW = C // heads, T // M
@@ -208,9 +215,9 @@ def window_attention(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: np.
 
     h, xhat, inv = _layernorm(x, gamma, beta)
     n = h.size // C  # token rows over all records
-    h = h.reshape(n, C)
     w_qkv = np.concatenate((wq, wk, wv), axis=1)
-    qkv = window_partition((h @ w_qkv).reshape(-1, T, 3 * C), M, shift)
+    qkv = window_partition((h.reshape(n, C) @ w_qkv).reshape(-1, T, 3 * C), M, shift)
+    del h
     q, k, v = qkv.reshape(-1, nW, M, 3, heads, d).transpose(3, 0, 1, 4, 2, 5)
     scores = q @ k.swapaxes(-1, -2)  # (B, nW, heads, M, M)
     scores *= 1.0 / math.sqrt(d)
@@ -219,10 +226,9 @@ def window_attention(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: np.
     scores -= scores.max(axis=-1, keepdims=True)
     attn = np.exp(scores, out=scores)
     attn /= attn.sum(axis=-1, keepdims=True)
-    if drop:
-        mask = (uniforms >= attn_dropout) / (1.0 - attn_dropout)
-    a = attn * mask if drop else attn
-    z = (a @ v).transpose(0, 1, 3, 2, 4).reshape(n, C)  # merged heads, window order
+    keep = uniforms >= attn_dropout if drop else None
+    z = (attn * (keep / (1.0 - attn_dropout)) if drop else attn) @ v
+    z = z.transpose(0, 1, 3, 2, 4).reshape(n, C)  # merged heads, window order
     y = window_unpartition((z @ wz).reshape(-1, nW, M, C), shift).reshape(x.shape)
     y += x
     tc.count_macs(n * C * 3 * C + 2 * n * M * C + n * C * C)
@@ -232,10 +238,13 @@ def window_attention(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: np.
         gwz = z.T @ gz
         dz = (gz @ wz.T).reshape(-1, nW, M, heads, d).transpose(0, 1, 3, 2, 4)
         dqkv = np.empty((3, *q.shape))
-        np.matmul(a.swapaxes(-1, -2), dz, out=dqkv[2])
+        if drop:
+            mask = keep / (1.0 - attn_dropout)
+        np.matmul((attn * mask if drop else attn).swapaxes(-1, -2), dz, out=dqkv[2])
         ds = dz @ v.swapaxes(-1, -2)
         if drop:
             ds *= mask
+            del mask
         ds -= (ds * attn).sum(axis=-1, keepdims=True)
         ds *= attn
         gtable = np.zeros_like(bias_table)
@@ -245,7 +254,7 @@ def window_attention(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: np.
         np.matmul(ds.swapaxes(-1, -2), q, out=dqkv[1])
         dqkv = dqkv.transpose(1, 2, 4, 0, 3, 5).reshape(-1, nW, M, 3 * C)
         dqkv = window_unpartition(dqkv, shift).reshape(n, 3 * C)
-        gw = h.T @ dqkv
+        gw = (xhat * gamma + beta).reshape(n, C).T @ dqkv  # h, as _layernorm built it
         dx, dgamma, dbeta = _layernorm_grad((dqkv @ w_qkv.T).reshape(g.shape), xhat, inv, gamma)
         dx += g
         return dx, dgamma, dbeta, gw[:, :C], gw[:, C : 2 * C], gw[:, 2 * C :], gwz, gtable
@@ -261,16 +270,20 @@ def mlp_sublayer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, w1: np.ndar
     (..., T) rows.  Returns (out, backward): ``backward(g)`` gives the
     gradients of the seven array arguments, in order.  With ``taped`` false
     it is None and the GELU is computed in place.
+
+    For backward the rule keeps LN's standardized rows and scales, the
+    pre-activations ``u`` and their normal CDF.  Backward rebuilds the LN
+    output and the activations with the forward's own operations, so they are
+    bitwise what the forward used: parameters change only between passes.
     """
     C, H = w1.shape
     h, xhat, inv = _layernorm(x, gamma, beta)
     n = h.size // C
-    h = h.reshape(n, C)
-    u = h @ w1
+    u = h.reshape(n, C) @ w1
+    del h
     u += b1
     cdf = ndtr(u)  # the normal CDF: GELU(u) = u * cdf
-    act = u * cdf if taped else np.multiply(u, cdf, out=u)
-    y = act @ w2
+    y = (u * cdf if taped else np.multiply(u, cdf, out=u)) @ w2
     y += b2
     y = y.reshape(x.shape)
     y += x
@@ -279,10 +292,19 @@ def mlp_sublayer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, w1: np.ndar
     def backward(g):
         gy = g.reshape(n, C)
         du = gy @ w2.T
-        du *= cdf + u * np.exp(-0.5 * u * u) * _INV_SQRT_2PI  # d GELU / du
+        dgelu = np.multiply(u, -0.5)  # d GELU / du = cdf + u exp(-u^2 / 2) / sqrt(2 pi)
+        dgelu *= u
+        np.exp(dgelu, out=dgelu)
+        dgelu *= u
+        dgelu *= _INV_SQRT_2PI
+        dgelu += cdf
+        du *= dgelu
+        del dgelu
         dx, dgamma, dbeta = _layernorm_grad((du @ w1.T).reshape(g.shape), xhat, inv, gamma)
         dx += g
-        return dx, dgamma, dbeta, h.T @ du, du.sum(axis=0), act.T @ gy, gy.sum(axis=0)
+        gw1 = (xhat * gamma + beta).reshape(n, C).T @ du  # h, as _layernorm built it
+        gw2 = (u * cdf).T @ gy
+        return dx, dgamma, dbeta, gw1, du.sum(axis=0), gw2, gy.sum(axis=0)
 
     return y, backward if taped else None
 
@@ -456,25 +478,37 @@ def _openblas_thread_calls():
     return None
 
 
+_blas_share_lock = threading.Lock()
+_blas_share = {"depth": 0, "saved": 0}  # overlapping share-outs, the count before the first
+
+
 @contextlib.contextmanager
 def _blas_threads_shared_by(workers: int):
     """Give each of ``workers`` threads an equal share of OpenBLAS's threads, then restore.
 
     Each worker calling a BLAS that itself runs one thread per CPU would put
     ``workers`` times as many busy threads as CPUs.  The count is process-wide,
-    so other threads' BLAS calls get the same share meanwhile.
+    so other threads' BLAS calls get the same share meanwhile.  Overlapping
+    callers (two threads each calling :func:`predict`) nest: the first entry
+    saves the count and shares it out, and the last exit restores it.
     """
     calls = _openblas_thread_calls()
     if calls is None:
         yield
         return
     get, set_ = calls
-    before = get()
-    set_(max(1, before // workers))
+    with _blas_share_lock:
+        if _blas_share["depth"] == 0:
+            _blas_share["saved"] = get()
+            set_(max(1, _blas_share["saved"] // workers))
+        _blas_share["depth"] += 1
     try:
         yield
     finally:
-        set_(before)
+        with _blas_share_lock:
+            _blas_share["depth"] -= 1
+            if _blas_share["depth"] == 0:
+                set_(_blas_share["saved"])
 
 
 @functools.cache

@@ -222,6 +222,7 @@ def train_loop(
             adam_step(params, adam, lr)
             seen_probs[idx] = res.probs.data
             loss_sum += lv * len(idx)
+            del res, loss  # the next forward does not overlap this step's outputs and maps
 
         train_report = evaluate(EvalBatch(scores=seen_probs, labels=y_train.astype(np.int64)))
         log.append(_row(epoch, "train", loss_sum / n, train_report, lr))

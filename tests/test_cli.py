@@ -517,6 +517,24 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert done.returncode == 0
 
 
+def test_a_command_freezes_the_objects_the_imports_built_once(tmp_path):
+    # Frozen objects are skipped by every collection, the one at exit included.
+    code = ("import gc, sys\n"
+            "from mswecg.cli import main\n"
+            "assert gc.get_freeze_count() == 0\n"
+            "counts = []\n"
+            "for name in ('a.csv', 'b.csv'):\n"
+            "    assert main(['flops', '--l-max', '1000', '--out', sys.argv[1] + name]) == 0\n"
+            "    counts.append(gc.get_freeze_count())\n"
+            "print(*counts)\n")
+    done = subprocess.run([sys.executable, "-c", code, f"{tmp_path}/"], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(Path(mswecg.__file__).parents[1])})
+    assert done.returncode == 0, done.stderr
+    first, second = map(int, done.stdout.split()[-2:])
+    assert first > 0 and second == first
+
+
 # ---------------------------------------------------------------------------
 # Parser fuzzing: malformed settings and checkpoints fail with the package's
 # own errors (exit 2 or 3), never with another exception.

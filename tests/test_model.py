@@ -951,6 +951,37 @@ def test_predict_shares_the_blas_threads_among_its_workers(monkeypatch):
         set_(before)
 
 
+def test_overlapping_blas_share_outs_restore_the_thread_count(monkeypatch):
+    count = [4]
+    monkeypatch.setattr(model, "_openblas_thread_calls",
+                        lambda: (lambda: count[0], lambda n: count.__setitem__(0, n)))
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    inside = []
+
+    def first():  # enters first, leaves while the second is still inside
+        with model._blas_threads_shared_by(2):
+            a_in.set()
+            assert b_in.wait(10)
+            inside.append(count[0])
+        a_out.set()
+
+    def second():
+        assert a_in.wait(10)
+        with model._blas_threads_shared_by(2):
+            b_in.set()
+            assert a_out.wait(10)
+            inside.append(count[0])
+
+    threads = [threading.Thread(target=f) for f in (first, second)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10)
+        assert not t.is_alive()
+    assert inside == [2, 2]
+    assert count == [4]
+
+
 def test_predict_counts_the_macs_of_a_serial_forward_and_records_no_tape(monkeypatch):
     monkeypatch.setattr("mswecg.model.PREDICT_TOKEN_ROWS", 2 * TINY.tokens)  # chunks 2+2+2+3
     params = init_params(TINY, seed=22)

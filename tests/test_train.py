@@ -396,6 +396,34 @@ def test_train_loop_memory_does_not_grow_with_a_mapped_set(tmp_path, monkeypatch
     assert peaks[200] <= 1.10 * peaks[20], peaks
 
 
+def test_train_step_holds_under_10_mb_for_backward():
+    # What a desk step's forward and loss leave alive until backward: the
+    # rules' saved arrays, the forward result and the tape.
+    cfg = MswConfig(L=200, n_leads=4, P=5, C=32, heads=4, windows=(5, 10, 20), K=3,
+                    attn_dropout=0.2)
+    params = init_params(cfg, seed=0)
+    data_rng, rng = np.random.default_rng(1), np.random.default_rng(2)
+    sig = data_rng.normal(size=(16, cfg.n_leads, cfg.L))
+    labels = (data_rng.random((16, cfg.K)) < 0.5).astype(np.float64)
+
+    def step(measure):
+        if measure:
+            tracemalloc.start()
+        try:
+            loss = bce_loss(forward(sig, cfg, params, train=True, rng=rng).probs, labels)
+            held = tracemalloc.get_traced_memory()[0] if measure else 0
+        finally:
+            if measure:
+                tracemalloc.stop()
+        params.zero_grads()
+        tc.backward(loss)
+        return held
+
+    step(measure=False)  # warm caches outside the measurement
+    held = step(measure=True)
+    assert 0 < held <= 10e6, held
+
+
 def test_train_loop_without_training_folds_is_a_data_error():
     ds = tiny_dataset(40)
     held_out = subset(ds, ds.folds > 8)

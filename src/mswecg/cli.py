@@ -54,11 +54,11 @@ EXIT_NUMERIC = 4
 GRADCHECK_TOLERANCE = 1e-4
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def _int_list(text: str, name: str = "value") -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in str(text).replace(" ", "").split(",") if p)
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
+        raise ConfigError(f"{name} must be comma-separated integers, got {text!r}") from exc
 
 
 # Flat-file schema: every model/train field, one parser each.
@@ -237,7 +237,7 @@ def run_eval(args) -> int:
 
 
 def run_flops(args) -> int:
-    windows = _int_list(args.windows)
+    windows = _int_list(args.windows, "--windows")
     _check_flag("--channels", args.channels, args.channels >= 1, ">= 1")
     _check_flag("--windows", args.windows, min(windows, default=0) >= 1,
                 "one or more integers >= 1")
@@ -266,6 +266,7 @@ def run_flops(args) -> int:
 
 
 def run_attn(args) -> int:
+    leads = _int_list(args.leads, "--leads") if args.leads else ()
     cfg, store, _ = load_model(args.checkpoint)
     echo_config(cfg.to_dict())
     ds = load_dataset(args.signals, args.labels)
@@ -273,7 +274,6 @@ def run_attn(args) -> int:
         raise DataError(f"record id {args.record!r} not in dataset")
     row = ds.ids.index(args.record) if args.record else 0
     record_id, signal = ds.ids[row], standardize(ds)[row]
-    leads = _int_list(args.leads) if args.leads else ()
     n = ds.header.n_leads
     for lead in leads:
         _check_flag("--leads", args.leads, 0 <= lead < n, f"lead indices in 0..{n - 1}")
@@ -288,12 +288,12 @@ def run_attn(args) -> int:
 def run_synth(args) -> int:
     _check_flag("--noise-std", args.noise_std, math.isfinite(args.noise_std)
                 and args.noise_std >= 0, "finite and >= 0")
-    _check_flag("--seed", args.seed, args.seed is None or args.seed >= 0, ">= 0")
+    _check_flag("--seed", args.seed, args.seed >= 0, ">= 0")
     for flag, value in (("--records", args.records), ("--n-leads", args.n_leads),
                         ("--length", args.length)):
         _check_flag(flag, value, value >= 1, ">= 1")
     spec = SynthSpec(
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         n_records=args.records,
         n_leads=args.n_leads,
         L=args.length,
@@ -315,11 +315,11 @@ def run_synth(args) -> int:
 def run_gradcheck(args) -> int:
     _check_flag("--step", args.step, math.isfinite(args.step) and args.step > 0,
                 "finite and > 0")
-    _check_flag("--seed", args.seed, args.seed is None or args.seed >= 0, ">= 0")
+    _check_flag("--seed", args.seed, args.seed >= 0, ">= 0")
     cfg = MswConfig(L=40, n_leads=2, P=5, C=8, heads=2, windows=(2, 4), K=3)
-    echo_config({**cfg.to_dict(), "seed": args.seed or 0, "step": args.step})
-    rng = np.random.default_rng(args.seed or 0)
-    params = init_params(cfg, seed=args.seed or 0)
+    echo_config({**cfg.to_dict(), "seed": args.seed, "step": args.step})
+    rng = np.random.default_rng(args.seed)
+    params = init_params(cfg, seed=args.seed)
     signals = rng.normal(size=(2, cfg.n_leads, cfg.L))
     labels = (rng.random((2, cfg.K)) < 0.5).astype(np.float64)
     worst, per_param = finite_difference_audit(cfg, params, signals, labels, step=args.step)

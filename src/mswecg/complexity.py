@@ -13,18 +13,17 @@ projection); softmax, bias adds, layer norms and MLPs are out of scope:
 ``measure_macs`` checks these terms by execution, phase by phase.  It runs
 the products of a shared-projection toy pass on random arrays: Q, K, V
 and the output projection once over all tokens, and the score and value
-products once per window scale.  It counts each product from its operand
-shapes on a ``tensor.MacCounter`` and must reconcile exactly.  The toy pass is
-not the model: the model's per-branch projections are counted by the
-``MacCounter`` around ``model.forward``.  The caller decides whether
-``length`` means raw samples or patch tokens.
+products once per window scale.  Each product runs through ``tensor.matmul``,
+which counts it from the shapes that ran, on one ``tensor.MacCounter`` per
+phase, and the totals must reconcile exactly.  The toy pass is not the model:
+the model's products are counted by a ``MacCounter`` around ``model.forward``.
+The caller decides whether ``length`` means raw samples or patch tokens.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,7 +31,6 @@ import numpy as np
 
 from . import tensor as tc
 from .errors import AdmissibilityError, DimensionError
-from .tensor import MacCounter
 
 PHASES = ("qkv", "qk", "av", "out")
 
@@ -83,12 +81,6 @@ class ComplexityReport:
         return self.omega_msa / self.omega_mswsa
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, tallied on the active MacCounter from the operand shapes."""
-    tc.count_macs(math.prod(a.shape[:-2]) * a.shape[-2] * a.shape[-1] * b.shape[-1])
-    return a @ b
-
-
 def measure_macs(tokens: int, channels: int, windows, seed: int = 0) -> ComplexityReport:
     """Run the toy attention pass on live buffers and tally its MACs.
 
@@ -106,22 +98,21 @@ def measure_macs(tokens: int, channels: int, windows, seed: int = 0) -> Complexi
     x = rng.normal(size=(tokens, channels))
     wq, wk, wv, wz = (rng.normal(size=(channels, channels)) for _ in range(4))
 
-    counter = MacCounter()
-    with counter.active():
-        with counter.phase("qkv"):
-            q, k, v = _product(x, wq), _product(x, wk), _product(x, wv)
-        merged = np.zeros((tokens, channels))
-        for m in windows:
-            qw, kw, vw = (t.reshape(tokens // m, m, channels) for t in (q, k, v))
-            with counter.phase("qk"):
-                scores = _product(qw, kw.transpose(0, 2, 1))
-            with counter.phase("av"):
-                merged += _product(scores, vw).reshape(tokens, channels)
-        with counter.phase("out"):
-            _product(merged / len(windows), wz)
+    counters = {phase: tc.MacCounter() for phase in PHASES}
+    with counters["qkv"].active():
+        q, k, v = tc.matmul(x, wq), tc.matmul(x, wk), tc.matmul(x, wv)
+    merged = np.zeros((tokens, channels))
+    for m in windows:
+        qw, kw, vw = (t.reshape(tokens // m, m, channels) for t in (q, k, v))
+        with counters["qk"].active():
+            scores = tc.matmul(qw, kw.transpose(0, 2, 1))
+        with counters["av"].active():
+            merged += tc.matmul(scores, vw).reshape(tokens, channels)
+    with counters["out"].active():
+        tc.matmul(merged / len(windows), wz)
 
     analytic = analytic_phases(tokens, channels, windows)
-    measured = {phase: counter.phases.get(phase, 0) for phase in PHASES}
+    measured = {phase: counter.total for phase, counter in counters.items()}
     if measured != analytic:
         raise DimensionError(
             f"MAC accounting out of step: measured {measured} vs analytic {analytic}"

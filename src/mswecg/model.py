@@ -12,8 +12,8 @@ fusion softmax, sigmoid); ``train.bce_loss`` is the fourth.  In the block
 each branch runs two numpy rules that return their backward rule instead of
 recording it: :func:`window_attention` (LN, one QKV product, biased softmax,
 dropout, AV, output projection, residual) and :func:`mlp_sublayer` (LN, GELU
-MLP, residual).  Each tallies the MACs of its products through
-``tensor.count_macs``; :func:`_on_pool` states which threads run what.
+MLP, residual).  Every forward product runs through ``tensor.matmul``, which
+counts its MACs; :func:`_on_pool` states which threads run what.
 
 All functions accept arbitrary leading axes, so the same code serves a
 single record (T, C) and a batch (B, T, C).
@@ -111,9 +111,8 @@ def linear_embed(patches: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
     """
     *lead, D = patches.shape
     rows = patches.reshape(-1, D)
-    y = rows @ w.data
+    y = tc.matmul(rows, w.data)
     y += b.data
-    tc.count_macs(rows.shape[0] * D * w.shape[1])
 
     def backward_fn(g):
         g = g.reshape(rows.shape[0], -1)
@@ -216,10 +215,10 @@ def window_attention(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: np.
     h, xhat, inv = _layernorm(x, gamma, beta)
     n = h.size // C  # token rows over all records
     w_qkv = np.concatenate((wq, wk, wv), axis=1)
-    qkv = window_partition((h.reshape(n, C) @ w_qkv).reshape(-1, T, 3 * C), M, shift)
+    qkv = window_partition(tc.matmul(h.reshape(n, C), w_qkv).reshape(-1, T, 3 * C), M, shift)
     del h
     q, k, v = qkv.reshape(-1, nW, M, 3, heads, d).transpose(3, 0, 1, 4, 2, 5)
-    scores = q @ k.swapaxes(-1, -2)  # (B, nW, heads, M, M)
+    scores = tc.matmul(q, k.swapaxes(-1, -2))  # (B, nW, heads, M, M)
     scores *= 1.0 / math.sqrt(d)
     offs = np.arange(M)[:, None] - np.arange(M)[None, :] + (M - 1)
     scores += bias_table[:, offs]
@@ -227,11 +226,10 @@ def window_attention(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: np.
     attn = np.exp(scores, out=scores)
     attn /= attn.sum(axis=-1, keepdims=True)
     keep = uniforms >= attn_dropout if drop else None
-    z = (attn * (keep / (1.0 - attn_dropout)) if drop else attn) @ v
+    z = tc.matmul(attn * (keep / (1.0 - attn_dropout)) if drop else attn, v)
     z = z.transpose(0, 1, 3, 2, 4).reshape(n, C)  # merged heads, window order
-    y = window_unpartition((z @ wz).reshape(-1, nW, M, C), shift).reshape(x.shape)
+    y = window_unpartition(tc.matmul(z, wz).reshape(-1, nW, M, C), shift).reshape(x.shape)
     y += x
-    tc.count_macs(n * C * 3 * C + 2 * n * M * C + n * C * C)
 
     def backward(g):
         gz = window_partition(g.reshape(-1, T, C), M, shift).reshape(n, C)
@@ -276,18 +274,17 @@ def mlp_sublayer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, w1: np.ndar
     output and the activations with the forward's own operations, so they are
     bitwise what the forward used: parameters change only between passes.
     """
-    C, H = w1.shape
+    C = w1.shape[0]
     h, xhat, inv = _layernorm(x, gamma, beta)
     n = h.size // C
-    u = h.reshape(n, C) @ w1
+    u = tc.matmul(h.reshape(n, C), w1)
     del h
     u += b1
     cdf = ndtr(u)  # the normal CDF: GELU(u) = u * cdf
-    y = (u * cdf if taped else np.multiply(u, cdf, out=u)) @ w2
+    y = tc.matmul(u * cdf if taped else np.multiply(u, cdf, out=u), w2)
     y += b2
     y = y.reshape(x.shape)
     y += x
-    tc.count_macs(2 * n * C * H)
 
     def backward(g):
         gy = g.reshape(n, C)
@@ -399,15 +396,14 @@ def fuse(branch_tokens: Tensor, windows, head_ws: list[Tensor], head_bs: list[Te
             raise AdmissibilityError(f"window scale {M} does not divide token count {T}")
         rows = x.reshape(*lead, T // M, M, C).mean(axis=-2).reshape(-1, (T // M) * C)
         pooled.append(rows)
-        alphas.append(rows @ w.data + b.data)
+        alphas.append(tc.matmul(rows, w.data) + b.data)
     n = pooled[0].shape[0]
     stacked = np.stack(alphas, axis=-2)  # (n, nb, K)
-    s = stacked.reshape(n, nb * K) @ fusion_w.data
+    s = tc.matmul(stacked.reshape(n, nb * K), fusion_w.data)
     s -= s.max(axis=-1, keepdims=True)
     e = np.exp(s)
     beta = e / e.sum(axis=-1, keepdims=True)
     y = expit((beta[:, :, None] * stacked).sum(axis=-2))
-    tc.count_macs(sum(p.size for p in pooled) * K + n * nb * K * nb)
 
     def backward_fn(g):
         dz = g.reshape(n, K) * y * (1.0 - y)

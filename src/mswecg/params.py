@@ -165,8 +165,9 @@ def save_checkpoint(store: ParamStore, base, config: dict | None = None) -> tupl
 def load_checkpoint(base) -> tuple[ParamStore, dict]:
     """Read a checkpoint; raises :class:`DataError` for a malformed one.
 
-    Only float64 entries whose byte count matches their shape are accepted,
-    from a blob whose sha256 matches the manifest's where it records one.
+    Only float64 entries whose byte count matches their shape, laid back to back
+    over the whole blob as :func:`save_checkpoint` lays them, are accepted, from
+    a blob whose sha256 matches the manifest's where it records one.
     """
     manifest_path, blob_path = checkpoint_paths(base)
     if not manifest_path.exists() or not blob_path.exists():
@@ -188,7 +189,7 @@ def load_checkpoint(base) -> tuple[ParamStore, dict]:
     if digest is not None and digest != hashlib.sha256(blob).hexdigest():
         raise DataError(f"checkpoint blob {blob_path} does not match the sha256 in "
                         f"{manifest_path}; the two files are from different saves")
-    pairs = []
+    pairs, end = [], 0
     for name, meta in manifest["params"].items():
         shape, start, nbytes = (meta.get(k) if isinstance(meta, dict) else None
                                 for k in ("shape", "offset", "nbytes"))
@@ -197,7 +198,11 @@ def load_checkpoint(base) -> tuple[ParamStore, dict]:
                 or nbytes != 8 * math.prod(shape)):
             raise DataError(f"checkpoint entry {name} is not {_DTYPE} with a non-negative "
                             f"offset and a byte count matching its shape: {meta!r}")
-        if start + nbytes > len(blob):
-            raise DataError(f"checkpoint blob truncated while reading {name}")
+        if start != end or start + nbytes > len(blob):
+            raise DataError(f"checkpoint entry {name} must take bytes {end} to {end + nbytes} "
+                            f"of the {len(blob)}-byte blob, after the entries before it: {meta!r}")
         pairs.append((name, np.frombuffer(blob, _DTYPE, nbytes // 8, start).reshape(shape)))
+        end += nbytes
+    if end != len(blob):
+        raise DataError(f"checkpoint blob {blob_path} holds {len(blob)} bytes, its entries {end}")
     return ParamStore(pairs), manifest.get("config", {})

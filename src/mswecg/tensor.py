@@ -6,8 +6,9 @@ the loss in ``mswecg.train``) computes its output on numpy arrays and records
 itself on the tensor it produces through :func:`apply_op`, together with a
 hand-written backward rule.  ``backward`` traces the records reachable from a
 scalar loss into a :class:`Graph` and replays them in reverse topological
-order, accumulating gradients into ``.grad`` buffers.  Ops report the MACs of
-the products they run through :func:`count_macs`.
+order, accumulating gradients into ``.grad`` buffers.  Every forward
+product runs through :func:`matmul`, which counts its MACs from the shapes
+that ran; backward products are plain ``@`` and are not counted.
 
 Tape lifetime: a record points at its inputs but never back at its output,
 so the tape holds no reference cycle and a forward result is freed by
@@ -43,6 +44,7 @@ __all__ = [
     "Graph",
     "MacCounter",
     "count_macs",
+    "matmul",
     "no_grad",
     "recording",
     "apply_op",
@@ -229,34 +231,17 @@ _active_counter: contextvars.ContextVar["MacCounter | None"] = contextvars.Conte
 
 class MacCounter:
     """Tallies the scalar multiplies of every matrix product executed while
-    active, as each op reports them through :func:`count_macs`.
+    active, as :func:`matmul` reports them through :func:`count_macs`.
 
-    Counts are exact Python integers (no overflow) and grouped by a caller
-    supplied phase label.  The counter is pass-local: it only sees products
-    run in the context that activated it, or in a copy of that context taken
-    while it was active, such as the ones ``model.predict`` runs its chunks in.
+    ``total`` is an exact Python integer (no overflow).  The counter is
+    pass-local: it only sees products run in the context that activated it,
+    or in a copy of that context taken while it was active, such as the ones
+    ``model.predict`` runs its chunks in.
     """
 
     def __init__(self):
-        self.phases: dict[str, int] = {}
-        self._label = "untagged"
+        self.total = 0
         self._lock = threading.Lock()
-
-    def _add(self, macs: int) -> None:
-        with self._lock:  # ops on several threads may share one counter
-            self.phases[self._label] = self.phases.get(self._label, 0) + int(macs)
-
-    @property
-    def total(self) -> int:
-        return sum(self.phases.values())
-
-    @contextlib.contextmanager
-    def phase(self, label: str):
-        prev, self._label = self._label, label
-        try:
-            yield self
-        finally:
-            self._label = prev
 
     @contextlib.contextmanager
     def active(self):
@@ -271,4 +256,12 @@ def count_macs(macs: int) -> None:
     """Tally ``macs`` on the active :class:`MacCounter`, if any."""
     counter = _active_counter.get()
     if counter is not None:
-        counter._add(macs)
+        with counter._lock:  # ops on several threads may share one counter
+            counter.total += int(macs)
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` on arrays, tallying ``out.size * a.shape[-1]`` MACs."""
+    out = a @ b
+    count_macs(out.size * a.shape[-1])
+    return out

@@ -278,9 +278,14 @@ def test_attn_exports_json_and_svg(synth_dir, trained_dir, tmp_path):
     assert abs(sum(payload["beta"]) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("leads", ["99", "-1", "0,2"])
+# (--leads value, what the error says the flag must be)
+_BAD_LEADS = [("99", "lead indices in 0..1"), ("-1", "lead indices in 0..1"),
+              ("0,2", "lead indices in 0..1"), ("a", "comma-separated integers")]
+
+
+@pytest.mark.parametrize("leads,need", _BAD_LEADS, ids=[c[0] for c in _BAD_LEADS])
 def test_attn_lead_outside_the_dataset_exits_2_and_writes_nothing(synth_dir, trained_dir,
-                                                                  tmp_path, capsys, leads):
+                                                                  tmp_path, capsys, leads, need):
     out = tmp_path / "viz"
     code = main([
         "attn", "--checkpoint", str(trained_dir / "checkpoint"),
@@ -290,7 +295,7 @@ def test_attn_lead_outside_the_dataset_exits_2_and_writes_nothing(synth_dir, tra
     ])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("attn: config error: --leads must be lead indices in 0..1"), err
+    assert err.startswith(f"attn: config error: --leads must be {need}"), err
     assert not out.exists()
 
 
@@ -318,6 +323,7 @@ _BAD_FLAG_VALUES = [
     ("flops", ["--channels", "-1"], "--channels"),
     ("flops", ["--windows", "0"], "--windows"),
     ("flops", ["--windows", ","], "--windows"),
+    ("flops", ["--windows", "5,x"], "--windows"),
     ("flops", ["--l-min", "0", "--l-max", "0"], "--l-min"),
     ("synth", ["--noise-std", "-1"], "--noise-std"),
     ("synth", ["--noise-std", "nan"], "--noise-std"),
@@ -415,6 +421,9 @@ _MALFORMED_MANIFEST_VALUES = [
     ("config-list", lambda m: m.update(config=[]), 3, "'config' is not a JSON object"),
     ("negative-offset", lambda m: m["params"]["branch0.mlp.b1"].update(offset=-8), 3,
      "branch0.mlp.b1"),
+    ("overlapping-offset", lambda m: m["params"]["embed.b"].update(offset=8), 3, "embed.b"),
+    ("gap-offset", lambda m: m["params"]["branch0.attn.bias"].update(
+        offset=m["params"]["branch0.attn.bias"]["offset"] + 8), 3, "branch0.attn.bias"),
     ("windows-string", lambda m: m["config"]["model"].update(windows="5,10,20"), 2,
      "'windows': '5,10,20'"),
 ]

@@ -825,7 +825,7 @@ def test_mac_count_is_the_same_without_a_tape():
     with counters[1].active(), tc.no_grad():
         forward(sig, TINY, params)
     assert counters[0].total > 0
-    assert counters[0].phases == counters[1].phases
+    assert counters[0].total == counters[1].total
 
 
 def test_predict_names_the_first_non_finite_record(monkeypatch):
@@ -999,7 +999,7 @@ def test_predict_counts_the_macs_of_a_serial_forward_and_records_no_tape(monkeyp
         predict(sig, TINY, params)
     with serial.active(), tc.no_grad():
         forward(sig, TINY, params)
-    assert chunked.phases == serial.phases and serial.total > 0
+    assert chunked.total == serial.total and serial.total > 0
     assert taped == [False] * 4
 
 

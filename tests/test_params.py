@@ -117,6 +117,18 @@ def test_manifest_records_the_blob_hash_and_loads_without_it(tmp_path):
     assert all(t.data.tobytes() == loaded[n].data.tobytes() for n, t in store.items())
 
 
+def test_blob_longer_than_its_entries_is_rejected(tmp_path):
+    manifest_path, blob_path = save_checkpoint(init_params(tiny_cfg(), seed=0), tmp_path / "x")
+    blob = blob_path.read_bytes() + bytes(8)
+    blob_path.write_bytes(blob)
+    manifest = json.loads(manifest_path.read_text())
+    manifest["sha256"] = hashlib.sha256(blob).hexdigest()  # the hash alone cannot catch it
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match=rf"x\.bin holds {len(blob)} bytes, its entries "
+                                        rf"{len(blob) - 8}"):
+        load_checkpoint(tmp_path / "x")
+
+
 def _fail_replace(monkeypatch, on_suffix):
     """Make ``os.replace`` fail when it would move a file onto a ``*<on_suffix>`` path."""
     real = os.replace

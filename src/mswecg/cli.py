@@ -29,6 +29,7 @@ from .data import (
     SynthSpec,
     load_dataset,
     read_header,
+    read_layout,
     save_dataset,
     standardize,
     synth_generate,
@@ -136,13 +137,18 @@ def collect_settings(args) -> dict:
     return out
 
 
+def check_geometry(values: dict, header: DatasetHeader, source: str = "config") -> None:
+    """Raise a ConfigError for the first of L, n_leads and K ``values`` sets unlike ``header``."""
+    for key, actual in (("L", header.L), ("n_leads", header.n_leads), ("K", header.K)):
+        if key in values and values[key] != actual:
+            raise ConfigError(
+                f"{source} {key}={values[key]} does not match the dataset ({key}={actual})"
+            )
+
+
 def resolve_configs(settings: dict, header: DatasetHeader) -> tuple[MswConfig, TrainConfig]:
     """Build both configs; dataset geometry wins over (and checks) file values."""
-    for key, actual in (("L", header.L), ("n_leads", header.n_leads), ("K", header.K)):
-        if key in settings and settings[key] != actual:
-            raise ConfigError(
-                f"config {key}={settings[key]} does not match the dataset ({key}={actual})"
-            )
+    check_geometry(settings, header)
     model_kwargs = {k: v for k, v in settings.items() if k in MODEL_KEYS}
     model_kwargs.update(L=header.L, n_leads=header.n_leads, K=header.K)
     train_kwargs = {k: v for k, v in settings.items() if k in TRAIN_KEYS}
@@ -173,6 +179,7 @@ def run_train(args) -> int:
     tcfg = TrainConfig(**{**tcfg0.to_dict(), "checkpoint": str(out_dir / "checkpoint")})
     resolved = {"model": cfg.to_dict(), "train": tcfg.to_dict()}
     echo_config({**cfg.to_dict(), **tcfg.to_dict()})
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable out-dir fails before training
 
     ds = load_dataset(args.signals, args.labels)
     params = init_params(cfg, seed=tcfg.seed)
@@ -219,6 +226,7 @@ def load_model(checkpoint) -> tuple[MswConfig, ParamStore, dict]:
 
 def run_eval(args) -> int:
     cfg, store, saved = load_model(args.checkpoint)
+    check_geometry(cfg.to_dict(), read_layout(args.signals, args.labels)[0], "checkpoint")
     echo_config(cfg.to_dict())
     ds = load_dataset(args.signals, args.labels)
     rows = np.flatnonzero(np.isin(ds.folds, SPLIT_FOLDS[args.split]))
@@ -268,6 +276,7 @@ def run_flops(args) -> int:
 def run_attn(args) -> int:
     leads = _int_list(args.leads, "--leads") if args.leads else ()
     cfg, store, _ = load_model(args.checkpoint)
+    check_geometry(cfg.to_dict(), read_layout(args.signals, args.labels)[0], "checkpoint")
     echo_config(cfg.to_dict())
     ds = load_dataset(args.signals, args.labels)
     if args.record and args.record not in ds.ids:
@@ -447,6 +456,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"{args.subcommand}: numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # a path that cannot be read or written; the error names it
+        print(f"{args.subcommand}: data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -167,11 +167,11 @@ def _row_blocks(signals: np.ndarray):
         yield start, _read_rows(signals, np.arange(start, min(start + step, n)))
 
 
-def load_dataset(signal_file, label_file) -> Dataset:
-    """Map a dataset's files; malformed rows are rejected with their index.
+def read_layout(signal_file, label_file) -> tuple[DatasetHeader, int, int]:
+    """The dataset's header, with class names, once both files agree with it.
 
-    The signal blob is memory-mapped read-only, not copied, and checked for
-    non-finite samples in blocks read from the file.
+    Returns (header, byte offset of the sample blob, record count).  Reads
+    the header, the label file's rows and the blob's size, but no sample.
     """
     signal_file, label_file = Path(signal_file), Path(label_file)
     file_header, offset = read_header(signal_file)
@@ -179,7 +179,7 @@ def load_dataset(signal_file, label_file) -> Dataset:
         raise DataError(f"label file not found: {label_file}")
     n_leads, L, K = file_header.n_leads, file_header.L, file_header.K
 
-    with open(label_file, newline="") as fh:  # counted now, parsed below, never all held
+    with open(label_file, newline="") as fh:  # counted now, parsed by load_dataset, never held
         reader = csv.reader(fh)
         head = next(reader, [])
         n_records = sum(1 for _ in reader)
@@ -204,6 +204,21 @@ def load_dataset(signal_file, label_file) -> Dataset:
             f"{signal_file}: blob holds {blob_bytes} bytes, expected {expected} "
             f"for {n_records} records of {n_leads}x{L} float64: {where}"
         )
+    header = DatasetHeader(n_leads=n_leads, L=L, K=K, class_names=class_names,
+                           sample_rate=file_header.sample_rate)
+    return header, offset, n_records
+
+
+def load_dataset(signal_file, label_file) -> Dataset:
+    """Map a dataset's files; malformed rows are rejected with their index.
+
+    The layout is checked first (:func:`read_layout`).  The signal blob is
+    memory-mapped read-only, not copied, and checked for non-finite samples
+    in blocks read from the file.
+    """
+    signal_file, label_file = Path(signal_file), Path(label_file)
+    header, offset, n_records = read_layout(signal_file, label_file)
+    n_leads, L, K = header.n_leads, header.L, header.K
 
     values = np.empty((n_records, 1 + K), dtype=np.int64)  # fold, then labels
     ids = {}  # record ids in row order (a dict, for the duplicate check)
@@ -239,9 +254,7 @@ def load_dataset(signal_file, label_file) -> Dataset:
     if row is not None:
         raise DataError(f"record {ids[row]} (row {row}): fold {folds[row]} outside 1..10")
 
-    out_header = DatasetHeader(n_leads=n_leads, L=L, K=K, class_names=class_names,
-                               sample_rate=file_header.sample_rate)
-    return Dataset(header=out_header, ids=ids, signals=signals, labels=labels, folds=folds)
+    return Dataset(header=header, ids=ids, signals=signals, labels=labels, folds=folds)
 
 
 def save_dataset(ds: Dataset, signal_file, label_file) -> None:

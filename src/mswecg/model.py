@@ -8,10 +8,11 @@ probabilities.
 
 A forward pass records three ops, each with a hand-written backward rule:
 :func:`linear_embed`, :func:`msw_block` and :func:`fuse` (pooled heads,
-fusion softmax, sigmoid); ``train.bce_loss`` is the fourth.  In the block
-each branch runs two numpy rules that return their backward rule instead of
-recording it: :func:`window_attention` (LN, one QKV product, biased softmax,
-dropout, AV, output projection, residual) and :func:`mlp_sublayer` (LN, GELU
+fusion softmax, sigmoid); ``train.bce_loss`` is the fourth.  The block
+standardizes its input once (LN1) and each branch runs two numpy rules that
+return their backward rule instead of recording it: :func:`window_attention`
+(from the standardized rows: LN1's gain and bias, one QKV product, biased
+softmax, dropout, AV, output projection) and :func:`mlp_sublayer` (LN2, GELU
 MLP, residual).  Every forward product runs through ``tensor.matmul``, which
 counts its MACs; :func:`_on_pool` states which threads run what.
 
@@ -154,54 +155,58 @@ def window_unpartition(windows: np.ndarray, shift: int = 0) -> np.ndarray:
 # Branch sublayers: numpy rules that return their backward rule
 
 
-def _layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    """Layer norm over the last axis: (out, standardized rows, 1/sqrt(var + eps))."""
-    C = x.shape[-1]
-    if gamma.shape != (C,) or beta.shape != (C,):
-        raise DimensionError(f"layernorm gain/bias shapes {gamma.shape}/{beta.shape} do not "
-                             f"match width {C}")
+def _standardize(x: np.ndarray):
+    """Rows of ``x`` standardized over the last axis: (xhat, 1/sqrt(var + eps))."""
     xhat = x - x.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + _LN_EPS)
     xhat *= inv
-    return xhat * gamma + beta, xhat, inv
+    return xhat, inv
 
 
-def _layernorm_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: np.ndarray):
-    """Gradients (dx, dgamma, dbeta) of :func:`_layernorm` given dout ``g``."""
-    C = g.shape[-1]
-    dxhat = g * gamma
+def _standardize_grad(dxhat: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Gradient through :func:`_standardize` given the gradient ``dxhat`` of its rows."""
     dx = dxhat - dxhat.mean(axis=-1, keepdims=True)
     dx -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     dx *= inv
-    return dx, (g * xhat).reshape(-1, C).sum(axis=0), g.reshape(-1, C).sum(axis=0)
+    return dx
 
 
-def window_attention(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: np.ndarray,
+def _affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """LN's gain and bias on standardized rows: xhat * gamma + beta."""
+    if gamma.shape != xhat.shape[-1:] or beta.shape != xhat.shape[-1:]:
+        raise DimensionError(f"layernorm gain/bias shapes {gamma.shape}/{beta.shape} do not "
+                             f"match width {xhat.shape[-1]}")
+    return xhat * gamma + beta
+
+
+def window_attention(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: np.ndarray,
                      wk: np.ndarray, wv: np.ndarray, wz: np.ndarray, bias_table: np.ndarray,
                      M: int, heads: int, shift: int = 0, attn_dropout: float = 0.0,
                      train: bool = False, uniforms: np.ndarray | None = None,
                      taped: bool = True):
-    """Attention sublayer x + unpartition(attention(partition(LN(x)))) on arrays.
+    """Attention unpartition(attention(partition(xhat * gamma + beta))) on arrays.
 
-    x: (..., T, C).  Per window of M tokens and head h the map is
+    xhat: (..., T, C), LN's standardized rows; the caller adds the residual.
+    Per window of M tokens and head h the map is
     softmax(Q_h K_h^T / sqrt(d) + B_h) V_h, where B_h[i, j] reads the head's
     relative-offset table at i - j + M - 1; heads are merged and projected by
     Wz.  In training, inverted dropout hits the map: an entry is kept where its
     draw in ``uniforms`` is >= ``attn_dropout``.  ``uniforms`` holds one draw
     per map entry, shaped (records, T/M, heads, M, M) with the leading axes
-    of x flattened into records.  Q, K and V come from one (rows, C) @
+    of xhat flattened into records.  Q, K and V come from one (rows, C) @
     (C, 3C) product over ``[Wq|Wk|Wv]``, and weight gradients are 2-D
     products over all rows.  Returns (out, attn, backward): attn (..., T/M,
     heads, M, M) holds the probabilities before dropout, and ``backward(g)``
-    the gradients of the eight array arguments, or None if not ``taped``.
+    the gradients of the eight array arguments (``xhat``'s first), or None if
+    not ``taped``.
 
-    For backward the rule keeps LN's standardized rows and scales, the QKV
-    product, the maps, the merged heads and, with dropout, the boolean
-    keep-mask.  Backward rebuilds the LN output, the float mask and the
-    dropped-out maps with the forward's own operations, so they are bitwise
-    what the forward used: parameters change only between passes.
+    For backward the rule keeps ``xhat`` (no copy, and no LN state of its
+    own), the QKV product, the maps, the merged heads and, with dropout, the
+    boolean keep-mask.  Backward rebuilds the LN output, the float mask and
+    the dropped-out maps with the forward's own operations, so they are
+    bitwise what the forward used: parameters change only between passes.
     """
-    *lead, T, C = x.shape
+    *lead, T, C = xhat.shape
     d, nW = C // heads, T // M
     if bias_table.shape != (heads, 2 * M - 1):
         raise DimensionError(f"bias table shape {bias_table.shape} does not match {heads} heads "
@@ -212,7 +217,7 @@ def window_attention(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: np.
         raise ValueError(f"dropout in training mode needs uniforms of the attention maps' "
                          f"shape {maps}, got {'none' if uniforms is None else np.shape(uniforms)}")
 
-    h, xhat, inv = _layernorm(x, gamma, beta)
+    h = _affine(xhat, gamma, beta)
     n = h.size // C  # token rows over all records
     w_qkv = np.concatenate((wq, wk, wv), axis=1)
     qkv = window_partition(tc.matmul(h.reshape(n, C), w_qkv).reshape(-1, T, 3 * C), M, shift)
@@ -228,8 +233,7 @@ def window_attention(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: np.
     keep = uniforms >= attn_dropout if drop else None
     z = tc.matmul(attn * (keep / (1.0 - attn_dropout)) if drop else attn, v)
     z = z.transpose(0, 1, 3, 2, 4).reshape(n, C)  # merged heads, window order
-    y = window_unpartition(tc.matmul(z, wz).reshape(-1, nW, M, C), shift).reshape(x.shape)
-    y += x
+    y = window_unpartition(tc.matmul(z, wz).reshape(-1, nW, M, C), shift).reshape(xhat.shape)
 
     def backward(g):
         gz = window_partition(g.reshape(-1, T, C), M, shift).reshape(n, C)
@@ -252,10 +256,10 @@ def window_attention(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: np.
         np.matmul(ds.swapaxes(-1, -2), q, out=dqkv[1])
         dqkv = dqkv.transpose(1, 2, 4, 0, 3, 5).reshape(-1, nW, M, 3 * C)
         dqkv = window_unpartition(dqkv, shift).reshape(n, 3 * C)
-        gw = (xhat * gamma + beta).reshape(n, C).T @ dqkv  # h, as _layernorm built it
-        dx, dgamma, dbeta = _layernorm_grad((dqkv @ w_qkv.T).reshape(g.shape), xhat, inv, gamma)
-        dx += g
-        return dx, dgamma, dbeta, gw[:, :C], gw[:, C : 2 * C], gw[:, 2 * C :], gwz, gtable
+        gw = _affine(xhat, gamma, beta).reshape(n, C).T @ dqkv  # h, as the forward built it
+        dh = (dqkv @ w_qkv.T).reshape(g.shape)
+        return (dh * gamma, (dh * xhat).reshape(n, C).sum(axis=0), dh.reshape(n, C).sum(axis=0),
+                gw[:, :C], gw[:, C : 2 * C], gw[:, 2 * C :], gwz, gtable)
 
     return y, attn.reshape(*lead, nW, heads, M, M), backward if taped else None
 
@@ -267,7 +271,7 @@ def mlp_sublayer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, w1: np.ndar
     Its products, and their weight gradients, are 2-D products over all
     (..., T) rows.  Returns (out, backward): ``backward(g)`` gives the
     gradients of the seven array arguments, in order.  With ``taped`` false
-    it is None and the GELU is computed in place.
+    it is None, LN's rows are freed first and the GELU is computed in place.
 
     For backward the rule keeps LN's standardized rows and scales, the
     pre-activations ``u`` and their normal CDF.  Backward rebuilds the LN
@@ -275,10 +279,11 @@ def mlp_sublayer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, w1: np.ndar
     bitwise what the forward used: parameters change only between passes.
     """
     C = w1.shape[0]
-    h, xhat, inv = _layernorm(x, gamma, beta)
-    n = h.size // C
-    u = tc.matmul(h.reshape(n, C), w1)
-    del h
+    xhat, inv = _standardize(x)
+    u = tc.matmul(_affine(xhat, gamma, beta).reshape(-1, C), w1)
+    n = u.shape[0]
+    if not taped:
+        del xhat
     u += b1
     cdf = ndtr(u)  # the normal CDF: GELU(u) = u * cdf
     y = tc.matmul(u * cdf if taped else np.multiply(u, cdf, out=u), w2)
@@ -297,11 +302,13 @@ def mlp_sublayer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, w1: np.ndar
         dgelu += cdf
         du *= dgelu
         del dgelu
-        dx, dgamma, dbeta = _layernorm_grad((du @ w1.T).reshape(g.shape), xhat, inv, gamma)
+        dh = (du @ w1.T).reshape(g.shape)
+        dx = _standardize_grad(dh * gamma, xhat, inv)
         dx += g
-        gw1 = (xhat * gamma + beta).reshape(n, C).T @ du  # h, as _layernorm built it
+        gw1 = _affine(xhat, gamma, beta).reshape(n, C).T @ du  # h, as the forward built it
         gw2 = (u * cdf).T @ gy
-        return dx, dgamma, dbeta, gw1, du.sum(axis=0), gw2, gy.sum(axis=0)
+        return (dx, (dh * xhat).reshape(n, C).sum(axis=0), dh.reshape(n, C).sum(axis=0), gw1,
+                du.sum(axis=0), gw2, gy.sum(axis=0))
 
     return y, backward if taped else None
 
@@ -314,25 +321,20 @@ _BRANCH_LEAVES = ("ln1.gamma", "ln1.beta", "attn.Wq", "attn.Wk", "attn.Wv", "att
                   "attn.bias", "ln2.gamma", "ln2.beta", "mlp.W1", "mlp.b1", "mlp.W2", "mlp.b2")
 
 
-def msw_block(
-    tokens: Tensor,
-    cfg: MswConfig,
-    params: ParamStore,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> BlockOutput:
+def msw_block(tokens: Tensor, cfg: MswConfig, params: ParamStore, train: bool = False,
+              rng: np.random.Generator | None = None) -> BlockOutput:
     """Run the single block once per window scale on shared input tokens.
 
     Per branch: x' = x + windowed-attention(LN(x)); y = x' + MLP(LN(x')).
-    Branches own their parameters; only the input is shared.  Training
-    draws every branch's dropout uniforms from ``rng`` in branch order before
-    any branch runs, so the masks do not depend on which thread runs which.
+    Branches own their parameters; only the input, and so LN1's standardized
+    rows of it, are shared.  Training draws every branch's dropout uniforms
+    from ``rng`` in branch order first, so no mask depends on the thread.
 
     The block is one op, ``msw_block``, whose output is ``stacked``.  Under a
     tape the branches run on :func:`_on_pool`, and so does the op's backward:
-    each branch's MLP rule, then its attention rule.  It adds the token
-    gradients in branch order, as one tape of every branch's two ops would.
-    Without a tape the branches run in the calling thread and keep no rules.
+    each branch's MLP rule, then its attention rule.  It adds the residual and
+    the standardized rows' gradients in branch order, then takes LN1's input
+    step once.  Without a tape the branches run in the caller's thread.
     """
     *lead, T, _ = tokens.shape
     branches = range(cfg.n_branches)
@@ -344,26 +346,29 @@ def msw_block(
         uniforms = [rng.random((math.prod(lead), T // M, cfg.heads, M, M)) for M in cfg.windows]
     inputs = (tokens, *(t for p in branch_params for t in p))
     taped = tc.recording(inputs)
+    xhat, inv = _standardize(tokens.data)  # LN1's rows, shared by every branch
 
     def run(i):
         p = [t.data for t in branch_params[i]]
-        x1, attn, attn_rule = window_attention(tokens.data, *p[:7], cfg.windows[i], cfg.heads,
+        x1, attn, attn_rule = window_attention(xhat, *p[:7], cfg.windows[i], cfg.heads,
                                                cfg.shift, attn_dropout=cfg.attn_dropout,
                                                train=train, uniforms=uniforms[i], taped=taped)
+        x1 += tokens.data
         y, mlp_rule = mlp_sublayer(x1, *p[7:], taped=taped)
         return y, attn, (mlp_rule, attn_rule)
 
     ys, attns, rules = zip(*(_on_pool(run, branches) if taped else map(run, branches)))
 
     def backward_fn(g):
-        def branch(i):  # (dx, *attention gradients, *MLP gradients)
+        def branch(i):  # (dx', dxhat, *attention gradients, *MLP gradients)
             mlp_rule, attn_rule = rules[i]
             dx1, *dmlp = mlp_rule(g[i])
-            return (*attn_rule(dx1), *dmlp)
+            return (dx1, *attn_rule(dx1), *dmlp)
 
         grads = _on_pool(branch, branches)
         dx = sum((gs[0] for gs in grads[1:]), grads[0][0])
-        return (dx, *(gi for gs in grads for gi in gs[1:]))
+        dx += _standardize_grad(sum((gs[1] for gs in grads[1:]), grads[0][1]), xhat, inv)
+        return (dx, *(gi for gs in grads for gi in gs[2:]))
 
     stacked = tc.apply_op("msw_block", inputs, np.stack(ys), backward_fn)
     return BlockOutput([BranchOutput(M=M, shift=cfg.shift, tokens=Tensor(y), attn=Tensor(a))

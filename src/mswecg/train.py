@@ -107,10 +107,16 @@ class AdamState:
 
 
 def adam_step(params: ParamStore, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update of ``params.flat``, in place."""
+    """One bias-corrected Adam update of ``params.flat``, in place.  Raises before
+    anything changes if a gradient is missing or not finite (naming the first)."""
     if lr < 0:
         raise ValueError(f"lr must be >= 0, got {lr}")
-    g = params.flat_grad()  # raises before anything changes if a gradient is missing
+    g = params.flat_grad()
+    finite = np.isfinite(g)
+    if not finite.all():
+        ends = np.cumsum([t.size for _, t in params.items()])
+        name = params.names()[np.searchsorted(ends, np.argmin(finite), side="right")]
+        raise NumericError(f"non-finite gradient in {name}")
     if state.m is None:
         state.m, state.v = np.zeros_like(g), np.zeros_like(g)
     state.step += 1
@@ -214,12 +220,10 @@ def train_loop(
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {b_idx}")
             params.zero_grads()
             tc.backward(loss)
-            for name, p in params.items():
-                if p.grad is not None and not np.isfinite(p.grad).all():
-                    raise NumericError(
-                        f"non-finite gradient in {name} at epoch {epoch}, batch {b_idx}"
-                    )
-            adam_step(params, adam, lr)
+            try:
+                adam_step(params, adam, lr)
+            except NumericError as exc:
+                raise NumericError(f"{exc} at epoch {epoch}, batch {b_idx}") from exc
             seen_probs[idx] = res.probs.data
             loss_sum += lv * len(idx)
             del res, loss  # the next forward does not overlap this step's outputs and maps

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import mswecg
 from mswecg.cli import MODEL_KEYS, TRAIN_KEYS, _typed, load_model, main, resolve_configs
-from mswecg.data import DatasetHeader
+from mswecg.data import Dataset, DatasetHeader, SynthSpec, save_dataset, synth_generate
 from mswecg.errors import AdmissibilityError, ConfigError, DataError, DimensionError
 from mswecg.params import ParamStore, load_checkpoint, save_checkpoint
 
@@ -314,6 +315,54 @@ def test_gradcheck_exits_zero_with_small_error(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "max rel error" in out and "OK" in out
+
+
+@pytest.mark.parametrize("key,value", [("n_leads", 4), ("L", 400), ("K", 2)])
+def test_checkpoint_geometry_unlike_the_dataset_exits_2_before_reading_it(
+        trained_dir, tmp_path, capsys, monkeypatch, key, value):
+    # A well-formed set that differs from the checkpoint's geometry (n_leads=2,
+    # L=200, K=3) in one key; its samples are never read.
+    geometry = {"n_leads": 2, "L": 200, "K": 3, key: value}
+    ds = synth_generate(SynthSpec(n_records=10, n_leads=geometry["n_leads"], L=geometry["L"]))
+    K = geometry["K"]
+    ds = Dataset(dataclasses.replace(ds.header, K=K, class_names=ds.header.class_names[:K]),
+                 ds.ids, ds.signals, ds.labels[:, :K], ds.folds)
+    save_dataset(ds, tmp_path / "signals.bin", tmp_path / "labels.csv")
+    monkeypatch.setattr("mswecg.cli.load_dataset", lambda *a: pytest.fail("dataset was read"))
+    data = ["--signals", str(tmp_path / "signals.bin"), "--labels", str(tmp_path / "labels.csv")]
+    for argv in (["eval", *data], ["attn", *data, "--out-dir", str(tmp_path / "viz")]):
+        assert main([argv[0], "--checkpoint", str(trained_dir / "checkpoint"), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        want = {"n_leads": 2, "L": 200, "K": 3}[key]
+        assert err.startswith(f"{argv[0]}: config error: checkpoint {key}={want} does not "
+                              f"match the dataset ({key}={value})"), err
+    assert not (tmp_path / "viz").exists()
+
+
+# (subcommand, its flags, the path the error must name): {file} is a plain
+# file in the way, {run} a trained run's directory and {data} its data set.
+_DATA_FLAGS = ["--signals", "{data}/signals.bin", "--labels", "{data}/labels.csv"]
+_UNWRITABLE_OUTPUTS = [
+    ("train", [*_DATA_FLAGS, "--out-dir", "{file}", "--quiet", *TINY_SETTINGS], "{file}"),
+    ("eval", [*_DATA_FLAGS, "--checkpoint", "{run}/checkpoint", "--out", "{run}"], "{run}"),
+    ("synth", ["--out-dir", "{file}", "--records", "10"], "{file}"),
+    ("flops", ["--out", "{file}/sweep.csv"], "{file}"),
+]
+
+
+@pytest.mark.parametrize("subcommand,flags,path", _UNWRITABLE_OUTPUTS,
+                         ids=[c[0] for c in _UNWRITABLE_OUTPUTS])
+def test_unwritable_output_path_exits_3_naming_it(synth_dir, trained_dir, tmp_path, capsys,
+                                                 monkeypatch, subcommand, flags, path):
+    file = tmp_path / "in-the-way"
+    file.write_text("")
+    if subcommand == "train":  # fails before it trains
+        monkeypatch.setattr("mswecg.cli.load_dataset", lambda *a: pytest.fail("dataset was read"))
+    fill = {"data": synth_dir, "run": trained_dir, "file": file}
+    assert main([subcommand, *(flag.format(**fill) for flag in flags)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"{subcommand}: data error:") and path.format(**fill) in err, err
+    assert file.read_text() == ""
 
 
 # (subcommand, bad flag values, the flag the error must name)

@@ -29,8 +29,8 @@ from mswecg.model import (
 from mswecg.params import init_params
 from mswecg.train import AdamState, adam_step, bce_loss
 import util as ref
-from util import (finite_diff_check, global_block_oracle, mlp_sublayer, reference_branch,
-                  window_attention)
+from util import (attention, finite_diff_check, global_block_oracle, mlp_sublayer,
+                  reference_branch, standardize, window_attention)
 
 TINY = MswConfig(L=40, n_leads=2, P=5, C=8, heads=2, windows=(2, 4), K=3)
 
@@ -364,19 +364,49 @@ def test_block_gradients_equal_one_tape_of_its_branch_ops_bitwise():
 
     block = msw_block(x, cfg, params, train=True, rng=np.random.default_rng(4))
     pooled = grads(ref.sum(ref.mul(block.stacked, probes)))
-    # The same fused ops recorded on one tape, one branch after another.
-    masks, ys = np.random.default_rng(4), []
+    # The same fused ops recorded on one tape, one branch after another, all
+    # reading one standardization of x (LN1's rows).
+    masks, ys, xhat = np.random.default_rng(4), [], standardize(x)
     for i, M in enumerate(cfg.windows):
         p = [params[f"branch{i}.{leaf}"] for leaf in model._BRANCH_LEAVES]
-        x1, _ = window_attention(x, *p[:7], M, cfg.heads, cfg.shift,
-                                 attn_dropout=cfg.attn_dropout, train=True,
-                                 uniforms=masks.random((4, cfg.tokens // M, cfg.heads, M, M)))
-        ys.append(mlp_sublayer(x1, *p[7:]))
+        a, _ = attention(xhat, *p[:7], M, cfg.heads, cfg.shift, attn_dropout=cfg.attn_dropout,
+                         train=True, uniforms=masks.random((4, cfg.tokens // M, cfg.heads, M, M)))
+        ys.append(mlp_sublayer(ref.add(x, a), *p[7:]))
     one_tape = grads(ref.sum(ref.concat([ref.mul(y, w) for y, w in zip(ys, probes)], 0)))
     assert np.array_equal(block.stacked.data, np.stack([y.data for y in ys]))
     assert pooled.keys() == one_tape.keys()
     for name in pooled:
         assert np.array_equal(pooled[name], one_tape[name]), name
+
+
+def test_a_training_step_standardizes_the_block_input_once(monkeypatch):
+    cfg = MswConfig(L=200, n_leads=4, P=5, C=32, heads=4, windows=(5, 10, 20), K=3, shift=1,
+                    attn_dropout=0.2)
+    params = init_params(cfg, seed=0)
+    rng = np.random.default_rng(1)
+    sig = rng.normal(size=(16, cfg.n_leads, cfg.L))
+    labels = (rng.random((16, cfg.K)) < 0.5).astype(np.float64)
+    standardize, standardize_grad = model._standardize, model._standardize_grad
+    rows, grad_rows = [], []  # the rows each standardization gave; those each gradient step read
+
+    def counted(x):
+        xhat, inv = standardize(x)
+        rows.append(xhat)
+        return xhat, inv
+
+    def counted_grad(dxhat, xhat, inv):
+        grad_rows.append(xhat)
+        return standardize_grad(dxhat, xhat, inv)
+
+    monkeypatch.setattr(model, "_standardize", counted)
+    monkeypatch.setattr(model, "_standardize_grad", counted_grad)
+    res = forward(sig, cfg, params, train=True, rng=np.random.default_rng(2))
+    # LN1 once, before any branch runs, then each branch's LN2.
+    assert len(rows) == 1 + cfg.n_branches
+    params.zero_grads()
+    tc.backward(bce_loss(res.probs, labels))
+    assert len(grad_rows) == 1 + cfg.n_branches
+    assert sum(r is rows[0] for r in grad_rows) == 1  # LN1's input-gradient step
 
 
 def _fused_vs_reference(fused, reference, arrays):

@@ -147,6 +147,19 @@ def test_adam_missing_grad_changes_nothing():
     assert state.step == 0 and state.m is None and state.v is None
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_non_finite_grad_names_the_first_parameter_and_changes_nothing(bad):
+    store = make_store({"a": np.array([1.0]), "b": np.array([2.0, 3.0]), "c": np.array([4.0])})
+    state = AdamState()
+    store["a"].grad = np.array([0.5])
+    store["b"].grad = np.array([0.1, bad])
+    store["c"].grad = np.array([bad])
+    with pytest.raises(NumericError, match=r"^non-finite gradient in b$"):
+        adam_step(store, state, lr=0.1)
+    assert np.array_equal(store.flat, [1.0, 2.0, 3.0, 4.0])
+    assert state.step == 0 and state.m is None and state.v is None
+
+
 def test_adam_three_step_trajectory_matches_hand_unroll():
     # Quadratic loss w^2/2, gradient = w; unroll the recurrence by hand.
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8

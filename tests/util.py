@@ -1,7 +1,7 @@
 """Shared test oracles: finite differences, a from-scratch global-attention
-layer, the block's sublayer rules recorded as ops, the primitive tape ops
-and the compositions of them that the model's fused ops replaced,
-brute-force metric loops, and the per-parameter Adam update."""
+layer, the block's standardization and sublayer rules recorded as ops, the
+primitive tape ops and the compositions of them that the model's fused ops
+replaced, brute-force metric loops, and the per-parameter Adam update."""
 
 import math
 
@@ -281,18 +281,36 @@ def sigmoid(x):
 
 
 # ---------------------------------------------------------------------------
-# The block's two sublayer rules, each recorded as one op on Tensors: how
-# ``mswecg.model.msw_block`` chains them, one branch at a time.
+# The block's standardization and sublayer rules, each recorded as one op on
+# Tensors: how ``mswecg.model.msw_block`` chains them, one branch at a time.
 
 
-def window_attention(x, gamma, beta, wq, wk, wv, wz, bias_table, M, heads, shift=0,
-                     attn_dropout=0.0, train=False, uniforms=None):
-    """``model.window_attention`` as a ``window_attention`` op: (out, attn off the graph)."""
-    inputs = (x, gamma, beta, wq, wk, wv, wz, bias_table)
+def standardize(x):
+    """``model._standardize`` as a ``standardize`` op: LN's rows before gain and bias."""
+    xhat, inv = model._standardize(x.data)
+    return tc.apply_op("standardize", (x,), xhat,
+                       lambda g: (model._standardize_grad(g, xhat, inv),))
+
+
+def attention(xhat, gamma, beta, wq, wk, wv, wz, bias_table, M, heads, shift=0,
+              attn_dropout=0.0, train=False, uniforms=None):
+    """``model.window_attention`` on standardized rows as a ``window_attention``
+    op: (out, attn off the graph)."""
+    inputs = (xhat, gamma, beta, wq, wk, wv, wz, bias_table)
     out, attn, rule = model.window_attention(*(t.data for t in inputs), M, heads, shift,
                                              attn_dropout=attn_dropout, train=train,
                                              uniforms=uniforms, taped=tc.recording(inputs))
     return tc.apply_op("window_attention", inputs, out, rule), tc.Tensor(attn)
+
+
+def window_attention(x, gamma, beta, wq, wk, wv, wz, bias_table, M, heads, shift=0,
+                     attn_dropout=0.0, train=False, uniforms=None):
+    """The attention sublayer x + attention(standardize(x)) as the block runs
+    it: (out, attn off the graph).  x's gradient is g plus the
+    standardization's gradient of the rule's ``xhat`` gradient."""
+    out, attn = attention(standardize(x), gamma, beta, wq, wk, wv, wz, bias_table, M, heads,
+                          shift, attn_dropout=attn_dropout, train=train, uniforms=uniforms)
+    return add(x, out), attn
 
 
 def mlp_sublayer(x, gamma, beta, w1, b1, w2, b2):

@@ -227,6 +227,11 @@ def load_model(checkpoint) -> tuple[MswConfig, ParamStore, dict]:
 def run_eval(args) -> int:
     cfg, store, saved = load_model(args.checkpoint)
     check_geometry(cfg.to_dict(), read_layout(args.signals, args.labels)[0], "checkpoint")
+    if args.out:  # a report path that cannot be written fails before the set is read
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        if out.is_dir():
+            raise DataError(f"--out {out} is a directory")
     echo_config(cfg.to_dict())
     ds = load_dataset(args.signals, args.labels)
     rows = np.flatnonzero(np.isin(ds.folds, SPLIT_FOLDS[args.split]))
@@ -236,11 +241,10 @@ def run_eval(args) -> int:
     report = evaluate(EvalBatch(scores=probs, labels=ds.labels[rows]))
     payload = {"split": args.split, "config": saved, "metrics": report.to_dict()}
     text = json.dumps(payload, indent=1)
-    print(text)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
+        out.write_text(text)  # the report is printed only once it is written
+        text += f"\nwrote {args.out}"
+    print(text)
     return EXIT_OK
 
 
@@ -276,16 +280,17 @@ def run_flops(args) -> int:
 def run_attn(args) -> int:
     leads = _int_list(args.leads, "--leads") if args.leads else ()
     cfg, store, _ = load_model(args.checkpoint)
-    check_geometry(cfg.to_dict(), read_layout(args.signals, args.labels)[0], "checkpoint")
+    header = read_layout(args.signals, args.labels)[0]
+    check_geometry(cfg.to_dict(), header, "checkpoint")
+    n = header.n_leads
+    for lead in leads:
+        _check_flag("--leads", args.leads, 0 <= lead < n, f"lead indices in 0..{n - 1}")
     echo_config(cfg.to_dict())
     ds = load_dataset(args.signals, args.labels)
     if args.record and args.record not in ds.ids:
         raise DataError(f"record id {args.record!r} not in dataset")
     row = ds.ids.index(args.record) if args.record else 0
     record_id, signal = ds.ids[row], standardize(ds)[row]
-    n = ds.header.n_leads
-    for lead in leads:
-        _check_flag("--leads", args.leads, 0 <= lead < n, f"lead indices in 0..{n - 1}")
     dump, _ = dump_for_record(record_id, signal, cfg, store)
     written = export(dump, signal, args.out_dir, leads=leads,
                      config={"model": cfg.to_dict(), "record_id": record_id})

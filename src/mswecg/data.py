@@ -13,10 +13,10 @@ The mapped blob is never read through the map.  Touching rows of a map
 makes their pages, and the kernel's read-around of them, resident in this
 process: selecting every tenth 96 KB record of a 96 MB blob that way made
 nearly all of it resident.  Rows are read with positioned reads instead, in
-file order (:func:`_read_rows`); the finite check of :func:`load_dataset`
-and the passes of :func:`lead_statistics` read blocks of about
-``BLOCK_BYTES`` that way, so a command holds one block and the rows it
-uses, whatever the size of the set.
+file order (:func:`_read_rows`).  Set-up reads each row once, in blocks of
+``BLOCK_BYTES``, to check its samples and sum them (:attr:`Dataset.row_scan`),
+and the training rows once more for the deviations, so a command holds one
+block and the rows it uses, whatever the size of the set.
 
 On-disk format, chosen to be trivially writable from any conversion script:
 
@@ -30,6 +30,7 @@ On-disk format, chosen to be trivially writable from any conversion script:
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import mmap
@@ -44,7 +45,7 @@ from .errors import DataError
 
 SIGMA_FLOOR = 1e-8
 SPLIT_FOLDS = {"train": range(1, 9), "val": (9,), "test": (10,)}
-BLOCK_BYTES = 8 << 20  # size of one positioned read from a mapped blob
+BLOCK_BYTES = 1 << 20  # rows read at once by set-up's passes over a set
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,21 @@ class Dataset:
 
     def __len__(self):
         return len(self.ids)
+
+    @functools.cached_property
+    def row_scan(self) -> tuple[np.ndarray, int | None]:
+        """(N, n_leads) per-record lead sums and the first row with a non-finite sample (or None).
+
+        Computed on first use, by one read of every row in blocks.
+        """
+        sums, bad = np.empty((len(self), self.header.n_leads)), None
+        for rows, block in _row_blocks(self.signals, np.arange(len(self))):
+            sums[rows] = block.sum(axis=2)
+            if bad is None and not np.isfinite(sums[rows]).all():  # or a sum overflowed
+                row = _first(~np.isfinite(block).all(axis=(1, 2)))
+                bad = None if row is None else int(rows[row])
+            del block  # one block at a time: freed before the next is read
+        return sums, bad
 
 
 def read_header(signal_file) -> tuple[DatasetHeader, int]:
@@ -158,13 +174,13 @@ def _read_rows(signals: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_blocks(signals: np.ndarray):
-    """Yield ``(start, rows)`` over consecutive blocks of about BLOCK_BYTES."""
-    n = len(signals)
+def _row_blocks(signals: np.ndarray, rows: np.ndarray):
+    """Yield ``(block rows, signals[block rows])`` over ``rows``, about BLOCK_BYTES at a time."""
     row_bytes = max(1, int(np.prod(signals.shape[1:])) * signals.dtype.itemsize)
     step = max(1, BLOCK_BYTES // row_bytes)
-    for start in range(0, n, step):
-        yield start, _read_rows(signals, np.arange(start, min(start + step, n)))
+    for start in range(0, len(rows), step):
+        block_rows = rows[start : start + step]
+        yield block_rows, _read_rows(signals, block_rows)
 
 
 def read_layout(signal_file, label_file) -> tuple[DatasetHeader, int, int]:
@@ -214,7 +230,7 @@ def load_dataset(signal_file, label_file) -> Dataset:
 
     The layout is checked first (:func:`read_layout`).  The signal blob is
     memory-mapped read-only, not copied, and checked for non-finite samples
-    in blocks read from the file.
+    by :attr:`Dataset.row_scan`, which keeps the sums for the statistics.
     """
     signal_file, label_file = Path(signal_file), Path(label_file)
     header, offset, n_records = read_layout(signal_file, label_file)
@@ -242,19 +258,17 @@ def load_dataset(signal_file, label_file) -> Dataset:
                             shape=(n_records, n_leads, L))
     else:
         signals = np.empty((0, n_leads, L))
-    for start, block in _row_blocks(signals):
-        row = _first(~np.isfinite(block).all(axis=(1, 2)))
-        if row is not None:
-            row += start
-            raise DataError(f"record {ids[row]} (row {row}): non-finite sample")
+    ds = Dataset(header=header, ids=ids, signals=signals, labels=labels, folds=folds)
+    row = ds.row_scan[1]
+    if row is not None:
+        raise DataError(f"record {ids[row]} (row {row}): non-finite sample")
     row = _first(~np.isin(labels, (0, 1)).all(axis=1))
     if row is not None:
         raise DataError(f"record {ids[row]} (row {row}): labels must be a {K}-long 0/1 row")
     row = _first((folds < 1) | (folds > 10))
     if row is not None:
         raise DataError(f"record {ids[row]} (row {row}): fold {folds[row]} outside 1..10")
-
-    return Dataset(header=header, ids=ids, signals=signals, labels=labels, folds=folds)
+    return ds
 
 
 def save_dataset(ds: Dataset, signal_file, label_file) -> None:
@@ -292,33 +306,29 @@ def fold_masks(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def lead_statistics(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Per-lead mean and std (floored at SIGMA_FLOOR) over the training folds.
 
-    Two passes over blocks of rows, each adding up one sum per record and
-    lead in file row order.  Those are the sums numpy's
+    The mean adds the training rows' sums from :attr:`Dataset.row_scan`, and
+    one pass over those rows the squared deviations, each one sum per record
+    and lead in file row order.  Those are the sums numpy's
     ``x[train].mean/std(axis=(0, 2))`` adds, in the same order, so the
     statistics are bitwise equal to it.  Not so at n_leads = 1, where numpy
     merges the two reduced axes into one pairwise sum: there the last bit
     may differ.
     """
-    train = np.isin(ds.folds, SPLIT_FOLDS["train"])
-    n_train = int(train.sum())
-    if not n_train:
+    train = np.flatnonzero(np.isin(ds.folds, SPLIT_FOLDS["train"]))
+    if not len(train):
         raise DataError("cannot standardize: training folds 1-8 are empty")
-    count = n_train * ds.header.L
-
-    def lead_sums(term) -> np.ndarray:
-        total = np.zeros(ds.header.n_leads)
-        for start, block in _row_blocks(ds.signals):
-            for record_sums in term(block).sum(axis=2)[train[start : start + len(block)]]:
-                total += record_sums
-        return total
-
-    mean = lead_sums(lambda block: block) / count
-
-    def squared_deviation(block):
-        dev = block - mean[:, None]
-        return np.multiply(dev, dev, out=dev)
-
-    std = np.sqrt(lead_sums(squared_deviation) / count)
+    count = len(train) * ds.header.L
+    mean, squares = np.zeros(ds.header.n_leads), np.zeros(ds.header.n_leads)
+    for record_sums in ds.row_scan[0][train]:
+        mean += record_sums
+    mean /= count
+    for _, block in _row_blocks(ds.signals, train):
+        block -= mean[:, None]  # the block is a fresh copy
+        block *= block
+        for record_sums in block.sum(axis=2):
+            squares += record_sums
+        del block
+    std = np.sqrt(squares / count)
     return mean, np.maximum(std, SIGMA_FLOOR)
 
 

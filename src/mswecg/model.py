@@ -44,8 +44,8 @@ from .tensor import Tensor
 _LN_EPS = 1e-5
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Token rows per ``predict`` forward: 8 records at 12 leads x 1000 samples, 32 at 4 x 200.
-PREDICT_TOKEN_ROWS = 2048
+# Token rows per ``predict`` forward: 4 records at 12 leads x 1000 samples, 16 at 4 x 200.
+PREDICT_TOKEN_ROWS = 1024
 # Threads of the worker pool (see ``_on_pool``), capped by the usable CPUs.
 PREDICT_WORKERS = 2
 
@@ -562,9 +562,10 @@ def predict(signals, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarra
 
     Chunks run through :func:`_on_pool`, each gathering its own rows and
     writing its own slice of the output, so outputs are bitwise equal to a
-    serial loop's and memory is bounded by the pool's width in chunks, not by
-    N.  Raises :class:`NumericError` naming the first non-finite ``signals``
-    row of the first chunk holding one.
+    serial loop's.  Memory is bounded by the pool's width in chunks, not by
+    N: two chunks in flight at 1,024 token rows hold what one 2,048-row chunk
+    would.  Raises :class:`NumericError` naming the first non-finite
+    ``signals`` row of the first chunk holding one.
     """
     idx = np.arange(len(signals)) if rows is None else np.asarray(rows)
     out = np.empty((len(idx), cfg.K))

@@ -286,7 +286,10 @@ _BAD_LEADS = [("99", "lead indices in 0..1"), ("-1", "lead indices in 0..1"),
 
 @pytest.mark.parametrize("leads,need", _BAD_LEADS, ids=[c[0] for c in _BAD_LEADS])
 def test_attn_lead_outside_the_dataset_exits_2_and_writes_nothing(synth_dir, trained_dir,
-                                                                  tmp_path, capsys, leads, need):
+                                                                  tmp_path, capsys, monkeypatch,
+                                                                  leads, need):
+    # The leads are checked against the set's layout, before the set is read.
+    monkeypatch.setattr("mswecg.cli.load_dataset", lambda *a: pytest.fail("dataset was read"))
     out = tmp_path / "viz"
     code = main([
         "attn", "--checkpoint", str(trained_dir / "checkpoint"),
@@ -339,6 +342,28 @@ def test_checkpoint_geometry_unlike_the_dataset_exits_2_before_reading_it(
     assert not (tmp_path / "viz").exists()
 
 
+def test_eval_out_under_a_file_exits_3_before_reading_the_set(synth_dir, trained_dir, tmp_path,
+                                                              capsys, monkeypatch):
+    file = tmp_path / "in-the-way"
+    file.write_text("")
+    monkeypatch.setattr("mswecg.cli.load_dataset", lambda *a: pytest.fail("dataset was read"))
+    assert main(["eval", "--checkpoint", str(trained_dir / "checkpoint"),
+                 "--signals", str(synth_dir / "signals.bin"),
+                 "--labels", str(synth_dir / "labels.csv"), "--out", str(file / "report.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("eval: data error:") and str(file) in captured.err
+    assert "macro_f1" not in captured.out and file.read_text() == ""
+
+
+def test_eval_prints_the_report_it_wrote(synth_dir, trained_dir, tmp_path, capsys):
+    out = tmp_path / "reports" / "report.json"
+    assert main(["eval", "--checkpoint", str(trained_dir / "checkpoint"),
+                 "--signals", str(synth_dir / "signals.bin"),
+                 "--labels", str(synth_dir / "labels.csv"), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.endswith(f"{out.read_text()}\nwrote {out}\n")
+
+
 # (subcommand, its flags, the path the error must name): {file} is a plain
 # file in the way, {run} a trained run's directory and {data} its data set.
 _DATA_FLAGS = ["--signals", "{data}/signals.bin", "--labels", "{data}/labels.csv"]
@@ -356,13 +381,14 @@ def test_unwritable_output_path_exits_3_naming_it(synth_dir, trained_dir, tmp_pa
                                                  monkeypatch, subcommand, flags, path):
     file = tmp_path / "in-the-way"
     file.write_text("")
-    if subcommand == "train":  # fails before it trains
+    if subcommand in ("train", "eval"):  # fails before it reads the set
         monkeypatch.setattr("mswecg.cli.load_dataset", lambda *a: pytest.fail("dataset was read"))
     fill = {"data": synth_dir, "run": trained_dir, "file": file}
     assert main([subcommand, *(flag.format(**fill) for flag in flags)]) == 3
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith(f"{subcommand}: data error:") and path.format(**fill) in err, err
-    assert file.read_text() == ""
+    assert file.read_text() == "" and "macro_f1" not in captured.out
 
 
 # (subcommand, bad flag values, the flag the error must name)

@@ -257,6 +257,62 @@ def mapped_12x1000(tmp_path_factory):
     return out / "sig.bin", out / "lab.csv"
 
 
+def test_set_up_reads_every_row_once_and_the_training_rows_twice(mapped_12x1000, monkeypatch):
+    sig, lab = mapped_12x1000
+    preadv, read = data.os.preadv, []
+
+    def counting_preadv(*args):
+        read.append(preadv(*args))
+        return read[-1]
+
+    monkeypatch.setattr(data.os, "preadv", counting_preadv)
+    ds = load_dataset(sig, lab)
+    standardize(ds)
+    n_train = int(np.isin(ds.folds, SPLIT_FOLDS["train"]).sum())
+    assert (len(ds), n_train) == (200, 160)
+    assert sum(read) == (len(ds) + n_train) * 12 * 1000 * 8
+
+
+def test_set_up_holds_one_block_whatever_the_record_count(tmp_path):
+    peaks = {}
+    for n in (20, 200):
+        sig, lab = tmp_path / f"sig{n}.bin", tmp_path / f"lab{n}.csv"
+        save_dataset(synth_generate(SynthSpec(seed=2, n_records=n, n_leads=12, L=1000)), sig, lab)
+        tracemalloc.start()
+        try:
+            standardize(load_dataset(sig, lab))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks[n] < 1.5 * data.BLOCK_BYTES, peaks
+    assert peaks[200] - peaks[20] < data.BLOCK_BYTES / 8, peaks
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_row_scan_names_a_non_finite_row_of_an_in_memory_set_as_load_does(tmp_path, value):
+    ds = small_dataset(30, seed=9)
+    ds.signals[17, 1, 4] = value
+    ds.signals[23, 0, 0] = value
+    with mock.patch.object(data, "BLOCK_BYTES", 4 * ds.signals[0].nbytes):
+        assert ds.row_scan[1] == 17
+        save_dataset(ds, tmp_path / "sig.bin", tmp_path / "lab.csv")
+        with pytest.raises(DataError, match=r"record r017 \(row 17\): non-finite sample"):
+            load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv")
+    sums = ds.row_scan[0]
+    finite = np.isfinite(ds.signals).all(axis=(1, 2))
+    assert sums.shape == (30, 2) and np.array_equal(np.isfinite(sums).all(axis=1), finite)
+    assert sums[finite].tobytes() == ds.signals[finite].sum(axis=2).tobytes()
+
+
+def test_a_row_whose_sum_overflows_is_finite(tmp_path):
+    ds = small_dataset(10, seed=9)
+    ds.signals[3] = 1e308  # every sample finite, the row's sums are not
+    save_dataset(ds, tmp_path / "sig.bin", tmp_path / "lab.csv")
+    with np.errstate(over="ignore"):
+        assert ds.row_scan[1] is None and not np.isfinite(ds.row_scan[0][3]).any()
+        assert load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv").row_scan[1] is None
+
+
 def test_a_batch_read_holds_only_its_rows(mapped_12x1000, monkeypatch):
     sig, lab = mapped_12x1000
     row_bytes = 12 * 1000 * 8

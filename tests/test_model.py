@@ -903,7 +903,7 @@ def _chunk_sizes(monkeypatch, cfg, n):
     return [size for _, size in chunks]
 
 
-@pytest.mark.parametrize("L,n_leads,per_chunk", [(1000, 12, 8), (200, 4, 32), (40, 2, 256)])
+@pytest.mark.parametrize("L,n_leads,per_chunk", [(1000, 12, 4), (200, 4, 16), (40, 2, 128)])
 def test_predict_chunks_are_power_of_two_records_with_no_one_record_tail(monkeypatch, L,
                                                                          n_leads, per_chunk):
     cfg = MswConfig(L=L, n_leads=n_leads, P=5, C=8, heads=2, windows=(2,), K=3)

@@ -392,7 +392,7 @@ def test_finite_difference_audit_tiny_model():
 def test_train_loop_memory_does_not_grow_with_a_mapped_set(tmp_path, monkeypatch):
     cfg = MswConfig(L=1000, n_leads=12, P=5, C=8, heads=2, windows=(5, 10, 20), K=3)
     # Blocks of four records for the statistics passes, so both sets are
-    # read in blocks of the same size (the default block holds 87 records).
+    # read in blocks of the same size (the default block holds 10 records).
     monkeypatch.setattr(data, "BLOCK_BYTES", 4 * 12 * 1000 * 8)
     peaks = {}
     for n in (20, 200):

@@ -3,7 +3,7 @@
 from .config import MswConfig
 from .data import Dataset, DatasetHeader, SynthSpec
 from .metrics import EvalBatch, MetricReport
-from .model import BranchOutput, ForwardResult, forward, predict
+from .model import ForwardResult, forward, predict
 from .params import ParamStore, init_params, load_checkpoint, save_checkpoint
 from .tensor import Tensor
 from .train import AdamState, TrainConfig, TrainResult, train_loop
@@ -15,7 +15,6 @@ __all__ = [
     "SynthSpec",
     "EvalBatch",
     "MetricReport",
-    "BranchOutput",
     "ForwardResult",
     "forward",
     "predict",

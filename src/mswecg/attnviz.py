@@ -101,57 +101,44 @@ def expand_to_samples(scores: np.ndarray, P: int) -> np.ndarray:
 def build_dump(record_id: str, result: ForwardResult, cfg: MswConfig) -> AttentionDump:
     """Assemble the exportable dump from one single-record forward pass.
 
-    Raises :class:`NumericError` naming the first branch whose attention map
-    (and window) or fusion weight is not finite.
+    Each branch's scale comes from ``cfg.windows`` and the shift from
+    ``cfg.shift``.  Raises :class:`NumericError` naming the first branch
+    whose attention map (and window) or fusion weight is not finite.
     """
-    T = cfg.tokens
-    beta = result.beta.data
+    T, shift = cfg.tokens, cfg.shift
     branches = []
-    per_branch_scores = []
-    for br in result.branches:
-        attn = br.attn.data
+    for M, attn in zip(cfg.windows, result.attn):
         if attn.ndim != 4:
             raise DimensionError(
                 "build_dump needs a single-record forward pass (unbatched attention)"
             )
         bad = np.flatnonzero(~np.isfinite(attn).all(axis=(1, 2, 3)))
         if bad.size:
-            raise NumericError(f"branch M={br.M}: non-finite attention in window {bad[0]}")
-        n_w = attn.shape[0]
-        windows = tuple(
-            WindowDump(
-                start_patch=(w * br.M + br.shift) % T,
-                heads=cfg.heads,
-                attn=attn[w],
-            )
-            for w in range(n_w)
-        )
-        scores = token_scores(attn, br.shift, T)
-        per_branch_scores.append(scores)
-        branches.append(BranchDump(M=br.M, shift=br.shift, windows=windows,
-                                   token_scores=scores))
-    bad = np.flatnonzero(~np.isfinite(beta))
+            raise NumericError(f"branch M={M}: non-finite attention in window {bad[0]}")
+        windows = tuple(WindowDump(start_patch=(w * M + shift) % T, heads=cfg.heads, attn=a)
+                        for w, a in enumerate(attn))
+        branches.append(BranchDump(M=M, shift=shift, windows=windows,
+                                   token_scores=token_scores(attn, shift, T)))
+    bad = np.flatnonzero(~np.isfinite(result.beta))
     if bad.size:
-        br = result.branches[bad[0]]
-        raise NumericError(f"branch M={br.M}: non-finite fusion weight beta {beta[bad[0]]}")
-    fused_tokens = fuse_scores(per_branch_scores, beta)
+        raise NumericError(f"branch M={cfg.windows[bad[0]]}: non-finite fusion weight beta "
+                           f"{result.beta[bad[0]]}")
+    fused_tokens = fuse_scores([br.token_scores for br in branches], result.beta)
     return AttentionDump(
         record_id=record_id,
-        beta=beta,
+        beta=result.beta,
         branches=tuple(branches),
         fused_token_scores=fused_tokens,
         fused_sample_scores=expand_to_samples(fused_tokens, cfg.P),
     )
 
 
-def dump_for_record(
-    record_id: str, signal: np.ndarray, cfg: MswConfig, params: ParamStore
-) -> tuple[AttentionDump, ForwardResult]:
-    """Evaluation-mode forward pass on one (n_leads, L) record, recording no
-    graph, plus its dump."""
+def dump_for_record(record_id: str, signal: np.ndarray, cfg: MswConfig,
+                    params: ParamStore) -> AttentionDump:
+    """The dump of an evaluation-mode forward pass on one (n_leads, L) record,
+    recording no graph."""
     with no_grad():
-        result = forward(signal, cfg, params)
-    return build_dump(record_id, result, cfg), result
+        return build_dump(record_id, forward(signal, cfg, params), cfg)
 
 
 # ---------------------------------------------------------------------------

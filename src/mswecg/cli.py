@@ -34,14 +34,7 @@ from .data import (
     standardize,
     synth_generate,
 )
-from .errors import (
-    AdmissibilityError,
-    ConfigError,
-    DataError,
-    DimensionError,
-    NumericError,
-    UndefinedMetricError,
-)
+from .errors import AdmissibilityError, ConfigError, DataError, DimensionError, NumericError
 from .metrics import EvalBatch, evaluate
 from .model import predict
 from .params import ParamStore, init_params, load_checkpoint, param_shapes, save_checkpoint
@@ -291,7 +284,7 @@ def run_attn(args) -> int:
         raise DataError(f"record id {args.record!r} not in dataset")
     row = ds.ids.index(args.record) if args.record else 0
     record_id, signal = ds.ids[row], standardize(ds)[row]
-    dump, _ = dump_for_record(record_id, signal, cfg, store)
+    dump = dump_for_record(record_id, signal, cfg, store)
     written = export(dump, signal, args.out_dir, leads=leads,
                      config={"model": cfg.to_dict(), "record_id": record_id})
     for path in written:
@@ -455,7 +448,7 @@ def main(argv=None) -> int:
     except (ConfigError, AdmissibilityError, DimensionError) as exc:
         print(f"{args.subcommand}: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, UndefinedMetricError) as exc:
+    except DataError as exc:
         print(f"{args.subcommand}: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

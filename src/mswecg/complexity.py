@@ -72,14 +72,6 @@ class ComplexityReport:
     measured: dict[str, int]
     analytic: dict[str, int]
 
-    @property
-    def measured_total(self) -> int:
-        return sum(self.measured.values())
-
-    @property
-    def ratio(self) -> float:
-        return self.omega_msa / self.omega_mswsa
-
 
 def measure_macs(tokens: int, channels: int, windows, seed: int = 0) -> ComplexityReport:
     """Run the toy attention pass on live buffers and tally its MACs.

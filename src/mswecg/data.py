@@ -197,10 +197,13 @@ def read_layout(signal_file, label_file) -> tuple[DatasetHeader, int, int]:
 
     with open(label_file, newline="") as fh:  # counted now, parsed by load_dataset, never held
         reader = csv.reader(fh)
-        head = next(reader, [])
-        n_records = sum(1 for _ in reader)
-    if head[:2] != ["id", "fold"]:
-        raise DataError(f"{label_file}: first row must be 'id,fold,<class names...>'")
+        head, n_records = next(reader, []), 0
+        if head[:2] != ["id", "fold"]:
+            raise DataError(f"{label_file}: first row must be 'id,fold,<class names...>'")
+        for fields in reader:
+            if not fields:  # a blank line: no record, so the blob size check would misfire
+                raise DataError(f"{label_file} row {n_records}: empty row")
+            n_records += 1
     class_names = tuple(head[2:])
     if len(class_names) != K:
         raise DataError(
@@ -229,8 +232,9 @@ def load_dataset(signal_file, label_file) -> Dataset:
     """Map a dataset's files; malformed rows are rejected with their index.
 
     The layout is checked first (:func:`read_layout`).  The signal blob is
-    memory-mapped read-only, not copied, and checked for non-finite samples
-    by :attr:`Dataset.row_scan`, which keeps the sums for the statistics.
+    memory-mapped read-only, not copied, and the first row whose per-lead
+    sums (:attr:`Dataset.row_scan`, kept for the statistics) are not finite
+    is rejected: it holds a non-finite sample, or its samples overflow a sum.
     """
     signal_file, label_file = Path(signal_file), Path(label_file)
     header, offset, n_records = read_layout(signal_file, label_file)
@@ -259,9 +263,11 @@ def load_dataset(signal_file, label_file) -> Dataset:
     else:
         signals = np.empty((0, n_leads, L))
     ds = Dataset(header=header, ids=ids, signals=signals, labels=labels, folds=folds)
-    row = ds.row_scan[1]
+    sums, bad = ds.row_scan
+    row = _first(~np.isfinite(sums).all(axis=1))  # a non-finite sample, or a sum that overflows
     if row is not None:
-        raise DataError(f"record {ids[row]} (row {row}): non-finite sample")
+        what = "non-finite sample" if row == bad else "a lead's samples sum past float64's range"
+        raise DataError(f"record {ids[row]} (row {row}): {what}")
     row = _first(~np.isin(labels, (0, 1)).all(axis=1))
     if row is not None:
         raise DataError(f"record {ids[row]} (row {row}): labels must be a {K}-long 0/1 row")

@@ -23,7 +23,3 @@ class GraphError(RuntimeError):
 
 class NumericError(RuntimeError):
     """A numeric abort, e.g. a non-finite training loss."""
-
-
-class UndefinedMetricError(ValueError):
-    """A metric has no valid unit to average over."""

@@ -11,10 +11,10 @@ Conventions, all surfaced in the report rather than hidden:
 
 :func:`evaluate` computes every number in one pass of array operations:
 confusion counts once per class and once per sample, and one ranking of
-the scores per class and per sample.  The single-metric functions read
-its report or its helpers.  Means of F1 values are left-to-right sums,
-so a scalar loop reproduces them bitwise; rank sums are half-integers and
-so exact in any order.
+the scores per class and per sample.  Its :class:`MetricReport` is the one
+way to read them; an undefined AUC mean is None there.  Means of F1 values
+are left-to-right sums, so a scalar loop reproduces them bitwise; rank sums
+are half-integers and so exact in any order.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, UndefinedMetricError
+from .errors import DimensionError
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,6 @@ def _prf(tp, fp, fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return precision, recall, _ratio(2 * precision * recall, precision + recall)
 
 
-def threshold_confusion(batch: EvalBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-class (TP, FP, FN, TN) counts after thresholding."""
-    tp, fp, fn = _counts(batch)[0]
-    return tp, fp, fn, len(batch.labels) - tp - fp - fn
-
-
 def _aucs(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Mann-Whitney AUC of every column; NaN where a column lacks a positive
     or a negative.  Each column is ranked once, ties sharing their mean rank."""
@@ -104,23 +98,6 @@ def _mean_auc(aucs: np.ndarray) -> float | None:
     """numpy's mean over the units whose AUC is defined; None if there is none."""
     vals = aucs[~np.isnan(aucs)]
     return float(vals.mean()) if vals.size else None
-
-
-def roc_auc(batch: EvalBatch, mode: str = "macro") -> float:
-    """Mean AUC over classes (``macro``) or over samples (``samples``).
-
-    Degenerate units (no positive or no negative) are skipped; if nothing
-    remains the metric is undefined and raises.
-    """
-    if mode not in ("macro", "samples"):
-        raise ValueError(f"mode must be 'macro' or 'samples', got {mode!r}")
-    scores, labels = batch.scores, batch.labels
-    if mode == "samples":
-        scores, labels = scores.T, labels.T
-    mean = _mean_auc(_aucs(scores, labels))
-    if mean is None:
-        raise UndefinedMetricError(f"roc_auc[{mode}]: no unit has both a positive and a negative")
-    return mean
 
 
 @dataclass
@@ -177,18 +154,3 @@ def evaluate(batch: EvalBatch) -> MetricReport:
         skipped_auc_samples=int(np.isnan(sample_aucs).sum()),
         threshold=batch.threshold,
     )
-
-
-def accuracy(batch: EvalBatch) -> float:
-    """Fraction of correct label decisions over all B*K of them."""
-    return evaluate(batch).accuracy
-
-
-def macro_f1(batch: EvalBatch) -> float:
-    """Unweighted mean of per-class F1 (0/0 classes contribute 0)."""
-    return evaluate(batch).macro_f1
-
-
-def samples_f1(batch: EvalBatch) -> float:
-    """Mean over samples of the F1 on each sample's own label set."""
-    return evaluate(batch).samples_f1

@@ -15,6 +15,8 @@ return their backward rule instead of recording it: :func:`window_attention`
 softmax, dropout, AV, output projection) and :func:`mlp_sublayer` (LN2, GELU
 MLP, residual).  Every forward product runs through ``tensor.matmul``, which
 counts its MACs; :func:`_on_pool` states which threads run what.
+:class:`ForwardResult` carries the probabilities, the only output on the
+graph, with the fusion weights and each scale's attention maps as arrays.
 
 All functions accept arbitrary leading axes, so the same code serves a
 single record (T, C) and a batch (B, T, C).
@@ -51,33 +53,10 @@ PREDICT_WORKERS = 2
 
 
 @dataclass
-class BranchOutput:
-    """One window-scale pathway: attended tokens and attention maps."""
-
-    M: int
-    shift: int
-    tokens: Tensor  # (..., T, C) block output, off the graph
-    attn: Tensor  # (..., nW, heads, M, M) softmax probabilities (pre-dropout)
-
-
-class BlockOutput(list):
-    """:func:`msw_block`'s :class:`BranchOutput` per window scale, in order.
-
-    ``stacked`` holds every branch's tokens on a leading axis, (n_branches,
-    ..., T, C), and is the block's one recorded op under a tape; each
-    branch's ``tokens`` is a view of its slice, with no op of its own.
-    """
-
-    def __init__(self, branches, stacked: Tensor):
-        super().__init__(branches)
-        self.stacked = stacked
-
-
-@dataclass
 class ForwardResult:
     probs: Tensor  # (..., K) sigmoid outputs
-    beta: Tensor  # (..., n_branches) fusion weights
-    branches: BlockOutput
+    beta: np.ndarray  # (..., n_branches) fusion weights
+    attn: tuple[np.ndarray, ...]  # per window scale: (..., T/M, heads, M, M), pre-dropout
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +105,12 @@ def linear_embed(patches: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
 # Windowing
 
 
-def window_partition(tokens, M: int, shift: int = 0) -> np.ndarray:
+def window_partition(x: np.ndarray, M: int, shift: int = 0) -> np.ndarray:
     """Rotate (..., T, C) rows left by ``shift``, then chunk into (..., T/M, M, C).
 
-    Takes an array or a Tensor's values and returns an array.  Only
-    admissible geometries are accepted: the scale must divide the token count
-    exactly.
+    Only admissible geometries are accepted: the scale must divide the token
+    count exactly.
     """
-    x = tokens.data if isinstance(tokens, Tensor) else tokens
     *lead, T, C = x.shape
     if M < 1 or T % M != 0:
         raise AdmissibilityError(f"window scale {M} does not divide token count {T}")
@@ -322,7 +299,7 @@ _BRANCH_LEAVES = ("ln1.gamma", "ln1.beta", "attn.Wq", "attn.Wk", "attn.Wv", "att
 
 
 def msw_block(tokens: Tensor, cfg: MswConfig, params: ParamStore, train: bool = False,
-              rng: np.random.Generator | None = None) -> BlockOutput:
+              rng: np.random.Generator | None = None) -> tuple[Tensor, tuple[np.ndarray, ...]]:
     """Run the single block once per window scale on shared input tokens.
 
     Per branch: x' = x + windowed-attention(LN(x)); y = x' + MLP(LN(x')).
@@ -330,11 +307,14 @@ def msw_block(tokens: Tensor, cfg: MswConfig, params: ParamStore, train: bool = 
     rows of it, are shared.  Training draws every branch's dropout uniforms
     from ``rng`` in branch order first, so no mask depends on the thread.
 
-    The block is one op, ``msw_block``, whose output is ``stacked``.  Under a
-    tape the branches run on :func:`_on_pool`, and so does the op's backward:
-    each branch's MLP rule, then its attention rule.  It adds the residual and
-    the standardized rows' gradients in branch order, then takes LN1's input
-    step once.  Without a tape the branches run in the caller's thread.
+    Returns (stacked, attn).  ``stacked`` holds every branch's tokens on a
+    leading axis, (n_branches, ..., T, C): it is the block's one recorded op,
+    ``msw_block``.  ``attn`` holds each branch's pre-dropout maps, (..., T/M,
+    heads, M, M), as arrays.  Under a tape the branches run on
+    :func:`_on_pool`, and so does the op's backward: each branch's MLP rule,
+    then its attention rule.  It adds the residual and the standardized rows'
+    gradients in branch order, then takes LN1's input step once.  Without a
+    tape the branches run in the caller's thread.
     """
     *lead, T, _ = tokens.shape
     branches = range(cfg.n_branches)
@@ -370,13 +350,11 @@ def msw_block(tokens: Tensor, cfg: MswConfig, params: ParamStore, train: bool = 
         dx += _standardize_grad(sum((gs[1] for gs in grads[1:]), grads[0][1]), xhat, inv)
         return (dx, *(gi for gs in grads for gi in gs[2:]))
 
-    stacked = tc.apply_op("msw_block", inputs, np.stack(ys), backward_fn)
-    return BlockOutput([BranchOutput(M=M, shift=cfg.shift, tokens=Tensor(y), attn=Tensor(a))
-                        for M, y, a in zip(cfg.windows, stacked.data, attns)], stacked)
+    return tc.apply_op("msw_block", inputs, np.stack(ys), backward_fn), attns
 
 
 def fuse(branch_tokens: Tensor, windows, head_ws: list[Tensor], head_bs: list[Tensor],
-         fusion_w: Tensor) -> tuple[Tensor, Tensor]:
+         fusion_w: Tensor) -> tuple[Tensor, np.ndarray]:
     """Pooled heads, learned fusion and sigmoid: one recorded op.
 
     ``branch_tokens`` stacks each branch's (..., T, C) tokens on a leading
@@ -387,7 +365,7 @@ def fuse(branch_tokens: Tensor, windows, head_ws: list[Tensor], head_bs: list[Te
     feature vectors complementary.  Then beta = softmax(concat(alphas) @
     fusion_w) and y = sigmoid(sum_i beta_i alpha_i).  With fusion_w = 0 the
     weights are exactly uniform.  Returns (y (..., K), beta (..., n_branches)),
-    beta off the graph.
+    beta an array off the graph.
     """
     xs = branch_tokens.data
     nb, *lead, T, C = xs.shape
@@ -428,7 +406,7 @@ def fuse(branch_tokens: Tensor, windows, head_ws: list[Tensor], head_bs: list[Te
 
     inputs = (branch_tokens, *head_ws, *head_bs, fusion_w)
     out = tc.apply_op("fuse", inputs, y.reshape(*lead, K), backward_fn)
-    return out, Tensor(beta.reshape(*lead, nb))
+    return out, beta.reshape(*lead, nb)
 
 
 def forward(
@@ -443,12 +421,11 @@ def forward(
     Deterministic when ``train`` is false (dropout is then the identity).
     """
     tokens = linear_embed(patch_split(record, cfg), params["embed.W"], params["embed.b"])
-    branches = msw_block(tokens, cfg, params, train=train, rng=rng)
+    stacked, attn = msw_block(tokens, cfg, params, train=train, rng=rng)
     heads = range(cfg.n_branches)
-    probs, beta = fuse(branches.stacked, cfg.windows,
-                       [params[f"branch{i}.head.W"] for i in heads],
+    probs, beta = fuse(stacked, cfg.windows, [params[f"branch{i}.head.W"] for i in heads],
                        [params[f"branch{i}.head.b"] for i in heads], params["fusion.W"])
-    return ForwardResult(probs=probs, beta=beta, branches=branches)
+    return ForwardResult(probs=probs, beta=beta, attn=attn)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -142,7 +143,7 @@ def test_expand_round_trip_mean_pool():
 
 def test_dump_shapes_and_row_sums():
     (record_id, signal), params = fitted_record_and_params()
-    dump, _ = dump_for_record(record_id, signal, CFG, params)
+    dump = dump_for_record(record_id, signal, CFG, params)
     assert dump.record_id == record_id
     assert dump.beta.shape == (CFG.n_branches,)
     assert dump.fused_token_scores.shape == (CFG.tokens,)
@@ -153,6 +154,19 @@ def test_dump_shapes_and_row_sums():
         for w_idx, win in enumerate(br.windows):
             assert win.start_patch == (w_idx * M) % CFG.tokens
             assert np.abs(win.attn.sum(axis=-1) - 1.0).max() <= 1e-12
+
+
+def test_dump_of_a_shifted_model_takes_the_shift_from_the_config():
+    cfg = dataclasses.replace(CFG, shift=1)
+    (record_id, signal), params = fitted_record_and_params(seed=6)
+    res = forward(signal, cfg, params)
+    dump = build_dump(record_id, res, cfg)
+    T = cfg.tokens
+    for i, (br, M) in enumerate(zip(dump.branches, cfg.windows)):
+        assert (br.M, br.shift) == (M, 1)
+        assert [win.start_patch for win in br.windows] == [(w * M + 1) % T
+                                                           for w in range(T // M)]
+        assert np.array_equal(br.token_scores, token_scores(res.attn[i], 1, T))
 
 
 def test_dump_rejects_non_finite_attention_naming_branch_and_window():
@@ -168,15 +182,15 @@ def test_scores_invariant_to_batch_composition():
     solo = forward(view[0], CFG, params)
     batch = forward(view[np.arange(4)], CFG, params)
     solo_dump = build_dump("x", solo, CFG)
-    for br_solo, br_batch in zip(solo.branches, batch.branches):
-        assert np.allclose(br_solo.attn.data, br_batch.attn.data[0], atol=1e-12)
+    for attn_solo, attn_batch in zip(solo.attn, batch.attn):
+        assert np.allclose(attn_solo, attn_batch[0], atol=1e-12)
     assert np.allclose(solo.probs.data, batch.probs.data[0], atol=1e-12)
     assert solo_dump.fused_sample_scores.shape == (CFG.L,)
 
 
 def test_json_round_trip_numerics(tmp_path):
     (record_id, signal), params = fitted_record_and_params(seed=4)
-    dump, _ = dump_for_record(record_id, signal, CFG, params)
+    dump = dump_for_record(record_id, signal, CFG, params)
     written = export(dump, signal, tmp_path, leads=())
     assert len(written) == 1 and written[0].suffix == ".json"
     parsed = json.loads(written[0].read_text())
@@ -191,7 +205,7 @@ def test_json_round_trip_numerics(tmp_path):
 
 def test_export_svg_per_lead(tmp_path):
     (record_id, signal), params = fitted_record_and_params(seed=5)
-    dump, _ = dump_for_record(record_id, signal, CFG, params)
+    dump = dump_for_record(record_id, signal, CFG, params)
     written = export(dump, signal, tmp_path, leads=(0, 1))
     names = sorted(p.name for p in written)
     assert names == sorted(

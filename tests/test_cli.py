@@ -145,6 +145,21 @@ def test_train_missing_signals_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("subcommand", ["train", "eval"])
+def test_a_set_whose_samples_overflow_a_sum_exits_3_naming_the_row(trained_dir, tmp_path,
+                                                                     capsys, subcommand):
+    ds = synth_generate(SynthSpec(seed=5, n_records=40, n_leads=2, L=200))
+    ds.signals[0] = 1e308  # every sample finite, the row's per-lead sums are not
+    save_dataset(ds, tmp_path / "signals.bin", tmp_path / "labels.csv")
+    where = (["--out-dir", str(tmp_path / "run"), *TINY_SETTINGS] if subcommand == "train"
+             else ["--checkpoint", str(trained_dir / "checkpoint")])
+    with np.errstate(over="ignore"):
+        code = main([subcommand, "--signals", str(tmp_path / "signals.bin"),
+                     "--labels", str(tmp_path / "labels.csv"), *where])
+    assert code == 3
+    assert "record synth-00000 (row 0): a lead's samples sum past" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(synth_dir, tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(

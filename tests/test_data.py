@@ -310,7 +310,21 @@ def test_a_row_whose_sum_overflows_is_finite(tmp_path):
     save_dataset(ds, tmp_path / "sig.bin", tmp_path / "lab.csv")
     with np.errstate(over="ignore"):
         assert ds.row_scan[1] is None and not np.isfinite(ds.row_scan[0][3]).any()
-        assert load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv").row_scan[1] is None
+        # load rejects the row at set-up, rather than let training fail on it
+        with pytest.raises(DataError, match=r"record r003 \(row 3\): a lead's samples sum past"):
+            load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv")
+
+
+@pytest.mark.parametrize("after", [3, 19], ids=["mid-file", "trailing"])
+def test_a_blank_label_row_is_named_in_the_label_file(tmp_path, after):
+    sig, lab = tmp_path / "signals.bin", tmp_path / "labels.csv"
+    save_dataset(synth_generate(SynthSpec(seed=0, n_records=20, n_leads=2, L=40)), sig, lab)
+    lines = lab.read_text().splitlines(keepends=True)
+    lines.insert(after + 2, "\n")  # after the header and data rows 0..after
+    lab.write_text("".join(lines))
+    with pytest.raises(DataError, match=rf"labels\.csv row {after + 1}: empty row") as err:
+        load_dataset(sig, lab)
+    assert "signals.bin" not in str(err.value)
 
 
 def test_a_batch_read_holds_only_its_rows(mapped_12x1000, monkeypatch):

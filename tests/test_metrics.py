@@ -5,23 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mswecg.errors import UndefinedMetricError
-from mswecg.metrics import (
-    EvalBatch,
-    accuracy,
-    evaluate,
-    macro_f1,
-    roc_auc,
-    samples_f1,
-    threshold_confusion,
-)
-from util import (
-    loop_accuracy,
-    loop_confusion,
-    loop_macro_f1,
-    loop_samples_f1,
-    pairwise_auc,
-)
+from mswecg.metrics import EvalBatch, evaluate
+from util import loop_accuracy, loop_macro_f1, loop_samples_f1, pairwise_auc
 
 
 def batch(scores, labels, **kw):
@@ -33,46 +18,24 @@ def random_batch(rng, b=8, k=4):
 
 
 # ---------------------------------------------------------------------------
-# confusion / accuracy
-
-
-def test_confusion_perfect_predictions():
-    y = np.array([[1, 0], [0, 1], [1, 1]])
-    tp, fp, fn, tn = threshold_confusion(batch(y.astype(float), y))
-    assert np.array_equal(fp, [0, 0]) and np.array_equal(fn, [0, 0])
-    assert np.array_equal(tp, [2, 2]) and np.array_equal(tn, [1, 1])
-
-
-def test_confusion_all_missed():
-    y = np.ones((5, 3), dtype=int)
-    tp, fp, fn, tn = threshold_confusion(batch(np.zeros((5, 3)), y))
-    assert np.array_equal(fn, [5, 5, 5]) and tp.sum() == 0
-
-
-def test_confusion_matches_loop_oracle():
-    rng = np.random.default_rng(0)
-    b = random_batch(rng, 6, 3)
-    ours = threshold_confusion(b)
-    oracle = loop_confusion(b.scores, b.labels)
-    for a, e in zip(ours, oracle):
-        assert np.array_equal(a, e)
+# accuracy
 
 
 def test_accuracy_perfect_and_flipped():
     y = np.array([[1, 0], [0, 1]])
-    assert accuracy(batch(y.astype(float), y)) == 1.0
-    assert accuracy(batch(1.0 - y, y)) == 0.0
+    assert evaluate(batch(y.astype(float), y)).accuracy == 1.0
+    assert evaluate(batch(1.0 - y, y)).accuracy == 0.0
 
 
 def test_accuracy_hand_case():
     labels = np.array([[1, 0], [0, 1]])
     preds = np.array([[1.0, 1.0], [0.0, 1.0]])
-    assert accuracy(batch(preds, labels)) == pytest.approx(3 / 4)
+    assert evaluate(batch(preds, labels)).accuracy == pytest.approx(3 / 4)
 
 
 def test_empty_batch_rejected():
     with pytest.raises(ValueError, match="empty"):
-        accuracy(batch(np.zeros((0, 2)), np.zeros((0, 2), dtype=int)))
+        evaluate(batch(np.zeros((0, 2)), np.zeros((0, 2), dtype=int))).accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -81,15 +44,15 @@ def test_empty_batch_rejected():
 
 def test_macro_f1_perfect():
     y = np.array([[1, 0], [0, 1], [1, 1]])
-    assert macro_f1(batch(y.astype(float), y)) == 1.0
+    assert evaluate(batch(y.astype(float), y)).macro_f1 == 1.0
 
 
 def test_macro_f1_absent_class_contributes_zero():
     labels = np.array([[1, 0], [1, 0]])
     scores = np.array([[1.0, 0.0], [1.0, 0.0]])
     # class 1 never present, never predicted: contributes 0 by convention
-    assert macro_f1(batch(scores, labels)) == pytest.approx(0.5)
     report = evaluate(batch(scores, labels))
+    assert report.macro_f1 == pytest.approx(0.5)
     assert report.degenerate_f1_classes == 1
 
 
@@ -97,20 +60,20 @@ def test_macro_f1_hand_case():
     # per class TP=1, FP=1, FN=1 -> P = R = 0.5 -> F1 = 0.5
     labels = np.array([[1, 1], [1, 1], [0, 0]])
     scores = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
-    assert macro_f1(batch(scores, labels)) == pytest.approx(0.5)
+    assert evaluate(batch(scores, labels)).macro_f1 == pytest.approx(0.5)
 
 
 def test_samples_f1_hand_case():
     labels = np.array([[1, 1, 0]])
     scores = np.array([[1.0, 0.0, 0.0]])
-    assert samples_f1(batch(scores, labels)) == pytest.approx(2 / 3)
+    assert evaluate(batch(scores, labels)).samples_f1 == pytest.approx(2 / 3)
 
 
 def test_samples_f1_all_empty_is_one():
     labels = np.zeros((3, 4), dtype=int)
     scores = np.zeros((3, 4))
-    assert samples_f1(batch(scores, labels)) == 1.0
     report = evaluate(batch(scores, labels))
+    assert report.samples_f1 == 1.0
     assert report.empty_correct_samples == 3
 
 
@@ -118,9 +81,10 @@ def test_f1_matches_loop_oracles_on_random_batches():
     rng = np.random.default_rng(42)
     for _ in range(100):
         b = random_batch(rng)
-        assert macro_f1(b) == pytest.approx(loop_macro_f1(b.scores, b.labels), abs=1e-15)
-        assert samples_f1(b) == pytest.approx(loop_samples_f1(b.scores, b.labels), abs=1e-15)
-        assert accuracy(b) == pytest.approx(loop_accuracy(b.scores, b.labels), abs=1e-15)
+        report = evaluate(b)
+        assert report.macro_f1 == pytest.approx(loop_macro_f1(b.scores, b.labels), abs=1e-15)
+        assert report.samples_f1 == pytest.approx(loop_samples_f1(b.scores, b.labels), abs=1e-15)
+        assert report.accuracy == pytest.approx(loop_accuracy(b.scores, b.labels), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -130,19 +94,19 @@ def test_f1_matches_loop_oracles_on_random_batches():
 def test_auc_perfect_ranking():
     scores = np.array([[0.9], [0.8], [0.2], [0.1]])
     labels = np.array([[1], [1], [0], [0]])
-    assert roc_auc(batch(scores, labels), "macro") == 1.0
+    assert evaluate(batch(scores, labels)).auc_macro == 1.0
 
 
 def test_auc_all_ties_is_half():
     scores = np.full((6, 1), 0.5)
     labels = np.array([[1], [0], [1], [0], [1], [0]])
-    assert roc_auc(batch(scores, labels), "macro") == 0.5
+    assert evaluate(batch(scores, labels)).auc_macro == 0.5
 
 
 def test_auc_tie_case_matches_pairwise_oracle():
     scores = np.array([0.1, 0.4, 0.4, 0.4, 0.9])
     labels = np.array([0, 0, 1, 1, 1])
-    ours = roc_auc(batch(scores[:, None], labels[:, None]), "macro")
+    ours = evaluate(batch(scores[:, None], labels[:, None])).auc_macro
     assert ours == pytest.approx(pairwise_auc(scores, labels), abs=1e-15)
 
 
@@ -156,43 +120,35 @@ def test_auc_matches_pairwise_oracle_on_random_batches():
         ):
             vals = [pairwise_auc(s, l) for s, l in zip(axis_scores, axis_labels)]
             vals = [v for v in vals if v is not None]
+            auc = getattr(evaluate(b), f"auc_{mode}")
             if vals:
-                assert roc_auc(b, mode) == pytest.approx(float(np.mean(vals)), abs=1e-12)
+                assert auc == pytest.approx(float(np.mean(vals)), abs=1e-12)
             else:
-                with pytest.raises(UndefinedMetricError):
-                    roc_auc(b, mode)
+                assert auc is None
 
 
 def test_auc_monotone_transform_invariance():
     rng = np.random.default_rng(4)
     scores = rng.random((12, 3))
     labels = (rng.random((12, 3)) < 0.4).astype(int)
-    base_macro = roc_auc(batch(scores, labels), "macro")
-    base_samples = roc_auc(batch(scores, labels), "samples")
-    warped = scores**3  # strictly monotone on [0, 1]
-    assert roc_auc(batch(warped, labels), "macro") == pytest.approx(base_macro, abs=1e-15)
-    assert roc_auc(batch(warped, labels), "samples") == pytest.approx(base_samples, abs=1e-15)
+    base = evaluate(batch(scores, labels))
+    warped = evaluate(batch(scores**3, labels))  # strictly monotone on [0, 1]
+    assert warped.auc_macro == pytest.approx(base.auc_macro, abs=1e-15)
+    assert warped.auc_samples == pytest.approx(base.auc_samples, abs=1e-15)
 
 
 def test_auc_degenerate_units_skipped_and_counted():
     scores = np.array([[0.9, 0.5], [0.1, 0.5]])
     labels = np.array([[1, 1], [0, 1]])  # class 1 has no negative
-    assert roc_auc(batch(scores, labels), "macro") == 1.0
     report = evaluate(batch(scores, labels))
+    assert report.auc_macro == 1.0
     assert report.skipped_auc_classes == 1
 
 
 def test_auc_undefined_raises():
     scores = np.array([[0.9], [0.1]])
     labels = np.array([[1], [1]])
-    with pytest.raises(UndefinedMetricError):
-        roc_auc(batch(scores, labels), "macro")
-
-
-def test_roc_auc_rejects_unknown_mode():
-    b = random_batch(np.random.default_rng(0))
-    with pytest.raises(ValueError, match="mode"):
-        roc_auc(b, "micro")
+    assert evaluate(batch(scores, labels)).auc_macro is None  # undefined: no unit to average
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +162,8 @@ def test_sample_permutation_invariance(seed):
     b = random_batch(rng, 10, 3)
     perm = rng.permutation(10)
     permuted = batch(b.scores[perm], b.labels[perm])
-    assert macro_f1(permuted) == pytest.approx(macro_f1(b), abs=1e-15)
-    assert samples_f1(permuted) == pytest.approx(samples_f1(b), abs=1e-15)
+    assert evaluate(permuted).macro_f1 == pytest.approx(evaluate(b).macro_f1, abs=1e-15)
+    assert evaluate(permuted).samples_f1 == pytest.approx(evaluate(b).samples_f1, abs=1e-15)
 
 
 @settings(max_examples=30, deadline=None)
@@ -217,7 +173,7 @@ def test_class_permutation_invariance_of_macro_f1(seed):
     b = random_batch(rng, 10, 4)
     perm = rng.permutation(4)
     permuted = batch(b.scores[:, perm], b.labels[:, perm])
-    assert macro_f1(permuted) == pytest.approx(macro_f1(b), abs=1e-15)
+    assert evaluate(permuted).macro_f1 == pytest.approx(evaluate(b).macro_f1, abs=1e-15)
 
 
 def test_all_metrics_in_unit_interval_and_perfect_is_one():

@@ -100,7 +100,7 @@ def test_window_partition_covers_contiguous_patches():
 
 def test_window_partition_single_window():
     tokens = np.random.default_rng(0).normal(size=(8, 2))
-    wins = window_partition(tc.tensor(tokens), 8, 0)
+    wins = window_partition(tokens, 8, 0)
     assert wins.shape == (1, 8, 2)
     assert np.array_equal(wins[0], tokens)
 
@@ -331,18 +331,18 @@ def test_block_matches_the_unfused_composition(windows, shift, p):
         tc.backward(loss)
         return {"x": x.grad, **{n: t.grad for n, t in params.items() if t.grad is not None}}
 
-    fused = msw_block(x, cfg, params, train=p > 0, rng=np.random.default_rng(5))
+    stacked, attns = msw_block(x, cfg, params, train=p > 0, rng=np.random.default_rng(5))
     # The block's recorded output stacks the branches' tokens on a leading axis.
-    fused_grads = grads(ref.sum(ref.mul(fused.stacked, np.stack(probes))))
+    fused_grads = grads(ref.sum(ref.mul(stacked, np.stack(probes))))
     ref_rng = np.random.default_rng(5)
     unfused = [reference_branch(x, lambda leaf, i=i: params[f"branch{i}.{leaf}"], M,
                                 cfg.heads, shift, p, p > 0, ref_rng)
                for i, M in enumerate(windows)]
     ref_grads = grads(ref.sum(ref.concat([ref.mul(y, w) for (y, _), w in zip(unfused, probes)],
                                          0)))
-    for br, (y, attn) in zip(fused, unfused):
-        assert np.abs(br.tokens.data - y.data).max() <= 1e-12
-        assert np.abs(br.attn.data - attn.data).max() <= 1e-12
+    for tokens, ours, (y, attn) in zip(stacked.data, attns, unfused):
+        assert np.abs(tokens - y.data).max() <= 1e-12
+        assert np.abs(ours - attn.data).max() <= 1e-12
     assert fused_grads.keys() == ref_grads.keys()
     for name in ref_grads:
         assert np.abs(fused_grads[name] - ref_grads[name]).max() <= 1e-10, name
@@ -362,8 +362,8 @@ def test_block_gradients_equal_one_tape_of_its_branch_ops_bitwise():
         tc.backward(loss)
         return {"x": x.grad, **{n: t.grad for n, t in params.items() if t.grad is not None}}
 
-    block = msw_block(x, cfg, params, train=True, rng=np.random.default_rng(4))
-    pooled = grads(ref.sum(ref.mul(block.stacked, probes)))
+    stacked, _ = msw_block(x, cfg, params, train=True, rng=np.random.default_rng(4))
+    pooled = grads(ref.sum(ref.mul(stacked, probes)))
     # The same fused ops recorded on one tape, one branch after another, all
     # reading one standardization of x (LN1's rows).
     masks, ys, xhat = np.random.default_rng(4), [], standardize(x)
@@ -373,7 +373,7 @@ def test_block_gradients_equal_one_tape_of_its_branch_ops_bitwise():
                          train=True, uniforms=masks.random((4, cfg.tokens // M, cfg.heads, M, M)))
         ys.append(mlp_sublayer(ref.add(x, a), *p[7:]))
     one_tape = grads(ref.sum(ref.concat([ref.mul(y, w) for y, w in zip(ys, probes)], 0)))
-    assert np.array_equal(block.stacked.data, np.stack([y.data for y in ys]))
+    assert np.array_equal(stacked.data, np.stack([y.data for y in ys]))
     assert pooled.keys() == one_tape.keys()
     for name in pooled:
         assert np.array_equal(pooled[name], one_tape[name]), name
@@ -419,7 +419,7 @@ def _fused_vs_reference(fused, reference, arrays):
         outs = op(*xs)
         outs = outs if isinstance(outs, tuple) else (outs,)
         tc.backward(ref.sum(ref.mul(outs[0], outs[0])))
-        runs.append(([o.data for o in outs], [x.grad for x in xs]))
+        runs.append(([getattr(o, "data", o) for o in outs], [x.grad for x in xs]))
     (f_out, f_grad), (r_out, r_grad) = runs
     return (max(np.abs(a - b).max() for a, b in zip(f_out, r_out)),
             max(np.abs(a - b).max() for a, b in zip(f_grad, r_grad)))
@@ -543,8 +543,8 @@ def test_block_zero_projections_is_pure_residual():
         params[f"branch{i}.mlp.W2"].data[:] = 0.0
     rng = np.random.default_rng(0)
     tokens = tc.tensor(rng.normal(size=(cfg.tokens, cfg.C)))
-    for br in msw_block(tokens, cfg, params):
-        assert np.array_equal(br.tokens.data, tokens.data)
+    for branch_tokens in msw_block(tokens, cfg, params)[0].data:
+        assert np.array_equal(branch_tokens, tokens.data)
 
 
 def test_single_window_spanning_everything_equals_global_attention():
@@ -561,7 +561,7 @@ def test_single_window_spanning_everything_equals_global_attention():
     worst = 0.0
     for _ in range(20):
         tokens = rng.normal(size=(T, cfg.C))
-        ours = msw_block(tc.tensor(tokens), cfg, params)[0].tokens.data
+        ours = msw_block(tc.tensor(tokens), cfg, params)[0].data[0]
         oracle = global_block_oracle(tokens, raw, cfg.heads)
         worst = max(worst, float(np.abs(ours - oracle).max()))
     assert worst < 1e-10
@@ -571,8 +571,8 @@ def test_block_branch_counts_full_scale():
     cfg = MswConfig(L=1000, n_leads=12, P=5, C=16, heads=2, windows=(5, 10, 20), K=5)
     params = init_params(cfg, seed=0)
     tokens = tc.tensor(np.random.default_rng(0).normal(size=(cfg.tokens, cfg.C)))
-    branches = msw_block(tokens, cfg, params)
-    assert [br.attn.shape[0] for br in branches] == [40, 20, 10]
+    _, attns = msw_block(tokens, cfg, params)
+    assert [attn.shape[0] for attn in attns] == [40, 20, 10]
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +583,7 @@ def _one_head(tokens, M, w, b):
     """fuse over one branch: beta = 1, so y = sigmoid(alpha) = sigmoid(head logits)."""
     K = w.shape[1]
     y, beta = fuse(tc.tensor(tokens.data[None]), (M,), [w], [b], tc.tensor(np.zeros((K, 1))))
-    assert np.array_equal(beta.data, np.ones(beta.shape))
+    assert np.array_equal(beta, np.ones(beta.shape))
     return y.data
 
 
@@ -626,7 +626,7 @@ def test_fuse_zero_weights_uniform_beta():
     rng = np.random.default_rng(2)
     alphas = [rng.normal(size=3) for _ in range(3)]
     y, beta = _fuse_logits(alphas, tc.tensor(np.zeros((9, 3))))
-    assert np.abs(beta.data - 1.0 / 3.0).max() <= 1e-12
+    assert np.abs(beta - 1.0 / 3.0).max() <= 1e-12
     mean_alpha = np.mean(alphas, axis=0)
     assert np.allclose(y.data, 1.0 / (1.0 + np.exp(-mean_alpha)), atol=1e-12)
 
@@ -636,7 +636,7 @@ def test_fuse_beta_sums_to_one():
     for _ in range(25):
         alphas = [rng.normal(size=4) * 5 for _ in range(3)]
         _, beta = _fuse_logits(alphas, tc.tensor(rng.normal(size=(12, 3))))
-        assert abs(beta.data.sum() - 1.0) <= 1e-12
+        assert abs(beta.sum() - 1.0) <= 1e-12
 
 
 def test_fuse_equal_branches_collapse():
@@ -714,10 +714,10 @@ def test_bias_table_constant_shift_leaves_attention_unchanged():
             size=params[f"branch{i}.attn.bias"].shape
         )
     sig = rng.normal(size=(TINY.n_leads, TINY.L))
-    before = [br.attn.data.copy() for br in forward(sig, TINY, params).branches]
+    before = [attn.copy() for attn in forward(sig, TINY, params).attn]
     for i in range(TINY.n_branches):
         params[f"branch{i}.attn.bias"].data += 11.25
-    after = [br.attn.data for br in forward(sig, TINY, params).branches]
+    after = forward(sig, TINY, params).attn
     for a, b in zip(before, after):
         assert np.abs(a - b).max() <= 1e-12
 
@@ -782,8 +782,8 @@ def test_training_step_records_four_ops_and_eval_none():
     res = forward(sig, cfg, params, train=True, rng=rng)
     graph = tc.Graph.trace(bce_loss(res.probs, np.ones((2, cfg.K))))
     assert [rec.name for rec in graph.ops] == ["embed", "msw_block", "fuse", "bce"]
-    for br in res.branches:  # views of the block's one output, with no op of their own
-        assert br.tokens.op is None
+    # the fusion weights and maps are arrays beside the graph, not ops of their own
+    assert all(isinstance(a, np.ndarray) for a in (res.beta, *res.attn))
     with tc.no_grad():
         assert len(tc.Graph.trace(forward(sig, cfg, params).probs)) == 0
 
@@ -842,7 +842,7 @@ def test_no_grad_forward_is_tape_free_and_bitwise_equal():
     assert recorded.probs.op is not None
     assert free.probs.op is None and len(tc.Graph.trace(free.probs)) == 0
     assert free.probs.data.tobytes() == recorded.probs.data.tobytes()
-    assert free.beta.data.tobytes() == recorded.beta.data.tobytes()
+    assert free.beta.tobytes() == recorded.beta.tobytes()
     assert predict(sig, TINY, params).tobytes() == recorded.probs.data.tobytes()
 
 

@@ -29,7 +29,6 @@ from .data import (
     SynthSpec,
     load_dataset,
     read_header,
-    read_layout,
     save_dataset,
     standardize,
     synth_generate,
@@ -219,18 +218,19 @@ def load_model(checkpoint) -> tuple[MswConfig, ParamStore, dict]:
 
 def run_eval(args) -> int:
     cfg, store, saved = load_model(args.checkpoint)
-    check_geometry(cfg.to_dict(), read_layout(args.signals, args.labels)[0], "checkpoint")
-    if args.out:  # a report path that cannot be written fails before the set is read
+    ds = load_dataset(args.signals, args.labels)
+    check_geometry(cfg.to_dict(), ds.header, "checkpoint")
+    if args.out:  # a report path that cannot be written fails before a sample is read
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         if out.is_dir():
             raise DataError(f"--out {out} is a directory")
     echo_config(cfg.to_dict())
-    ds = load_dataset(args.signals, args.labels)
+    signals = standardize(ds)  # a bad sample is named before an empty split
     rows = np.flatnonzero(np.isin(ds.folds, SPLIT_FOLDS[args.split]))
     if not len(rows):
         raise DataError(f"split {args.split!r} holds no records")
-    probs = predict(standardize(ds), cfg, store, rows=rows)
+    probs = predict(signals, cfg, store, rows=rows)
     report = evaluate(EvalBatch(scores=probs, labels=ds.labels[rows]))
     payload = {"split": args.split, "config": saved, "metrics": report.to_dict()}
     text = json.dumps(payload, indent=1)
@@ -273,13 +273,12 @@ def run_flops(args) -> int:
 def run_attn(args) -> int:
     leads = _int_list(args.leads, "--leads") if args.leads else ()
     cfg, store, _ = load_model(args.checkpoint)
-    header = read_layout(args.signals, args.labels)[0]
-    check_geometry(cfg.to_dict(), header, "checkpoint")
-    n = header.n_leads
+    ds = load_dataset(args.signals, args.labels)
+    check_geometry(cfg.to_dict(), ds.header, "checkpoint")
+    n = ds.header.n_leads
     for lead in leads:
         _check_flag("--leads", args.leads, 0 <= lead < n, f"lead indices in 0..{n - 1}")
     echo_config(cfg.to_dict())
-    ds = load_dataset(args.signals, args.labels)
     if args.record and args.record not in ds.ids:
         raise DataError(f"record id {args.record!r} not in dataset")
     row = ds.ids.index(args.record) if args.record else 0

@@ -13,10 +13,11 @@ The mapped blob is never read through the map.  Touching rows of a map
 makes their pages, and the kernel's read-around of them, resident in this
 process: selecting every tenth 96 KB record of a 96 MB blob that way made
 nearly all of it resident.  Rows are read with positioned reads instead, in
-file order (:func:`_read_rows`).  Set-up reads each row once, in blocks of
-``BLOCK_BYTES``, to check its samples and sum them (:attr:`Dataset.row_scan`),
-and the training rows once more for the deviations, so a command holds one
-block and the rows it uses, whatever the size of the set.
+file order (:func:`_read_rows`).  :func:`load_dataset` reads the label file
+once and no sample; :func:`lead_statistics` is the only set-up code that
+reads samples: every row once, in blocks of ``BLOCK_BYTES``, to check and
+sum them, and the training rows once more for the deviations, so a command
+holds one block and the rows it uses, whatever the size of the set.
 
 On-disk format, chosen to be trivially writable from any conversion script:
 
@@ -30,9 +31,7 @@ On-disk format, chosen to be trivially writable from any conversion script:
 from __future__ import annotations
 
 import csv
-import functools
 import io
-import itertools
 import mmap
 import os
 import warnings
@@ -85,21 +84,6 @@ class Dataset:
 
     def __len__(self):
         return len(self.ids)
-
-    @functools.cached_property
-    def row_scan(self) -> tuple[np.ndarray, int | None]:
-        """(N, n_leads) per-record lead sums and the first row with a non-finite sample (or None).
-
-        Computed on first use, by one read of every row in blocks.
-        """
-        sums, bad = np.empty((len(self), self.header.n_leads)), None
-        for rows, block in _row_blocks(self.signals, np.arange(len(self))):
-            sums[rows] = block.sum(axis=2)
-            if bad is None and not np.isfinite(sums[rows]).all():  # or a sum overflowed
-                row = _first(~np.isfinite(block).all(axis=(1, 2)))
-                bad = None if row is None else int(rows[row])
-            del block  # one block at a time: freed before the next is read
-        return sums, bad
 
 
 def read_header(signal_file) -> tuple[DatasetHeader, int]:
@@ -183,34 +167,59 @@ def _row_blocks(signals: np.ndarray, rows: np.ndarray):
         yield block_rows, _read_rows(signals, block_rows)
 
 
-def read_layout(signal_file, label_file) -> tuple[DatasetHeader, int, int]:
-    """The dataset's header, with class names, once both files agree with it.
+def load_dataset(signal_file, label_file) -> Dataset:
+    """Map a dataset's files once they agree with each other; reads no sample.
 
-    Returns (header, byte offset of the sample blob, record count).  Reads
-    the header, the label file's rows and the blob's size, but no sample.
+    One pass over the label file parses every row into one int64 array,
+    sized from the blob: the rows the blob can hold.  The label columns must
+    match the signal header's K and the blob must hold exactly one row of
+    samples per record; then the blob is memory-mapped read-only, not
+    copied.  Malformed rows are rejected with their index, in the order a
+    blank row, the label columns, the blob size, the first row that does not
+    parse, labels outside 0/1, folds outside 1..10.  Samples are checked by
+    :func:`lead_statistics`.
     """
     signal_file, label_file = Path(signal_file), Path(label_file)
     file_header, offset = read_header(signal_file)
     if not label_file.exists():
         raise DataError(f"label file not found: {label_file}")
     n_leads, L, K = file_header.n_leads, file_header.L, file_header.K
+    blob_bytes = signal_file.stat().st_size - offset
+    row_bytes = n_leads * L * 8
 
-    with open(label_file, newline="") as fh:  # counted now, parsed by load_dataset, never held
+    ids, fault, n_records = {}, None, 0  # ids in row order (a dict: the duplicate check)
+    with open(label_file, newline="") as fh:
         reader = csv.reader(fh)
-        head, n_records = next(reader, []), 0
+        head = next(reader, [])
         if head[:2] != ["id", "fold"]:
             raise DataError(f"{label_file}: first row must be 'id,fold,<class names...>'")
+        # The fold and label columns of the rows the blob holds.  The columns
+        # are checked against K, and the row count against the blob, once the
+        # file is read; a row's fault is raised after both.
+        values = np.empty((blob_bytes // row_bytes, len(head) - 1), dtype=np.int64)
         for fields in reader:
             if not fields:  # a blank line: no record, so the blob size check would misfire
                 raise DataError(f"{label_file} row {n_records}: empty row")
-            n_records += 1
+            row, n_records = n_records, n_records + 1
+            if fault or row >= len(values):
+                continue
+            if len(fields) != len(head):
+                fault = f"expected {len(head)} fields, got {len(fields)}"
+            elif fields[0] in ids:
+                fault = f"duplicate id {fields[0]!r}"
+            else:
+                ids[fields[0]] = None
+                try:
+                    values[row] = [int(v) for v in fields[1:]]
+                except (ValueError, OverflowError):
+                    fault = "non-integer fold/label field"
+            if fault:
+                fault = f"{label_file} row {row}: {fault}"
     class_names = tuple(head[2:])
     if len(class_names) != K:
         raise DataError(
             f"{label_file}: {len(class_names)} label columns but signal header declares K={K}"
         )
-    blob_bytes = signal_file.stat().st_size - offset
-    row_bytes = n_leads * L * 8
     expected = n_records * row_bytes
     if blob_bytes != expected:
         if blob_bytes < expected:
@@ -223,39 +232,11 @@ def read_layout(signal_file, label_file) -> tuple[DatasetHeader, int, int]:
             f"{signal_file}: blob holds {blob_bytes} bytes, expected {expected} "
             f"for {n_records} records of {n_leads}x{L} float64: {where}"
         )
+    if fault:
+        raise DataError(fault)
     header = DatasetHeader(n_leads=n_leads, L=L, K=K, class_names=class_names,
                            sample_rate=file_header.sample_rate)
-    return header, offset, n_records
-
-
-def load_dataset(signal_file, label_file) -> Dataset:
-    """Map a dataset's files; malformed rows are rejected with their index.
-
-    The layout is checked first (:func:`read_layout`).  The signal blob is
-    memory-mapped read-only, not copied, and the first row whose per-lead
-    sums (:attr:`Dataset.row_scan`, kept for the statistics) are not finite
-    is rejected: it holds a non-finite sample, or its samples overflow a sum.
-    """
-    signal_file, label_file = Path(signal_file), Path(label_file)
-    header, offset, n_records = read_layout(signal_file, label_file)
-    n_leads, L, K = header.n_leads, header.L, header.K
-
-    values = np.empty((n_records, 1 + K), dtype=np.int64)  # fold, then labels
-    ids = {}  # record ids in row order (a dict, for the duplicate check)
-    with open(label_file, newline="") as fh:
-        for row, fields in enumerate(itertools.islice(csv.reader(fh), 1, None)):
-            if len(fields) != 2 + K:
-                raise DataError(f"{label_file} row {row}: expected {2 + K} fields, "
-                                f"got {len(fields)}")
-            if fields[0] in ids:
-                raise DataError(f"{label_file} row {row}: duplicate id {fields[0]!r}")
-            ids[fields[0]] = None
-            try:
-                values[row] = [int(v) for v in fields[1:]]
-            except (ValueError, OverflowError) as exc:
-                raise DataError(f"{label_file} row {row}: non-integer fold/label field") from exc
-    ids = tuple(ids)
-    folds, labels = values[:, 0].copy(), values[:, 1:].copy()
+    ids, folds, labels = tuple(ids), values[:, 0].copy(), values[:, 1:].copy()
 
     if n_records:
         signals = np.memmap(signal_file, dtype="<f8", mode="r", offset=offset,
@@ -263,11 +244,6 @@ def load_dataset(signal_file, label_file) -> Dataset:
     else:
         signals = np.empty((0, n_leads, L))
     ds = Dataset(header=header, ids=ids, signals=signals, labels=labels, folds=folds)
-    sums, bad = ds.row_scan
-    row = _first(~np.isfinite(sums).all(axis=1))  # a non-finite sample, or a sum that overflows
-    if row is not None:
-        what = "non-finite sample" if row == bad else "a lead's samples sum past float64's range"
-        raise DataError(f"record {ids[row]} (row {row}): {what}")
     row = _first(~np.isin(labels, (0, 1)).all(axis=1))
     if row is not None:
         raise DataError(f"record {ids[row]} (row {row}): labels must be a {K}-long 0/1 row")
@@ -312,26 +288,43 @@ def fold_masks(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def lead_statistics(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Per-lead mean and std (floored at SIGMA_FLOOR) over the training folds.
 
-    The mean adds the training rows' sums from :attr:`Dataset.row_scan`, and
-    one pass over those rows the squared deviations, each one sum per record
-    and lead in file row order.  Those are the sums numpy's
-    ``x[train].mean/std(axis=(0, 2))`` adds, in the same order, so the
-    statistics are bitwise equal to it.  Not so at n_leads = 1, where numpy
-    merges the two reduced axes into one pairwise sum: there the last bit
-    may differ.
+    The only set-up code that reads samples.  One pass over every row, in
+    blocks, rejects the first record whose per-lead sums are not finite (a
+    non-finite sample, or finite samples whose sum overflows) and adds the
+    training rows' sums for the mean.  One more pass over the training rows
+    adds the squared deviations and rejects the first record whose squares
+    overflow a sum.  Each adds one sum per record and lead in file row
+    order: the sums numpy's ``x[train].mean/std(axis=(0, 2))`` adds, in the
+    same order, so the statistics are bitwise equal to it.  Not so at
+    n_leads = 1, where numpy merges the two reduced axes into one pairwise
+    sum: there the last bit may differ.
     """
-    train = np.flatnonzero(np.isin(ds.folds, SPLIT_FOLDS["train"]))
+    is_train = np.isin(ds.folds, SPLIT_FOLDS["train"])
+    mean, squares = np.zeros(ds.header.n_leads), np.zeros(ds.header.n_leads)
+    for rows, block in _row_blocks(ds.signals, np.arange(len(ds))):
+        sums = block.sum(axis=2)
+        row = _first(~np.isfinite(sums).all(axis=1))
+        if row is not None:
+            what = ("non-finite sample" if not np.isfinite(block[row]).all()
+                    else "a lead's samples sum past float64's range")
+            raise DataError(f"record {ds.ids[rows[row]]} (row {rows[row]}): {what}")
+        for record_sums in sums[is_train[rows]]:
+            mean += record_sums
+        del block  # one block at a time: freed before the next is read
+    train = np.flatnonzero(is_train)
     if not len(train):
         raise DataError("cannot standardize: training folds 1-8 are empty")
     count = len(train) * ds.header.L
-    mean, squares = np.zeros(ds.header.n_leads), np.zeros(ds.header.n_leads)
-    for record_sums in ds.row_scan[0][train]:
-        mean += record_sums
     mean /= count
-    for _, block in _row_blocks(ds.signals, train):
+    for rows, block in _row_blocks(ds.signals, train):
         block -= mean[:, None]  # the block is a fresh copy
         block *= block
-        for record_sums in block.sum(axis=2):
+        sums = block.sum(axis=2)
+        row = _first(~np.isfinite(sums).all(axis=1))
+        if row is not None:
+            raise DataError(f"record {ds.ids[rows[row]]} (row {rows[row]}): a lead's squared "
+                            f"deviations sum past float64's range")
+        for record_sums in sums:
             squares += record_sums
         del block
     std = np.sqrt(squares / count)

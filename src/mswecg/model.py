@@ -541,10 +541,14 @@ def predict(signals, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarra
     writing its own slice of the output, so outputs are bitwise equal to a
     serial loop's.  Memory is bounded by the pool's width in chunks, not by
     N: two chunks in flight at 1,024 token rows hold what one 2,048-row chunk
-    would.  Raises :class:`NumericError` naming the first non-finite
+    would.  A row outside ``0..N-1`` raises :class:`IndexError` before any
+    chunk runs.  Raises :class:`NumericError` naming the first non-finite
     ``signals`` row of the first chunk holding one.
     """
     idx = np.arange(len(signals)) if rows is None else np.asarray(rows)
+    outside = (idx < 0) | (idx >= len(signals))
+    if outside.any():
+        raise IndexError(f"row {idx[outside][0]} outside 0..{len(signals) - 1}")
     out = np.empty((len(idx), cfg.K))
     per_chunk = 1 << (max(1, PREDICT_TOKEN_ROWS // cfg.tokens).bit_length() - 1)
     starts = list(range(0, len(idx), per_chunk))

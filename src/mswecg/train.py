@@ -193,7 +193,7 @@ def train_loop(
     come from a dedicated evaluation pass.
     """
     train, val, _ = (np.flatnonzero(mask) for mask in fold_masks(dataset))
-    signals = standardize(dataset)  # a DataError when the training folds are empty
+    signals = standardize(dataset)  # a DataError naming a bad sample, or for no training folds
     y_train = dataset.labels[train].astype(np.float64)
     y_val = dataset.labels[val]
 

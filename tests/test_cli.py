@@ -148,16 +148,40 @@ def test_train_missing_signals_exit_3(tmp_path, capsys):
 @pytest.mark.parametrize("subcommand", ["train", "eval"])
 def test_a_set_whose_samples_overflow_a_sum_exits_3_naming_the_row(trained_dir, tmp_path,
                                                                      capsys, subcommand):
-    ds = synth_generate(SynthSpec(seed=5, n_records=40, n_leads=2, L=200))
-    ds.signals[0] = 1e308  # every sample finite, the row's per-lead sums are not
-    save_dataset(ds, tmp_path / "signals.bin", tmp_path / "labels.csv")
-    where = (["--out-dir", str(tmp_path / "run"), *TINY_SETTINGS] if subcommand == "train"
-             else ["--checkpoint", str(trained_dir / "checkpoint")])
-    with np.errstate(over="ignore"):
-        code = main([subcommand, "--signals", str(tmp_path / "signals.bin"),
-                     "--labels", str(tmp_path / "labels.csv"), *where])
-    assert code == 3
-    assert "record synth-00000 (row 0): a lead's samples sum past" in capsys.readouterr().err
+    # Every sample finite: at 1e308 the row's per-lead sums are not, at 1e200
+    # only its squared deviations from the training mean.
+    for value, what in ((1e308, "samples"), (1e200, "squared deviations")):
+        ds = synth_generate(SynthSpec(seed=5, n_records=40, n_leads=2, L=200))
+        ds.signals[0] = value
+        save_dataset(ds, tmp_path / "signals.bin", tmp_path / "labels.csv")
+        where = (["--out-dir", str(tmp_path / "run"), *TINY_SETTINGS] if subcommand == "train"
+                 else ["--checkpoint", str(trained_dir / "checkpoint")])
+        with np.errstate(over="ignore"):
+            code = main([subcommand, "--signals", str(tmp_path / "signals.bin"),
+                         "--labels", str(tmp_path / "labels.csv"), *where])
+        assert code == 3
+        assert (f"record synth-00000 (row 0): a lead's {what} sum past"
+                in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("subcommand", ["train", "eval", "attn"])
+def test_a_command_opens_the_label_file_once(synth_dir, trained_dir, tmp_path, monkeypatch,
+                                             subcommand):
+    labels, opened, real_open = synth_dir / "labels.csv", [], open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file) == labels:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    flags = {"train": ["--out-dir", str(tmp_path / "run"), "--quiet", *TINY_SETTINGS],
+             "eval": ["--checkpoint", str(trained_dir / "checkpoint")],
+             "attn": ["--checkpoint", str(trained_dir / "checkpoint"),
+                      "--out-dir", str(tmp_path / "viz")]}[subcommand]
+    assert main([subcommand, "--signals", str(synth_dir / "signals.bin"),
+                 "--labels", str(labels), *flags]) == 0
+    assert len(opened) == 1
 
 
 def test_config_file_with_flag_override(synth_dir, tmp_path):
@@ -303,8 +327,8 @@ _BAD_LEADS = [("99", "lead indices in 0..1"), ("-1", "lead indices in 0..1"),
 def test_attn_lead_outside_the_dataset_exits_2_and_writes_nothing(synth_dir, trained_dir,
                                                                   tmp_path, capsys, monkeypatch,
                                                                   leads, need):
-    # The leads are checked against the set's layout, before the set is read.
-    monkeypatch.setattr("mswecg.cli.load_dataset", lambda *a: pytest.fail("dataset was read"))
+    # The leads are checked against the set's layout, before a sample is read.
+    monkeypatch.setattr("mswecg.cli.standardize", lambda *a: pytest.fail("a sample was read"))
     out = tmp_path / "viz"
     code = main([
         "attn", "--checkpoint", str(trained_dir / "checkpoint"),
@@ -346,7 +370,7 @@ def test_checkpoint_geometry_unlike_the_dataset_exits_2_before_reading_it(
     ds = Dataset(dataclasses.replace(ds.header, K=K, class_names=ds.header.class_names[:K]),
                  ds.ids, ds.signals, ds.labels[:, :K], ds.folds)
     save_dataset(ds, tmp_path / "signals.bin", tmp_path / "labels.csv")
-    monkeypatch.setattr("mswecg.cli.load_dataset", lambda *a: pytest.fail("dataset was read"))
+    monkeypatch.setattr("mswecg.cli.standardize", lambda *a: pytest.fail("a sample was read"))
     data = ["--signals", str(tmp_path / "signals.bin"), "--labels", str(tmp_path / "labels.csv")]
     for argv in (["eval", *data], ["attn", *data, "--out-dir", str(tmp_path / "viz")]):
         assert main([argv[0], "--checkpoint", str(trained_dir / "checkpoint"), *argv[1:]]) == 2
@@ -361,7 +385,7 @@ def test_eval_out_under_a_file_exits_3_before_reading_the_set(synth_dir, trained
                                                               capsys, monkeypatch):
     file = tmp_path / "in-the-way"
     file.write_text("")
-    monkeypatch.setattr("mswecg.cli.load_dataset", lambda *a: pytest.fail("dataset was read"))
+    monkeypatch.setattr("mswecg.cli.standardize", lambda *a: pytest.fail("a sample was read"))
     assert main(["eval", "--checkpoint", str(trained_dir / "checkpoint"),
                  "--signals", str(synth_dir / "signals.bin"),
                  "--labels", str(synth_dir / "labels.csv"), "--out", str(file / "report.json")]) == 3
@@ -396,8 +420,10 @@ def test_unwritable_output_path_exits_3_naming_it(synth_dir, trained_dir, tmp_pa
                                                  monkeypatch, subcommand, flags, path):
     file = tmp_path / "in-the-way"
     file.write_text("")
-    if subcommand in ("train", "eval"):  # fails before it reads the set
+    if subcommand == "train":  # fails before it loads the set
         monkeypatch.setattr("mswecg.cli.load_dataset", lambda *a: pytest.fail("dataset was read"))
+    if subcommand == "eval":  # fails before it reads a sample
+        monkeypatch.setattr("mswecg.cli.standardize", lambda *a: pytest.fail("a sample was read"))
     fill = {"data": synth_dir, "run": trained_dir, "file": file}
     assert main([subcommand, *(flag.format(**fill) for flag in flags)]) == 3
     captured = capsys.readouterr()

@@ -132,8 +132,9 @@ def test_load_rejects_nonfinite_sample(tmp_path):
     ds = small_dataset(3)
     ds.signals[1, 0, 0] = np.nan
     save_dataset(ds, tmp_path / "sig.bin", tmp_path / "lab.csv")
+    loaded = load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv")  # reads no sample
     with pytest.raises(DataError, match=r"record r001 \(row 1\): non-finite sample"):
-        load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv")
+        standardize(loaded)
 
 
 def test_load_rejects_truncated_blob(tmp_path):
@@ -273,6 +274,12 @@ def test_set_up_reads_every_row_once_and_the_training_rows_twice(mapped_12x1000,
     assert sum(read) == (len(ds) + n_train) * 12 * 1000 * 8
 
 
+def test_load_dataset_reads_no_sample(mapped_12x1000, monkeypatch):
+    monkeypatch.setattr(data.os, "preadv", lambda *a: pytest.fail("a sample was read"))
+    ds = load_dataset(*mapped_12x1000)
+    assert len(ds) == 200 and ds.header.n_leads == 12
+
+
 def test_set_up_holds_one_block_whatever_the_record_count(tmp_path):
     peaks = {}
     for n in (20, 200):
@@ -289,30 +296,32 @@ def test_set_up_holds_one_block_whatever_the_record_count(tmp_path):
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_row_scan_names_a_non_finite_row_of_an_in_memory_set_as_load_does(tmp_path, value):
+def test_standardize_names_a_non_finite_row_of_an_in_memory_set_as_of_a_mapped_one(tmp_path,
+                                                                                  value):
     ds = small_dataset(30, seed=9)
     ds.signals[17, 1, 4] = value
     ds.signals[23, 0, 0] = value
+    save_dataset(ds, tmp_path / "sig.bin", tmp_path / "lab.csv")
+    mapped = load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv")
     with mock.patch.object(data, "BLOCK_BYTES", 4 * ds.signals[0].nbytes):
-        assert ds.row_scan[1] == 17
-        save_dataset(ds, tmp_path / "sig.bin", tmp_path / "lab.csv")
-        with pytest.raises(DataError, match=r"record r017 \(row 17\): non-finite sample"):
-            load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv")
-    sums = ds.row_scan[0]
-    finite = np.isfinite(ds.signals).all(axis=(1, 2))
-    assert sums.shape == (30, 2) and np.array_equal(np.isfinite(sums).all(axis=1), finite)
-    assert sums[finite].tobytes() == ds.signals[finite].sum(axis=2).tobytes()
+        for either in (ds, mapped):
+            with pytest.raises(DataError, match=r"record r017 \(row 17\): non-finite sample"):
+                standardize(either)
 
 
 def test_a_row_whose_sum_overflows_is_finite(tmp_path):
     ds = small_dataset(10, seed=9)
     ds.signals[3] = 1e308  # every sample finite, the row's sums are not
+    assert np.isfinite(ds.signals).all()
     save_dataset(ds, tmp_path / "sig.bin", tmp_path / "lab.csv")
+    mapped = load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv")
     with np.errstate(over="ignore"):
-        assert ds.row_scan[1] is None and not np.isfinite(ds.row_scan[0][3]).any()
-        # load rejects the row at set-up, rather than let training fail on it
-        with pytest.raises(DataError, match=r"record r003 \(row 3\): a lead's samples sum past"):
-            load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv")
+        assert not np.isfinite(ds.signals[3].sum(axis=1)).any()
+        # set-up rejects the row, rather than let training fail on it
+        for either in (ds, mapped):
+            with pytest.raises(DataError,
+                               match=r"record r003 \(row 3\): a lead's samples sum past"):
+                standardize(either)
 
 
 @pytest.mark.parametrize("after", [3, 19], ids=["mid-file", "trailing"])
@@ -513,10 +522,10 @@ def _write_fuzz_set(out: Path, n_records: int) -> tuple[Path, Path]:
     return out / "sig.bin", out / "lab.csv"
 
 
-def _load_and_eval(sig, lab, checkpoint) -> str:
-    """The DataError message of load_dataset; eval must exit 3 with it."""
+def _load_and_eval(sig, lab, checkpoint, set_up=load_dataset) -> str:
+    """The DataError message of ``set_up(sig, lab)``; eval must exit 3 with it."""
     with pytest.raises(DataError) as caught:
-        load_dataset(sig, lab)
+        set_up(sig, lab)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["eval", "--checkpoint", str(checkpoint), "--signals", str(sig),
@@ -545,7 +554,9 @@ def test_fuzz_non_finite_sample_names_its_row(fuzz_checkpoint, draw):
         at = read_header(sig)[1] + row * ROW_BYTES + (lead * FUZZ_CFG.L + sample) * 8
         raw[at : at + 8] = np.array([value], dtype="<f8").tobytes()
         sig.write_bytes(bytes(raw))
-        message = _load_and_eval(sig, lab, fuzz_checkpoint)
+        load_dataset(sig, lab)  # reads no sample: standardize rejects the row
+        message = _load_and_eval(sig, lab, fuzz_checkpoint,
+                                 set_up=lambda *files: standardize(load_dataset(*files)))
     assert f"record synth-{row:05d} (row {row}): non-finite sample" in message
 
 

@@ -880,6 +880,14 @@ def test_predict_rows_name_the_signals_row_and_match_a_gathered_copy(monkeypatch
         predict(sig, TINY, params, rows=rows)
 
 
+def test_predict_rejects_a_row_outside_the_set_before_any_chunk_runs(monkeypatch):
+    monkeypatch.setattr("mswecg.model.forward", lambda *a: pytest.fail("a chunk ran"))
+    sig = np.zeros((5, TINY.n_leads, TINY.L))
+    for rows, bad in (([-1], -1), ([0, 5], 5), (np.array([2, 3, -6, 9]), -6)):
+        with pytest.raises(IndexError, match=rf"row {bad} outside 0\.\.4"):
+            predict(sig, TINY, None, rows=rows)
+
+
 def _chunk_sizes(monkeypatch, cfg, n):
     """Record counts of the forward passes ``predict`` runs over n records, in row order.
 

@@ -304,9 +304,20 @@ def test_non_finite_gradient_aborts_before_any_update(monkeypatch):
 def test_non_finite_validation_probs_abort_with_coordinates():
     ds = tiny_dataset(40)
     first_val_row = np.flatnonzero(ds.folds == 9)[0]
-    ds.signals[first_val_row, 0, 0] = np.nan
+    # A finite sample, with finite sums, that overflows once scaled by the
+    # training std (about 0.53): the record's probabilities are NaN.
+    ds.signals[first_val_row, 0, 0] = 1e308
     with pytest.raises(NumericError,
-                       match=rf"validation at epoch 0: .*record {first_val_row}, class 0"):
+                       match=rf"validation at epoch 0: .*record {first_val_row}, class 0"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        train_loop(TINY, init_params(TINY, seed=2), ds,
+                   TrainConfig(max_epochs=1, batch_size=8, seed=0))
+
+
+def test_a_non_finite_sample_of_an_in_memory_set_is_named_at_set_up():
+    ds = tiny_dataset(40)
+    ds.signals[13, 1, 7] = np.nan
+    with pytest.raises(DataError, match=r"record synth-00013 \(row 13\): non-finite sample"):
         train_loop(TINY, init_params(TINY, seed=2), ds,
                    TrainConfig(max_epochs=1, batch_size=8, seed=0))
 

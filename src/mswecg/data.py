@@ -285,6 +285,7 @@ def fold_masks(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return train, val, test
 
 
+@np.errstate(over="ignore")  # the checks below name a record whose sums overflow
 def lead_statistics(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Per-lead mean and std (floored at SIGMA_FLOOR) over the training folds.
 

@@ -178,10 +178,13 @@ def window_attention(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: 
     not ``taped``.
 
     For backward the rule keeps ``xhat`` (no copy, and no LN state of its
-    own), the QKV product, the maps, the merged heads and, with dropout, the
-    boolean keep-mask.  Backward rebuilds the LN output, the float mask and
-    the dropped-out maps with the forward's own operations, so they are
-    bitwise what the forward used: parameters change only between passes.
+    own), the maps and, with dropout, the boolean keep-mask.  Backward
+    rebuilds the rest with the forward's own operations on the same inputs:
+    the LN output once, for the QKV product and its weight gradient; Q, K
+    and V from that product; the float mask; and the dropped-out maps once,
+    for the merged heads (Wz's gradient) and V's gradient.  It frees each
+    intermediate once read.  The rebuilt values are bitwise what the forward
+    used: parameters change only between passes.
     """
     *lead, T, C = xhat.shape
     d, nW = C // heads, T // M
@@ -213,14 +216,21 @@ def window_attention(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: 
     y = window_unpartition(tc.matmul(z, wz).reshape(-1, nW, M, C), shift).reshape(xhat.shape)
 
     def backward(g):
-        gz = window_partition(g.reshape(-1, T, C), M, shift).reshape(n, C)
-        gwz = z.T @ gz
-        dz = (gz @ wz.T).reshape(-1, nW, M, heads, d).transpose(0, 1, 3, 2, 4)
-        dqkv = np.empty((3, *q.shape))
+        h = _affine(xhat, gamma, beta).reshape(n, C)  # as the forward built it
+        qkv = window_partition((h @ w_qkv).reshape(-1, T, 3 * C), M, shift)
+        q, k, v = qkv.reshape(-1, nW, M, 3, heads, d).transpose(3, 0, 1, 4, 2, 5)
         if drop:
             mask = keep / (1.0 - attn_dropout)
-        np.matmul((attn * mask if drop else attn).swapaxes(-1, -2), dz, out=dqkv[2])
+        dropped = attn * mask if drop else attn
+        gz = window_partition(g.reshape(-1, T, C), M, shift).reshape(n, C)
+        gwz = (dropped @ v).transpose(0, 1, 3, 2, 4).reshape(n, C).T @ gz  # z^T gz
+        dz = (gz @ wz.T).reshape(-1, nW, M, heads, d).transpose(0, 1, 3, 2, 4)
+        del gz
+        dqkv = np.empty((3, *q.shape))
+        np.matmul(dropped.swapaxes(-1, -2), dz, out=dqkv[2])
+        del dropped
         ds = dz @ v.swapaxes(-1, -2)
+        del dz
         if drop:
             ds *= mask
             del mask
@@ -233,7 +243,8 @@ def window_attention(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: 
         np.matmul(ds.swapaxes(-1, -2), q, out=dqkv[1])
         dqkv = dqkv.transpose(1, 2, 4, 0, 3, 5).reshape(-1, nW, M, 3 * C)
         dqkv = window_unpartition(dqkv, shift).reshape(n, 3 * C)
-        gw = _affine(xhat, gamma, beta).reshape(n, C).T @ dqkv  # h, as the forward built it
+        gw = h.T @ dqkv
+        del h
         dh = (dqkv @ w_qkv.T).reshape(g.shape)
         return (dh * gamma, (dh * xhat).reshape(n, C).sum(axis=0), dh.reshape(n, C).sum(axis=0),
                 gw[:, :C], gw[:, C : 2 * C], gw[:, 2 * C :], gwz, gtable)
@@ -248,12 +259,14 @@ def mlp_sublayer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, w1: np.ndar
     Its products, and their weight gradients, are 2-D products over all
     (..., T) rows.  Returns (out, backward): ``backward(g)`` gives the
     gradients of the seven array arguments, in order.  With ``taped`` false
-    it is None, LN's rows are freed first and the GELU is computed in place.
+    it is None and LN's rows are freed first.  The GELU is computed in place.
 
-    For backward the rule keeps LN's standardized rows and scales, the
-    pre-activations ``u`` and their normal CDF.  Backward rebuilds the LN
-    output and the activations with the forward's own operations, so they are
-    bitwise what the forward used: parameters change only between passes.
+    For backward the rule keeps LN's standardized rows and scales and the
+    normal CDF of the pre-activations ``u``.  Backward rebuilds the LN output
+    and from it ``u`` with the forward's own operations, so they are bitwise
+    what the forward used: parameters change only between passes.  It takes
+    the GELU output into one buffer for W2's gradient, builds d GELU/du in
+    that buffer, and writes ``g @ W2.T`` into ``u``'s.
     """
     C = w1.shape[0]
     xhat, inv = _standardize(x)
@@ -263,27 +276,32 @@ def mlp_sublayer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, w1: np.ndar
         del xhat
     u += b1
     cdf = ndtr(u)  # the normal CDF: GELU(u) = u * cdf
-    y = tc.matmul(u * cdf if taped else np.multiply(u, cdf, out=u), w2)
+    y = tc.matmul(np.multiply(u, cdf, out=u), w2)
     y += b2
     y = y.reshape(x.shape)
     y += x
 
     def backward(g):
         gy = g.reshape(n, C)
-        du = gy @ w2.T
-        dgelu = np.multiply(u, -0.5)  # d GELU / du = cdf + u exp(-u^2 / 2) / sqrt(2 pi)
+        h = _affine(xhat, gamma, beta).reshape(n, C)  # as the forward built it
+        u = h @ w1
+        u += b1
+        gelu = u * cdf
+        gw2 = gelu.T @ gy
+        dgelu = np.multiply(u, -0.5, out=gelu)  # d GELU / du = cdf + u exp(-u^2 / 2) / sqrt(2 pi)
         dgelu *= u
         np.exp(dgelu, out=dgelu)
         dgelu *= u
         dgelu *= _INV_SQRT_2PI
         dgelu += cdf
+        du = np.matmul(gy, w2.T, out=u)
         du *= dgelu
         del dgelu
+        gw1 = h.T @ du
+        del h
         dh = (du @ w1.T).reshape(g.shape)
         dx = _standardize_grad(dh * gamma, xhat, inv)
         dx += g
-        gw1 = _affine(xhat, gamma, beta).reshape(n, C).T @ du  # h, as the forward built it
-        gw2 = (u * cdf).T @ gy
         return (dx, (dh * xhat).reshape(n, C).sum(axis=0), dh.reshape(n, C).sum(axis=0), gw1,
                 du.sum(axis=0), gw2, gy.sum(axis=0))
 
@@ -312,9 +330,11 @@ def msw_block(tokens: Tensor, cfg: MswConfig, params: ParamStore, train: bool = 
     ``msw_block``.  ``attn`` holds each branch's pre-dropout maps, (..., T/M,
     heads, M, M), as arrays.  Under a tape the branches run on
     :func:`_on_pool`, and so does the op's backward: each branch's MLP rule,
-    then its attention rule.  It adds the residual and the standardized rows'
-    gradients in branch order, then takes LN1's input step once.  Without a
-    tape the branches run in the caller's thread.
+    then its attention rule.  It drops a branch's MLP rule once it has run
+    and the branch's attention rule as the branch finishes, so a later branch
+    does not run beside an earlier one's saved arrays.  It adds the residual
+    and the standardized rows' gradients in branch order, then takes LN1's
+    input step once.  Without a tape the branches run in the caller's thread.
     """
     *lead, T, _ = tokens.shape
     branches = range(cfg.n_branches)
@@ -338,11 +358,14 @@ def msw_block(tokens: Tensor, cfg: MswConfig, params: ParamStore, train: bool = 
         return y, attn, (mlp_rule, attn_rule)
 
     ys, attns, rules = zip(*(_on_pool(run, branches) if taped else map(run, branches)))
+    rules = list(rules)
 
     def backward_fn(g):
         def branch(i):  # (dx', dxhat, *attention gradients, *MLP gradients)
             mlp_rule, attn_rule = rules[i]
+            rules[i] = None
             dx1, *dmlp = mlp_rule(g[i])
+            del mlp_rule
             return (dx1, *attn_rule(dx1), *dmlp)
 
         grads = _on_pool(branch, branches)

@@ -9,6 +9,7 @@ import io
 import json
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -182,8 +183,6 @@ def test_fold_split_rejects_bad_fold():
 @settings(max_examples=30, deadline=None)
 @given(folds=st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=40))
 def test_fold_split_disjoint_and_covering(folds):
-    import warnings
-
     ds = constant_dataset(folds, L=2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -321,6 +320,20 @@ def test_a_row_whose_sum_overflows_is_finite(tmp_path):
         for either in (ds, mapped):
             with pytest.raises(DataError,
                                match=r"record r003 \(row 3\): a lead's samples sum past"):
+                standardize(either)
+
+
+@pytest.mark.parametrize("value,what", [(1e200, "a lead's squared deviations sum past"),
+                                        (1e308, "a lead's samples sum past")])
+def test_an_overflowing_row_is_named_without_a_numpy_warning(tmp_path, value, what):
+    ds = small_dataset(10, seed=9)
+    ds.signals[0] = value
+    save_dataset(ds, tmp_path / "sig.bin", tmp_path / "lab.csv")
+    mapped = load_dataset(tmp_path / "sig.bin", tmp_path / "lab.csv")
+    for either in (ds, mapped):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would raise first
+            with pytest.raises(DataError, match=rf"record r000 \(row 0\): {what}"):
                 standardize(either)
 
 

@@ -448,6 +448,46 @@ def test_train_step_holds_under_10_mb_for_backward():
     assert 0 < held <= 10e6, held
 
 
+def _desk_train_step_bytes():
+    """(bytes a desk step keeps from forward to backward, tracemalloc peak
+    during ``tc.backward``), both above the baseline before the forward."""
+    cfg = MswConfig(L=200, n_leads=4, P=5, C=32, heads=4, windows=(5, 10, 20), K=3,
+                    attn_dropout=0.2)
+    params = init_params(cfg, seed=0)
+    data_rng, rng = np.random.default_rng(1), np.random.default_rng(2)
+    sig = data_rng.normal(size=(16, cfg.n_leads, cfg.L))
+    labels = (data_rng.random((16, cfg.K)) < 0.5).astype(np.float64)
+    for _ in range(2):  # the second step's figures: the first warms caches
+        params.zero_grads()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = bce_loss(forward(sig, cfg, params, train=True, rng=rng).probs, labels)
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            tc.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    return held, peak
+
+
+def test_train_step_keeps_at_most_5_mb_from_forward_to_backward():
+    # Backward rebuilds the QKV product, the merged heads and the MLP
+    # pre-activations (4.36e6 bytes kept; 8.29e6 when the rules kept them).
+    held, _ = _desk_train_step_bytes()
+    assert 0 < held <= 5e6, held
+
+
+def test_train_step_backward_peaks_at_most_10_mb_above_the_pre_forward_baseline():
+    # Each branch's saved arrays go once its backward has run.  The peak hangs
+    # on how the pool's two threads overlap: 7.2e6 to 9.02e6 bytes over 30
+    # runs, 6.91e6 on one thread.  With the products kept and every branch's
+    # arrays held to the end of the block's backward: 11.4e6 to 12.5e6.
+    _, peak = _desk_train_step_bytes()
+    assert 0 < peak <= 10e6, peak
+
+
 def test_train_loop_without_training_folds_is_a_data_error():
     ds = tiny_dataset(40)
     held_out = subset(ds, ds.folds > 8)

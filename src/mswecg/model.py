@@ -48,6 +48,8 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Token rows per ``predict`` forward: 4 records at 12 leads x 1000 samples, 16 at 4 x 200.
 PREDICT_TOKEN_ROWS = 1024
+# Rows of a no-tape MLP's pre-activations whose normal CDF is taken at once.
+_GELU_BLOCK_ROWS = 256
 # Threads of the worker pool (see ``_on_pool``), capped by the usable CPUs.
 PREDICT_WORKERS = 2
 
@@ -56,7 +58,7 @@ PREDICT_WORKERS = 2
 class ForwardResult:
     probs: Tensor  # (..., K) sigmoid outputs
     beta: np.ndarray  # (..., n_branches) fusion weights
-    attn: tuple[np.ndarray, ...]  # per window scale: (..., T/M, heads, M, M), pre-dropout
+    attn: tuple[np.ndarray, ...]  # per window scale: (..., T/M, heads, M, M), pre-dropout; or ()
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +158,14 @@ def _affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
     return xhat * gamma + beta
 
 
+@functools.cache
+def _relative_offsets(M: int) -> np.ndarray:
+    """The read-only (M, M) grid i - j + M - 1 of bias-table columns, one per scale."""
+    offs = np.arange(M)[:, None] - np.arange(M)[None, :] + (M - 1)
+    offs.flags.writeable = False
+    return offs
+
+
 def window_attention(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: np.ndarray,
                      wk: np.ndarray, wv: np.ndarray, wz: np.ndarray, bias_table: np.ndarray,
                      M: int, heads: int, shift: int = 0, attn_dropout: float = 0.0,
@@ -205,7 +215,7 @@ def window_attention(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: 
     q, k, v = qkv.reshape(-1, nW, M, 3, heads, d).transpose(3, 0, 1, 4, 2, 5)
     scores = tc.matmul(q, k.swapaxes(-1, -2))  # (B, nW, heads, M, M)
     scores *= 1.0 / math.sqrt(d)
-    offs = np.arange(M)[:, None] - np.arange(M)[None, :] + (M - 1)
+    offs = _relative_offsets(M)
     scores += bias_table[:, offs]
     scores -= scores.max(axis=-1, keepdims=True)
     attn = np.exp(scores, out=scores)
@@ -259,7 +269,9 @@ def mlp_sublayer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, w1: np.ndar
     Its products, and their weight gradients, are 2-D products over all
     (..., T) rows.  Returns (out, backward): ``backward(g)`` gives the
     gradients of the seven array arguments, in order.  With ``taped`` false
-    it is None and LN's rows are freed first.  The GELU is computed in place.
+    it is None, LN's rows are freed first and the normal CDF is taken over
+    :data:`_GELU_BLOCK_ROWS` rows at a time, so no second buffer of ``u``'s
+    size exists.  The GELU is computed in place.
 
     For backward the rule keeps LN's standardized rows and scales and the
     normal CDF of the pre-activations ``u``.  Backward rebuilds the LN output
@@ -275,8 +287,14 @@ def mlp_sublayer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, w1: np.ndar
     if not taped:
         del xhat
     u += b1
-    cdf = ndtr(u)  # the normal CDF: GELU(u) = u * cdf
-    y = tc.matmul(np.multiply(u, cdf, out=u), w2)
+    if taped:
+        cdf = ndtr(u)  # the normal CDF: GELU(u) = u * cdf
+        u *= cdf
+    else:  # no u-sized CDF buffer: one block of rows at a time
+        for start in range(0, n, _GELU_BLOCK_ROWS):
+            block = u[start : start + _GELU_BLOCK_ROWS]
+            block *= ndtr(block)
+    y = tc.matmul(u, w2)
     y += b2
     y = y.reshape(x.shape)
     y += x
@@ -316,64 +334,124 @@ _BRANCH_LEAVES = ("ln1.gamma", "ln1.beta", "attn.Wq", "attn.Wk", "attn.Wv", "att
                   "attn.bias", "ln2.gamma", "ln2.beta", "mlp.W1", "mlp.b1", "mlp.W2", "mlp.b2")
 
 
+def _chunk_spans(n: int, T: int) -> list[tuple[int, int]]:
+    """Consecutive ``(start, stop)`` spans over ``n`` records of ``T`` token rows.
+
+    Each span holds the largest power of two of records whose token rows fit
+    :data:`PREDICT_TOKEN_ROWS` (at least one), except the last, which holds
+    what is left; a 1-record tail joins the span before it, so no tail runs
+    as a matrix-vector product.  Power-of-two spans start on the BLAS
+    kernels' row tiles, so a record's rows meet the same kernel path whatever
+    span it falls in.  :func:`predict` runs one forward per span, and
+    :func:`msw_block` one pool task per branch and span under a tape.
+    """
+    per_chunk = 1 << (max(1, PREDICT_TOKEN_ROWS // T).bit_length() - 1)
+    starts = list(range(0, n, per_chunk))
+    if len(starts) > 1 and starts[-1] == n - 1:
+        starts.pop()  # no 1-record tail
+    return list(zip(starts, [*starts[1:], n]))
+
+
 def msw_block(tokens: Tensor, cfg: MswConfig, params: ParamStore, train: bool = False,
-              rng: np.random.Generator | None = None) -> tuple[Tensor, tuple[np.ndarray, ...]]:
+              rng: np.random.Generator | None = None,
+              maps: bool = True) -> tuple[Tensor, tuple[np.ndarray, ...]]:
     """Run the single block once per window scale on shared input tokens.
 
     Per branch: x' = x + windowed-attention(LN(x)); y = x' + MLP(LN(x')).
     Branches own their parameters; only the input, and so LN1's standardized
     rows of it, are shared.  Training draws every branch's dropout uniforms
-    from ``rng`` in branch order first, so no mask depends on the thread.
+    for the whole batch from ``rng`` in branch order first, so no mask
+    depends on the thread or the chunking.
 
     Returns (stacked, attn).  ``stacked`` holds every branch's tokens on a
     leading axis, (n_branches, ..., T, C): it is the block's one recorded op,
     ``msw_block``.  ``attn`` holds each branch's pre-dropout maps, (..., T/M,
-    heads, M, M), as arrays.  Under a tape the branches run on
-    :func:`_on_pool`, and so does the op's backward: each branch's MLP rule,
-    then its attention rule.  It drops a branch's MLP rule once it has run
-    and the branch's attention rule as the branch finishes, so a later branch
-    does not run beside an earlier one's saved arrays.  It adds the residual
-    and the standardized rows' gradients in branch order, then takes LN1's
-    input step once.  Without a tape the branches run in the caller's thread.
+    heads, M, M), as arrays, or is empty if ``maps`` is false.
+
+    Under a tape the records are cut into :func:`_chunk_spans`, the chunks
+    :func:`predict` runs, and :func:`_on_pool` runs one task per (branch,
+    chunk): the branch's attention and MLP rules on the chunk's records.  At
+    one chunk the tasks read the arrays as they are and the maps are the
+    rules' own; at more, each task reads views of its records and each
+    branch's maps are joined into one array.  The op's backward runs on the
+    pool too, per task the MLP rule, then the attention rule.  It drops a
+    task's MLP rule once it has run and its attention rule as the task
+    finishes, so a later task does not run beside an earlier one's saved
+    arrays.  Per chunk it adds the residual and the standardized rows'
+    gradients in branch order, then takes LN1's input step; each branch's
+    parameter gradients are summed over its chunks in chunk order.  Without
+    a tape the block runs the whole batch, branch after branch, in the
+    caller's thread.
     """
-    *lead, T, _ = tokens.shape
-    branches = range(cfg.n_branches)
-    branch_params = [[params[f"branch{i}.{leaf}"] for leaf in _BRANCH_LEAVES] for i in branches]
-    uniforms = [None] * cfg.n_branches
+    *lead, T, C = tokens.shape
+    B, nb = math.prod(lead), cfg.n_branches
+    branch_params = [[params[f"branch{i}.{leaf}"] for leaf in _BRANCH_LEAVES] for i in range(nb)]
+    uniforms = [None] * nb
     if train and cfg.attn_dropout > 0.0:
         if rng is None:
             raise ValueError("dropout in training mode needs an explicit rng")
-        uniforms = [rng.random((math.prod(lead), T // M, cfg.heads, M, M)) for M in cfg.windows]
+        uniforms = [rng.random((B, T // M, cfg.heads, M, M)) for M in cfg.windows]
     inputs = (tokens, *(t for p in branch_params for t in p))
     taped = tc.recording(inputs)
     xhat, inv = _standardize(tokens.data)  # LN1's rows, shared by every branch
+    spans = (_chunk_spans(B, T) if taped else []) or [(0, B)]
+    k = len(spans)
 
-    def run(i):
+    def records(a, start, stop):  # records start..stop of a (..., T, width) array
+        return a if k == 1 else a.reshape(B, *a.shape[-2:])[start:stop]
+
+    def joined(chunks):  # one (..., rest) array from the chunks' (records, rest) arrays
+        if k == 1:
+            return chunks[0]
+        return np.concatenate(chunks).reshape(*lead, *chunks[0].shape[1:])
+
+    tasks = [(i, span) for i in range(nb) for span in spans]  # task i * k + c: chunk c of branch i
+
+    def run(task):
+        i, (start, stop) = task
         p = [t.data for t in branch_params[i]]
-        x1, attn, attn_rule = window_attention(xhat, *p[:7], cfg.windows[i], cfg.heads,
-                                               cfg.shift, attn_dropout=cfg.attn_dropout,
-                                               train=train, uniforms=uniforms[i], taped=taped)
-        x1 += tokens.data
+        drawn = None if uniforms[i] is None else uniforms[i][start:stop]
+        x1, attn, attn_rule = window_attention(records(xhat, start, stop), *p[:7],
+                                               cfg.windows[i], cfg.heads, cfg.shift,
+                                               attn_dropout=cfg.attn_dropout, train=train,
+                                               uniforms=drawn, taped=taped)
+        x1 += records(tokens.data, start, stop)
         y, mlp_rule = mlp_sublayer(x1, *p[7:], taped=taped)
-        return y, attn, (mlp_rule, attn_rule)
+        return y, attn if maps else None, (mlp_rule, attn_rule)
 
-    ys, attns, rules = zip(*(_on_pool(run, branches) if taped else map(run, branches)))
-    rules = list(rules)
+    results = _on_pool(run, tasks) if taped else list(map(run, tasks))
+    stacked = np.empty((nb, *lead, T, C))
+    for (i, (start, stop)), (y, _, _) in zip(tasks, results):
+        records(stacked[i], start, stop)[...] = y
+    attn = tuple(joined([r[1] for r in results[i * k : (i + 1) * k]])
+                 for i in range(nb)) if maps else ()
+    rules = [r[2] for r in results]
+    del results
 
     def backward_fn(g):
-        def branch(i):  # (dx', dxhat, *attention gradients, *MLP gradients)
-            mlp_rule, attn_rule = rules[i]
-            rules[i] = None
-            dx1, *dmlp = mlp_rule(g[i])
+        def task_grads(t):  # (dx', dxhat, *attention gradients, *MLP gradients)
+            i, (start, stop) = tasks[t]
+            mlp_rule, attn_rule = rules[t]
+            rules[t] = None
+            dx1, *dmlp = mlp_rule(records(g[i], start, stop))
             del mlp_rule
             return (dx1, *attn_rule(dx1), *dmlp)
 
-        grads = _on_pool(branch, branches)
-        dx = sum((gs[0] for gs in grads[1:]), grads[0][0])
-        dx += _standardize_grad(sum((gs[1] for gs in grads[1:]), grads[0][1]), xhat, inv)
-        return (dx, *(gi for gs in grads for gi in gs[2:]))
+        grads = _on_pool(task_grads, range(len(tasks)))
 
-    return tc.apply_op("msw_block", inputs, np.stack(ys), backward_fn), attns
+        def chunk_dx(c):  # the block input's gradient on chunk c's records
+            gs = grads[c::k]  # one task per branch, in branch order
+            dx = sum((gi[0] for gi in gs[1:]), gs[0][0])
+            dxhat = sum((gi[1] for gi in gs[1:]), gs[0][1])
+            dx += _standardize_grad(dxhat, records(xhat, *spans[c]), records(inv, *spans[c]))
+            return dx
+
+        dx = joined([chunk_dx(c) for c in range(k)])
+        branch_grads = (sum((grads[i * k + c][j] for c in range(1, k)), grads[i * k][j])
+                        for i in range(nb) for j in range(2, 2 + len(_BRANCH_LEAVES)))
+        return (dx, *branch_grads)
+
+    return tc.apply_op("msw_block", inputs, stacked, backward_fn), attn
 
 
 def fuse(branch_tokens: Tensor, windows, head_ws: list[Tensor], head_bs: list[Tensor],
@@ -438,13 +516,16 @@ def forward(
     params: ParamStore,
     train: bool = False,
     rng: np.random.Generator | None = None,
+    maps: bool = True,
 ) -> ForwardResult:
     """Full pass over one record (n_leads, L) or a batch (B, n_leads, L).
 
     Deterministic when ``train`` is false (dropout is then the identity).
+    With ``maps`` false the result's ``attn`` is empty, and a forward
+    without a tape drops each branch's maps as soon as the branch has run.
     """
     tokens = linear_embed(patch_split(record, cfg), params["embed.W"], params["embed.b"])
-    stacked, attn = msw_block(tokens, cfg, params, train=train, rng=rng)
+    stacked, attn = msw_block(tokens, cfg, params, train=train, rng=rng, maps=maps)
     heads = range(cfg.n_branches)
     probs, beta = fuse(stacked, cfg.windows, [params[f"branch{i}.head.W"] for i in heads],
                        [params[f"branch{i}.head.b"] for i in heads], params["fusion.W"])
@@ -524,10 +605,12 @@ def _on_pool(fn, items) -> list:
     This is the pool's whole contract.  The pool has ``min(PREDICT_WORKERS,
     usable CPUs)`` threads, is built on first use and lives as long as the
     process.  It runs :func:`predict`'s chunks and, under a tape, a training
-    step's window-scale branch rules, forward and backward (:func:`msw_block`);
-    neither records an op, so no graph is built or run on a pool thread.  No
-    call made on the pool may submit to it in turn: a forward without a
-    tape runs its branches in its own thread, so a chunk never does.  Each
+    step's block rules, one task per (window-scale branch, chunk), forward and
+    backward (:func:`msw_block`); both size their chunks by
+    :func:`_chunk_spans`, and neither records an op, so no graph is built or
+    run on a pool thread.  No call made on the pool may submit to it in turn:
+    a forward without a tape runs its branches in its own thread, so a chunk
+    never does.  Each
     call runs in a copy of the caller's context, so ``no_grad``, an active
     ``MacCounter`` (which adds under a lock) and ``np.errstate`` hold inside
     it.  Results come in item order.  If a call raises, the calls not yet
@@ -554,11 +637,14 @@ def predict(signals, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarra
 
     ``signals`` is a float64 ``(N, n_leads, L)`` array or a
     :class:`~mswecg.data.StandardizedRows` view.  Each no-tape forward gathers
-    and runs one chunk: the largest power of two of records whose token rows
-    fit :data:`PREDICT_TOKEN_ROWS` (at least one), with a 1-record tail joined
-    to the chunk before it.  Power-of-two chunks start on the BLAS kernels'
-    row tiles, so outputs are bitwise reproducible for a geometry and equal
-    the former 64-record chunks' bar their 1-record tails.
+    and runs one chunk of :func:`_chunk_spans`: the largest power of two of
+    records whose token rows fit :data:`PREDICT_TOKEN_ROWS` (at least one),
+    with a 1-record tail joined to the chunk before it.  Power-of-two chunks
+    start on the BLAS kernels' row tiles, so outputs are bitwise reproducible
+    for a geometry and equal the former 64-record chunks' bar their 1-record
+    tails.  The forward is asked for no attention maps, so it drops each
+    branch's maps once the branch has run.  It is the module-level
+    :func:`forward`, looked up at each call.
 
     Chunks run through :func:`_on_pool`, each gathering its own rows and
     writing its own slice of the output, so outputs are bitwise equal to a
@@ -573,15 +659,10 @@ def predict(signals, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarra
     if outside.any():
         raise IndexError(f"row {idx[outside][0]} outside 0..{len(signals) - 1}")
     out = np.empty((len(idx), cfg.K))
-    per_chunk = 1 << (max(1, PREDICT_TOKEN_ROWS // cfg.tokens).bit_length() - 1)
-    starts = list(range(0, len(idx), per_chunk))
-    if len(starts) > 1 and starts[-1] == len(idx) - 1:
-        starts.pop()  # no 1-record tail
-    spans = list(zip(starts, [*starts[1:], len(idx)]))
 
     def run_chunk(start: int, stop: int) -> None:
         chunk = idx[start:stop]
-        probs = forward(signals[chunk], cfg, params).probs.data
+        probs = forward(signals[chunk], cfg, params, maps=False).probs.data
         bad = np.argwhere(~np.isfinite(probs))
         if bad.size:
             row, k = bad[0]
@@ -590,5 +671,5 @@ def predict(signals, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarra
         out[start:stop] = probs
 
     with tc.no_grad():  # in the chunks' copies of this context
-        _on_pool(lambda span: run_chunk(*span), spans)
+        _on_pool(lambda span: run_chunk(*span), _chunk_spans(len(idx), cfg.tokens))
     return out

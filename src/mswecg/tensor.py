@@ -23,10 +23,11 @@ recorded at all.
 Tensors are treated as immutable once created, grad buffers excepted (the
 optimizer mutates parameter data in place, but only between passes).  A graph
 is built and run backward in one thread; an op may spread its numpy work
-over worker threads (``model._on_pool`` states which), but no graph runs on
-one.  The recording switch and the active :class:`MacCounter` are context
-variables, so a worker thread must run in a copy of its caller's context to
-see them; a counter shared that way adds under a lock.
+over worker threads (``model._on_pool`` states which: the block runs one task
+per window-scale branch and chunk of records), but no graph runs on one.  The
+recording switch and the active :class:`MacCounter` are context variables, so
+a worker thread must run in a copy of its caller's context to see them; a
+counter shared that way adds under a lock.
 """
 
 from __future__ import annotations

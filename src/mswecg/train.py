@@ -213,7 +213,8 @@ def train_loop(
         loss_sum = 0.0
         for b_idx, start in enumerate(range(0, n, tcfg.batch_size)):
             idx = order[start : start + tcfg.batch_size]
-            res = forward(signals[train[idx]], cfg, params, train=True, rng=dropout_rng)
+            res = forward(signals[train[idx]], cfg, params, train=True, rng=dropout_rng,
+                          maps=False)
             loss = bce_loss(res.probs, y_train[idx])
             lv = loss.item()
             if not np.isfinite(lv):
@@ -226,7 +227,7 @@ def train_loop(
                 raise NumericError(f"{exc} at epoch {epoch}, batch {b_idx}") from exc
             seen_probs[idx] = res.probs.data
             loss_sum += lv * len(idx)
-            del res, loss  # the next forward does not overlap this step's outputs and maps
+            del res, loss  # the next forward does not overlap this step's outputs
 
         train_report = evaluate(EvalBatch(scores=seen_probs, labels=y_train.astype(np.int64)))
         log.append(_row(epoch, "train", loss_sum / n, train_report, lr))

@@ -169,6 +169,17 @@ def test_dump_of_a_shifted_model_takes_the_shift_from_the_config():
         assert np.array_equal(br.token_scores, token_scores(res.attn[i], 1, T))
 
 
+def test_forward_gives_build_dump_every_branch_unless_asked_for_no_maps():
+    (record_id, signal), params = fitted_record_and_params(seed=7)
+    res = forward(signal, CFG, params)  # the default asks for every branch's maps
+    dump = build_dump(record_id, res, CFG)
+    assert [br.M for br in dump.branches] == list(CFG.windows)
+    lean = forward(signal, CFG, params, maps=False)
+    assert lean.attn == ()
+    assert lean.probs.data.tobytes() == res.probs.data.tobytes()
+    assert lean.beta.tobytes() == res.beta.tobytes()
+
+
 def test_dump_rejects_non_finite_attention_naming_branch_and_window():
     (record_id, signal), params = fitted_record_and_params(seed=2)
     params["branch1.attn.Wq"].data[0, 0] = np.nan

@@ -162,6 +162,13 @@ def test_relative_bias_indexing():
     assert np.abs(logits - np.diag(logits)[:, None] - expected).max() <= 1e-12
 
 
+def test_relative_offsets_are_built_once_per_scale_and_read_only():
+    offs = model._relative_offsets(5)
+    assert offs is model._relative_offsets(5)
+    assert not offs.flags.writeable  # one array serves every call at this scale
+    assert offs.tolist() == [[i - j + 4 for j in range(5)] for i in range(5)]
+
+
 def test_relative_bias_m1():
     x = np.random.default_rng(1).normal(size=(3, 4))
     ws = [tc.tensor(np.eye(4)) for _ in range(4)]
@@ -809,19 +816,23 @@ def _desk_training_step(seed):
             rng.bit_generator.state, taped.total, free.total)
 
 
-def test_block_pool_training_step_is_bitwise_equal_to_one_worker(monkeypatch):
-    pooled = _desk_training_step(seed=30)
-    monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
-    alone = _desk_training_step(seed=30)
+def _desk_steps_on_1_2_and_4_workers(monkeypatch, seed):
+    """:func:`_desk_training_step` on the pool as it is, on one worker, and
+    crowded: (pooled, alone, crowded), each checked bitwise against ``alone``."""
+    pooled = _desk_training_step(seed)
+    with monkeypatch.context() as m:
+        m.setattr(model, "_usable_cpus", lambda: 1)
+        alone = _desk_training_step(seed)
     # Stress: a thread per branch, more than the CPUs, switching as often as it can.
-    monkeypatch.setattr(model, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(model, "PREDICT_WORKERS", 4)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        crowded = _desk_training_step(seed=30)
-    finally:
-        sys.setswitchinterval(interval)
+    with monkeypatch.context() as m:
+        m.setattr(model, "_usable_cpus", lambda: 4)
+        m.setattr(model, "PREDICT_WORKERS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            crowded = _desk_training_step(seed)
+        finally:
+            sys.setswitchinterval(interval)
     for run in (pooled, crowded):
         for a, b in zip(run[:2], alone[:2]):
             assert np.array_equal(a, b)
@@ -831,6 +842,60 @@ def test_block_pool_training_step_is_bitwise_equal_to_one_worker(monkeypatch):
         assert run[3] == alone[3]
     for run in (pooled, alone, crowded):
         assert run[4] == run[5] == 16 * 1_591_131  # the pinned per-record MACs, both ways
+    return pooled, alone, crowded
+
+
+def test_block_pool_training_step_is_bitwise_equal_to_one_worker(monkeypatch):
+    _desk_steps_on_1_2_and_4_workers(monkeypatch, seed=30)
+
+
+def _block_chunk_records(monkeypatch, cfg, n):
+    """Records per ``window_attention`` call of a training forward over ``n`` records."""
+    seen, attention = [], model.window_attention
+
+    def spy(xhat, *args, **kwargs):
+        seen.append(len(xhat))
+        return attention(xhat, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(model, "window_attention", spy)
+        sig = np.random.default_rng(n).normal(size=(n, cfg.n_leads, cfg.L))
+        forward(sig, cfg, init_params(cfg, seed=0), train=True, rng=np.random.default_rng(0))
+    return sorted(seen)
+
+
+def test_a_multi_chunk_training_step_equals_the_one_chunk_step(monkeypatch):
+    one_chunk = _desk_training_step(seed=30)
+    monkeypatch.setattr(model, "PREDICT_TOKEN_ROWS", 4 * 40)  # 4-record chunks at T = 40
+    cfg = MswConfig(L=200, n_leads=4, P=5, C=32, heads=4, windows=(5, 10, 20), K=3,
+                    attn_dropout=0.2)
+    assert _block_chunk_records(monkeypatch, cfg, 16) == [4] * 12  # 3 branches x 4 chunks
+    pooled, _, _ = _desk_steps_on_1_2_and_4_workers(monkeypatch, seed=30)
+    # The forward is bitwise the one-chunk forward; only the parameter
+    # gradients' sums over chunks are ordered differently.
+    for a, b in zip(pooled[:2], one_chunk[:2]):
+        assert np.array_equal(a, b)
+    for name, grad in pooled[2].items():
+        assert np.abs(grad - one_chunk[2][name]).max() <= 1e-12, name
+    assert pooled[3] == one_chunk[3]  # the same dropout draws
+    # A 1-record tail joins the chunk before it.
+    assert _block_chunk_records(monkeypatch, cfg, 5) == [5] * 3
+    assert _block_chunk_records(monkeypatch, cfg, 9) == [4, 4, 4, 5, 5, 5]
+
+
+def test_a_multi_chunk_forward_returns_the_maps_of_a_whole_batch_forward(monkeypatch):
+    monkeypatch.setattr(model, "PREDICT_TOKEN_ROWS", 2 * TINY.tokens)  # chunks 2 + 3
+    params = init_params(TINY, seed=26)
+    sig = np.random.default_rng(27).normal(size=(5, TINY.n_leads, TINY.L))
+    taped = forward(sig, TINY, params)
+    with tc.no_grad():
+        whole = forward(sig, TINY, params)
+    assert taped.probs.op is not None
+    assert taped.probs.data.tobytes() == whole.probs.data.tobytes()
+    assert len(taped.attn) == len(whole.attn) == TINY.n_branches
+    for ours, theirs in zip(taped.attn, whole.attn):
+        assert ours.shape == theirs.shape and np.array_equal(ours, theirs)
+    assert forward(sig, TINY, params, maps=False).attn == ()
 
 
 def test_no_grad_forward_is_tape_free_and_bitwise_equal():
@@ -896,7 +961,7 @@ def _chunk_sizes(monkeypatch, cfg, n):
     """
     chunks = []
 
-    def fake_forward(record, cfg, params):
+    def fake_forward(record, cfg, params, maps=True):
         first = int(record[0, 0, 0])
         assert np.array_equal(record, sig[first : first + len(record)])
         chunks.append((first, len(record)))
@@ -929,7 +994,7 @@ def test_predict_runs_at_most_predict_workers_chunks_at_once(monkeypatch):
     together = threading.Barrier(workers, timeout=10)  # the first chunks must overlap
     lock, in_flight, most = threading.Lock(), [0], [0]
 
-    def fake_forward(record, cfg, params):
+    def fake_forward(record, cfg, params, maps=True):
         with lock:
             in_flight[0] += 1
             most[0] = max(most[0], in_flight[0])
@@ -950,7 +1015,7 @@ def test_predict_reports_the_first_failing_chunk_and_cancels_the_queued_ones(mon
     monkeypatch.setattr("mswecg.model.PREDICT_TOKEN_ROWS", TINY.tokens)  # 1-record chunks
     n, started = 40, []
 
-    def fake_forward(record, cfg, params):
+    def fake_forward(record, cfg, params, maps=True):
         first = int(record[0, 0, 0])
         started.append(first)
         fail = first <= 1
@@ -974,7 +1039,7 @@ def test_predict_shares_the_blas_threads_among_its_workers(monkeypatch):
     monkeypatch.setattr("mswecg.model.PREDICT_TOKEN_ROWS", TINY.tokens)
     seen = []
 
-    def fake_forward(record, cfg, params):
+    def fake_forward(record, cfg, params, maps=True):
         seen.append(get())
         return SimpleNamespace(probs=tc.Tensor(np.zeros((len(record), cfg.K))))
 
@@ -1024,11 +1089,12 @@ def test_predict_counts_the_macs_of_a_serial_forward_and_records_no_tape(monkeyp
     monkeypatch.setattr("mswecg.model.PREDICT_TOKEN_ROWS", 2 * TINY.tokens)  # chunks 2+2+2+3
     params = init_params(TINY, seed=22)
     sig = np.random.default_rng(23).normal(size=(9, TINY.n_leads, TINY.L))
-    taped = []
+    taped, maps_asked = [], []
 
-    def spy_forward(record, cfg, params):
-        result = forward(record, cfg, params)
+    def spy_forward(record, cfg, params, maps=True):
+        result = forward(record, cfg, params, maps=maps)
         taped.append(result.probs.op is not None)
+        maps_asked.append(maps)
         return result
 
     monkeypatch.setattr("mswecg.model.forward", spy_forward)
@@ -1038,7 +1104,7 @@ def test_predict_counts_the_macs_of_a_serial_forward_and_records_no_tape(monkeyp
     with serial.active(), tc.no_grad():
         forward(sig, TINY, params)
     assert chunked.total == serial.total and serial.total > 0
-    assert taped == [False] * 4
+    assert taped == maps_asked == [False] * 4
 
 
 def test_predict_chunks_keep_the_callers_errstate(monkeypatch):
@@ -1066,6 +1132,24 @@ def test_predict_equals_the_former_64_record_chunks_bitwise(n, n_leads, L):
         t.data = t.data + rng.normal(scale=0.05, size=t.shape)
     sig = rng.normal(size=(n, n_leads, L))
     assert predict(sig, cfg, params).tobytes() == _old_predict(sig, cfg, params).tobytes()
+
+
+def test_predict_at_ptb_xl_length_equals_a_taped_and_a_whole_batch_forward_bitwise():
+    cfg = MswConfig(L=1000, n_leads=12, P=5, C=32, heads=4, windows=(5, 10, 20), K=3)
+    params = init_params(cfg, seed=28)
+    rng = np.random.default_rng(29)
+    for _, t in params.items():
+        t.data = t.data + rng.normal(scale=0.05, size=t.shape)
+    sig = rng.normal(size=(8, cfg.n_leads, cfg.L))
+    # predict runs two 4-record chunks, each over several blocks of the GELU's CDF.
+    assert [stop - start for start, stop in model._chunk_spans(8, cfg.tokens)] == [4, 4]
+    assert 4 * cfg.tokens > 2 * model._GELU_BLOCK_ROWS
+    taped = forward(sig, cfg, params)  # the block runs the same two chunks under a tape
+    with tc.no_grad():
+        whole = forward(sig, cfg, params)  # one no-tape forward over all 8 records
+    assert taped.probs.op is not None
+    assert predict(sig, cfg, params).tobytes() == taped.probs.data.tobytes()
+    assert predict(sig, cfg, params).tobytes() == whole.probs.data.tobytes()
 
 
 def test_predict_memory_does_not_grow_with_the_record_count():

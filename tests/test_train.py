@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mswecg import data
+from mswecg import data, model
 from mswecg import tensor as tc
 from mswecg.config import MswConfig
 from mswecg.data import (
@@ -448,10 +448,11 @@ def test_train_step_holds_under_10_mb_for_backward():
     assert 0 < held <= 10e6, held
 
 
-def _desk_train_step_bytes():
-    """(bytes a desk step keeps from forward to backward, tracemalloc peak
-    during ``tc.backward``), both above the baseline before the forward."""
-    cfg = MswConfig(L=200, n_leads=4, P=5, C=32, heads=4, windows=(5, 10, 20), K=3,
+def _desk_train_step_bytes(n_leads=4, L=200):
+    """(bytes a 16-record step keeps from forward to backward, tracemalloc
+    peak during ``tc.backward``), both above the baseline before the forward.
+    The default geometry is the desk config's."""
+    cfg = MswConfig(L=L, n_leads=n_leads, P=5, C=32, heads=4, windows=(5, 10, 20), K=3,
                     attn_dropout=0.2)
     params = init_params(cfg, seed=0)
     data_rng, rng = np.random.default_rng(1), np.random.default_rng(2)
@@ -472,6 +473,11 @@ def _desk_train_step_bytes():
     return held, peak
 
 
+# The desk bounds below stand as they were before the block ran its records in
+# chunks: 16 records of 40 tokens fit one chunk of model.PREDICT_TOKEN_ROWS, so
+# a desk step still runs one task per branch.
+
+
 def test_train_step_keeps_at_most_5_mb_from_forward_to_backward():
     # Backward rebuilds the QKV product, the merged heads and the MLP
     # pre-activations (4.36e6 bytes kept; 8.29e6 when the rules kept them).
@@ -486,6 +492,19 @@ def test_train_step_backward_peaks_at_most_10_mb_above_the_pre_forward_baseline(
     # arrays held to the end of the block's backward: 11.4e6 to 12.5e6.
     _, peak = _desk_train_step_bytes()
     assert 0 < peak <= 10e6, peak
+
+
+def test_a_chunked_ptb_xl_length_step_peaks_below_the_one_chunk_step(monkeypatch):
+    # 16 records of 200 tokens: four 4-record chunks at the default budget,
+    # one chunk at a budget of 16 records.  Each pool task's rebuilt
+    # transients are then a quarter of a branch's (peaks 27.9-28.7e6 against
+    # 42.9-44.6e6 bytes over five runs each on a 2-CPU VM; 22.7e6 and 22.4e6
+    # kept from forward to backward).
+    assert model.PREDICT_TOKEN_ROWS < 8 * 200
+    chunked = _desk_train_step_bytes(n_leads=12, L=1000)[1]
+    monkeypatch.setattr(model, "PREDICT_TOKEN_ROWS", 16 * 200)
+    one_chunk = _desk_train_step_bytes(n_leads=12, L=1000)[1]
+    assert 0 < chunked < 0.85 * one_chunk, (chunked, one_chunk)
 
 
 def test_train_loop_without_training_folds_is_a_data_error():

@@ -5,7 +5,6 @@ from .data import Dataset, DatasetHeader, SynthSpec
 from .metrics import EvalBatch, MetricReport
 from .model import ForwardResult, forward, predict
 from .params import ParamStore, init_params, load_checkpoint, save_checkpoint
-from .tensor import Tensor
 from .train import AdamState, TrainConfig, TrainResult, train_loop
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "init_params",
     "load_checkpoint",
     "save_checkpoint",
-    "Tensor",
     "AdamState",
     "TrainConfig",
     "TrainResult",

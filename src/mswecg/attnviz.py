@@ -23,7 +23,6 @@ from .config import MswConfig
 from .errors import DataError, DimensionError, NumericError
 from .model import ForwardResult, forward, window_unpartition
 from .params import ParamStore
-from .tensor import no_grad
 
 SVG_WIDTH = 1200
 SVG_HEIGHT = 200
@@ -135,10 +134,8 @@ def build_dump(record_id: str, result: ForwardResult, cfg: MswConfig) -> Attenti
 
 def dump_for_record(record_id: str, signal: np.ndarray, cfg: MswConfig,
                     params: ParamStore) -> AttentionDump:
-    """The dump of an evaluation-mode forward pass on one (n_leads, L) record,
-    recording no graph."""
-    with no_grad():
-        return build_dump(record_id, forward(signal, cfg, params), cfg)
+    """The dump of an evaluation-mode forward pass on one (n_leads, L) record."""
+    return build_dump(record_id, forward(signal, cfg, params), cfg)
 
 
 # ---------------------------------------------------------------------------

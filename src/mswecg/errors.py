@@ -18,7 +18,7 @@ class DataError(ValueError):
 
 
 class GraphError(RuntimeError):
-    """Misuse of the autodiff graph (non-scalar loss, repeated backward, ...)."""
+    """Misuse of a training step's backward rules (run twice, or never built)."""
 
 
 class NumericError(RuntimeError):

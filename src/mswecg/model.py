@@ -6,17 +6,17 @@ bias, then a GELU MLP, residuals around both) -> per-branch window pooling
 and projection to class logits -> learned softmax-weighted fusion -> sigmoid
 probabilities.
 
-A forward pass records three ops, each with a hand-written backward rule:
-:func:`linear_embed`, :func:`msw_block` and :func:`fuse` (pooled heads,
-fusion softmax, sigmoid); ``train.bce_loss`` is the fourth.  The block
-standardizes its input once (LN1) and each branch runs two numpy rules that
-return their backward rule instead of recording it: :func:`window_attention`
+Every stage works on numpy arrays and, in training, returns its
+hand-written backward rule (see ``mswecg.tensor``): :func:`linear_embed`,
+:func:`msw_block` and :func:`fuse` (pooled heads, fusion softmax, sigmoid);
+``train.bce_loss`` is the fourth.  The block standardizes its input once
+(LN1) and each branch runs two sublayer rules: :func:`window_attention`
 (from the standardized rows: LN1's gain and bias, one QKV product, biased
-softmax, dropout, AV, output projection) and :func:`mlp_sublayer` (LN2, GELU
-MLP, residual).  Every forward product runs through ``tensor.matmul``, which
-counts its MACs; :func:`_on_pool` states which threads run what.
-:class:`ForwardResult` carries the probabilities, the only output on the
-graph, with the fusion weights and each scale's attention maps as arrays.
+softmax, dropout, AV, output projection) and :func:`mlp_sublayer` (LN2,
+GELU MLP, residual).  Every forward product runs through ``tensor.matmul``,
+which counts its MACs; :func:`_on_pool` states which threads run what.
+:class:`ForwardResult` carries the probabilities, the fusion weights, each
+scale's attention maps and, in training, the three rules.
 
 All functions accept arbitrary leading axes, so the same code serves a
 single record (T, C) and a batch (B, T, C).
@@ -41,14 +41,13 @@ from . import tensor as tc
 from .config import MswConfig
 from .errors import AdmissibilityError, DimensionError, NumericError
 from .params import ParamStore
-from .tensor import Tensor
 
 _LN_EPS = 1e-5
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Token rows per ``predict`` forward: 4 records at 12 leads x 1000 samples, 16 at 4 x 200.
 PREDICT_TOKEN_ROWS = 1024
-# Rows of a no-tape MLP's pre-activations whose normal CDF is taken at once.
+# Rows of an evaluation MLP's pre-activations whose normal CDF is taken at once.
 _GELU_BLOCK_ROWS = 256
 # Threads of the worker pool (see ``_on_pool``), capped by the usable CPUs.
 PREDICT_WORKERS = 2
@@ -56,9 +55,10 @@ PREDICT_WORKERS = 2
 
 @dataclass
 class ForwardResult:
-    probs: Tensor  # (..., K) sigmoid outputs
+    probs: np.ndarray  # (..., K) sigmoid outputs
     beta: np.ndarray  # (..., n_branches) fusion weights
     attn: tuple[np.ndarray, ...]  # per window scale: (..., T/M, heads, M, M), pre-dropout; or ()
+    rules: list  # in training the embed, block and fuse rules, in chain order; else empty
 
 
 # ---------------------------------------------------------------------------
@@ -86,21 +86,26 @@ def patch_split(signal: np.ndarray, cfg: MswConfig) -> np.ndarray:
     return np.ascontiguousarray(x.reshape(*lead, T, cfg.n_leads * cfg.P))
 
 
-def linear_embed(patches: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+def linear_embed(patches: np.ndarray, params, train: bool = False):
     """Project (..., T, D) patch rows into the block's width: patches @ W + b.
 
-    One recorded op: a single (rows, D) @ (D, C) product over all rows.
+    ``params`` maps ``embed.W`` and ``embed.b`` to arrays.  A single
+    (rows, D) @ (D, C) product over all rows.  Returns (tokens, rule): in
+    training ``rule(g, grads)`` writes both gradients into ``grads``; else
+    the rule is None.
     """
+    w = params["embed.W"]
     *lead, D = patches.shape
     rows = patches.reshape(-1, D)
-    y = tc.matmul(rows, w.data)
-    y += b.data
+    y = tc.matmul(rows, w)
+    y += params["embed.b"]
 
-    def backward_fn(g):
+    def rule(g, grads):
         g = g.reshape(rows.shape[0], -1)
-        return rows.T @ g, g.sum(axis=0)
+        grads["embed.W"][...] = rows.T @ g
+        grads["embed.b"][...] = g.sum(axis=0)
 
-    return tc.apply_op("embed", (w, b), y.reshape(*lead, w.shape[1]), backward_fn)
+    return y.reshape(*lead, w.shape[1]), rule if train else None
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +171,10 @@ def _relative_offsets(M: int) -> np.ndarray:
     return offs
 
 
-def window_attention(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: np.ndarray,
-                     wk: np.ndarray, wv: np.ndarray, wz: np.ndarray, bias_table: np.ndarray,
-                     M: int, heads: int, shift: int = 0, attn_dropout: float = 0.0,
-                     train: bool = False, uniforms: np.ndarray | None = None,
-                     taped: bool = True):
+def window_attention(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, w_qkv: np.ndarray,
+                     wz: np.ndarray, bias_table: np.ndarray, M: int, heads: int, shift: int = 0,
+                     attn_dropout: float = 0.0, train: bool = False,
+                     uniforms: np.ndarray | None = None):
     """Attention unpartition(attention(partition(xhat * gamma + beta))) on arrays.
 
     xhat: (..., T, C), LN's standardized rows; the caller adds the residual.
@@ -181,11 +185,11 @@ def window_attention(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: 
     draw in ``uniforms`` is >= ``attn_dropout``.  ``uniforms`` holds one draw
     per map entry, shaped (records, T/M, heads, M, M) with the leading axes
     of xhat flattened into records.  Q, K and V come from one (rows, C) @
-    (C, 3C) product over ``[Wq|Wk|Wv]``, and weight gradients are 2-D
-    products over all rows.  Returns (out, attn, backward): attn (..., T/M,
-    heads, M, M) holds the probabilities before dropout, and ``backward(g)``
-    the gradients of the eight array arguments (``xhat``'s first), or None if
-    not ``taped``.
+    (C, 3C) product over ``w_qkv`` = ``[Wq|Wk|Wv]``, and weight gradients are
+    2-D products over all rows.  Returns (out, attn, backward): attn (...,
+    T/M, heads, M, M) holds the probabilities before dropout, and
+    ``backward(g)`` the gradients of the six array arguments (``xhat``'s
+    first), or is None outside training.
 
     For backward the rule keeps ``xhat`` (no copy, and no LN state of its
     own), the maps and, with dropout, the boolean keep-mask.  Backward
@@ -209,7 +213,6 @@ def window_attention(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: 
 
     h = _affine(xhat, gamma, beta)
     n = h.size // C  # token rows over all records
-    w_qkv = np.concatenate((wq, wk, wv), axis=1)
     qkv = window_partition(tc.matmul(h.reshape(n, C), w_qkv).reshape(-1, T, 3 * C), M, shift)
     del h
     q, k, v = qkv.reshape(-1, nW, M, 3, heads, d).transpose(3, 0, 1, 4, 2, 5)
@@ -257,19 +260,19 @@ def window_attention(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, wq: 
         del h
         dh = (dqkv @ w_qkv.T).reshape(g.shape)
         return (dh * gamma, (dh * xhat).reshape(n, C).sum(axis=0), dh.reshape(n, C).sum(axis=0),
-                gw[:, :C], gw[:, C : 2 * C], gw[:, 2 * C :], gwz, gtable)
+                gw, gwz, gtable)
 
-    return y, attn.reshape(*lead, nW, heads, M, M), backward if taped else None
+    return y, attn.reshape(*lead, nW, heads, M, M), backward if train else None
 
 
 def mlp_sublayer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, w1: np.ndarray,
-                 b1: np.ndarray, w2: np.ndarray, b2: np.ndarray, taped: bool = True):
+                 b1: np.ndarray, w2: np.ndarray, b2: np.ndarray, train: bool = False):
     """MLP sublayer x + gelu(LN(x) W1 + b1) W2 + b2 on arrays, with the exact GELU u * Phi(u).
 
     Its products, and their weight gradients, are 2-D products over all
-    (..., T) rows.  Returns (out, backward): ``backward(g)`` gives the
-    gradients of the seven array arguments, in order.  With ``taped`` false
-    it is None, LN's rows are freed first and the normal CDF is taken over
+    (..., T) rows.  Returns (out, backward): in training ``backward(g)``
+    gives the gradients of the seven array arguments, in order.  Outside
+    training it is None, LN's rows are freed first and the normal CDF is taken over
     :data:`_GELU_BLOCK_ROWS` rows at a time, so no second buffer of ``u``'s
     size exists.  The GELU is computed in place.
 
@@ -284,10 +287,10 @@ def mlp_sublayer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, w1: np.ndar
     xhat, inv = _standardize(x)
     u = tc.matmul(_affine(xhat, gamma, beta).reshape(-1, C), w1)
     n = u.shape[0]
-    if not taped:
+    if not train:
         del xhat
     u += b1
-    if taped:
+    if train:
         cdf = ndtr(u)  # the normal CDF: GELU(u) = u * cdf
         u *= cdf
     else:  # no u-sized CDF buffer: one block of rows at a time
@@ -323,7 +326,7 @@ def mlp_sublayer(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, w1: np.ndar
         return (dx, (dh * xhat).reshape(n, C).sum(axis=0), dh.reshape(n, C).sum(axis=0), gw1,
                 du.sum(axis=0), gw2, gy.sum(axis=0))
 
-    return y, backward if taped else None
+    return y, backward if train else None
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +346,7 @@ def _chunk_spans(n: int, T: int) -> list[tuple[int, int]]:
     as a matrix-vector product.  Power-of-two spans start on the BLAS
     kernels' row tiles, so a record's rows meet the same kernel path whatever
     span it falls in.  :func:`predict` runs one forward per span, and
-    :func:`msw_block` one pool task per branch and span under a tape.
+    :func:`msw_block` one pool task per branch and span in training.
     """
     per_chunk = 1 << (max(1, PREDICT_TOKEN_ROWS // T).bit_length() - 1)
     starts = list(range(0, n, per_chunk))
@@ -352,49 +355,49 @@ def _chunk_spans(n: int, T: int) -> list[tuple[int, int]]:
     return list(zip(starts, [*starts[1:], n]))
 
 
-def msw_block(tokens: Tensor, cfg: MswConfig, params: ParamStore, train: bool = False,
-              rng: np.random.Generator | None = None,
-              maps: bool = True) -> tuple[Tensor, tuple[np.ndarray, ...]]:
+def msw_block(tokens: np.ndarray, cfg: MswConfig, params, train: bool = False,
+              rng: np.random.Generator | None = None, maps: bool = True):
     """Run the single block once per window scale on shared input tokens.
 
     Per branch: x' = x + windowed-attention(LN(x)); y = x' + MLP(LN(x')).
-    Branches own their parameters; only the input, and so LN1's standardized
-    rows of it, are shared.  Training draws every branch's dropout uniforms
-    for the whole batch from ``rng`` in branch order first, so no mask
-    depends on the thread or the chunking.
+    Branches own their parameters, read from ``params`` by name; only the
+    input, and so LN1's standardized rows of it, are shared.  Each branch's
+    ``[Wq|Wk|Wv]`` is joined once, for all its chunks.  Training draws every
+    branch's dropout uniforms for the whole batch from ``rng`` in branch
+    order first, so no mask depends on the thread or the chunking.
 
-    Returns (stacked, attn).  ``stacked`` holds every branch's tokens on a
-    leading axis, (n_branches, ..., T, C): it is the block's one recorded op,
-    ``msw_block``.  ``attn`` holds each branch's pre-dropout maps, (..., T/M,
-    heads, M, M), as arrays, or is empty if ``maps`` is false.
+    Returns (stacked, attn, rule).  ``stacked`` holds every branch's tokens
+    on a leading axis, (n_branches, ..., T, C).  ``attn`` holds each
+    branch's pre-dropout maps, (..., T/M, heads, M, M), or is empty if
+    ``maps`` is false.  ``rule`` is None outside training.
 
-    Under a tape the records are cut into :func:`_chunk_spans`, the chunks
+    In training the records are cut into :func:`_chunk_spans`, the chunks
     :func:`predict` runs, and :func:`_on_pool` runs one task per (branch,
     chunk): the branch's attention and MLP rules on the chunk's records.  At
     one chunk the tasks read the arrays as they are and the maps are the
     rules' own; at more, each task reads views of its records and each
-    branch's maps are joined into one array.  The op's backward runs on the
+    branch's maps are joined into one array.  ``rule(g, grads)`` runs on the
     pool too, per task the MLP rule, then the attention rule.  It drops a
     task's MLP rule once it has run and its attention rule as the task
     finishes, so a later task does not run beside an earlier one's saved
     arrays.  Per chunk it adds the residual and the standardized rows'
-    gradients in branch order, then takes LN1's input step; each branch's
-    parameter gradients are summed over its chunks in chunk order.  Without
-    a tape the block runs the whole batch, branch after branch, in the
+    gradients in branch order, then takes LN1's input step, and returns the
+    block input's gradient; each branch's parameter gradients are summed
+    over its chunks in chunk order and written into ``grads``.  Outside
+    training the block runs the whole batch, branch after branch, in the
     caller's thread.
     """
     *lead, T, C = tokens.shape
     B, nb = math.prod(lead), cfg.n_branches
     branch_params = [[params[f"branch{i}.{leaf}"] for leaf in _BRANCH_LEAVES] for i in range(nb)]
+    w_qkv = [np.concatenate(p[2:5], axis=1) for p in branch_params]
     uniforms = [None] * nb
     if train and cfg.attn_dropout > 0.0:
         if rng is None:
             raise ValueError("dropout in training mode needs an explicit rng")
         uniforms = [rng.random((B, T // M, cfg.heads, M, M)) for M in cfg.windows]
-    inputs = (tokens, *(t for p in branch_params for t in p))
-    taped = tc.recording(inputs)
-    xhat, inv = _standardize(tokens.data)  # LN1's rows, shared by every branch
-    spans = (_chunk_spans(B, T) if taped else []) or [(0, B)]
+    xhat, inv = _standardize(tokens)  # LN1's rows, shared by every branch
+    spans = (_chunk_spans(B, T) if train else []) or [(0, B)]
     k = len(spans)
 
     def records(a, start, stop):  # records start..stop of a (..., T, width) array
@@ -409,105 +412,111 @@ def msw_block(tokens: Tensor, cfg: MswConfig, params: ParamStore, train: bool = 
 
     def run(task):
         i, (start, stop) = task
-        p = [t.data for t in branch_params[i]]
+        p = branch_params[i]
         drawn = None if uniforms[i] is None else uniforms[i][start:stop]
-        x1, attn, attn_rule = window_attention(records(xhat, start, stop), *p[:7],
-                                               cfg.windows[i], cfg.heads, cfg.shift,
+        x1, attn, attn_rule = window_attention(records(xhat, start, stop), p[0], p[1], w_qkv[i],
+                                               *p[5:7], cfg.windows[i], cfg.heads, cfg.shift,
                                                attn_dropout=cfg.attn_dropout, train=train,
-                                               uniforms=drawn, taped=taped)
-        x1 += records(tokens.data, start, stop)
-        y, mlp_rule = mlp_sublayer(x1, *p[7:], taped=taped)
+                                               uniforms=drawn)
+        x1 += records(tokens, start, stop)
+        y, mlp_rule = mlp_sublayer(x1, *p[7:], train=train)
         return y, attn if maps else None, (mlp_rule, attn_rule)
 
-    results = _on_pool(run, tasks) if taped else list(map(run, tasks))
+    results = _on_pool(run, tasks) if train else list(map(run, tasks))
     stacked = np.empty((nb, *lead, T, C))
     for (i, (start, stop)), (y, _, _) in zip(tasks, results):
         records(stacked[i], start, stop)[...] = y
     attn = tuple(joined([r[1] for r in results[i * k : (i + 1) * k]])
                  for i in range(nb)) if maps else ()
-    rules = [r[2] for r in results]
+    task_rules = [r[2] for r in results]
     del results
+    if not train:
+        return stacked, attn, None
 
-    def backward_fn(g):
-        def task_grads(t):  # (dx', dxhat, *attention gradients, *MLP gradients)
+    def rule(g, grads):
+        def task_grads(t):  # (dx', dxhat, *attention parameter gradients, *MLP ones)
             i, (start, stop) = tasks[t]
-            mlp_rule, attn_rule = rules[t]
-            rules[t] = None
+            mlp_rule, attn_rule = task_rules[t]
+            task_rules[t] = None
             dx1, *dmlp = mlp_rule(records(g[i], start, stop))
             del mlp_rule
             return (dx1, *attn_rule(dx1), *dmlp)
 
-        grads = _on_pool(task_grads, range(len(tasks)))
+        per_task = _on_pool(task_grads, range(len(tasks)))
 
         def chunk_dx(c):  # the block input's gradient on chunk c's records
-            gs = grads[c::k]  # one task per branch, in branch order
+            gs = per_task[c::k]  # one task per branch, in branch order
             dx = sum((gi[0] for gi in gs[1:]), gs[0][0])
             dxhat = sum((gi[1] for gi in gs[1:]), gs[0][1])
             dx += _standardize_grad(dxhat, records(xhat, *spans[c]), records(inv, *spans[c]))
             return dx
 
         dx = joined([chunk_dx(c) for c in range(k)])
-        branch_grads = (sum((grads[i * k + c][j] for c in range(1, k)), grads[i * k][j])
-                        for i in range(nb) for j in range(2, 2 + len(_BRANCH_LEAVES)))
-        return (dx, *branch_grads)
+        for i in range(nb):
+            sums = [sum((per_task[i * k + c][j] for c in range(1, k)), per_task[i * k][j])
+                    for j in range(2, len(per_task[0]))]
+            sums[2:3] = np.split(sums[2], 3, axis=1)  # [Wq|Wk|Wv]'s gradient, per weight
+            for leaf, total in zip(_BRANCH_LEAVES, sums):
+                grads[f"branch{i}.{leaf}"][...] = total
+        return dx
 
-    return tc.apply_op("msw_block", inputs, stacked, backward_fn), attn
+    return stacked, attn, rule
 
 
-def fuse(branch_tokens: Tensor, windows, head_ws: list[Tensor], head_bs: list[Tensor],
-         fusion_w: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Pooled heads, learned fusion and sigmoid: one recorded op.
+def fuse(branch_tokens: np.ndarray, windows, params, train: bool = False):
+    """Pooled heads, learned fusion and sigmoid.
 
     ``branch_tokens`` stacks each branch's (..., T, C) tokens on a leading
-    axis, (n_branches, ..., T, C), as :func:`msw_block` gives them.  Branch i
-    mean-pools each window of M_i tokens, concatenates the (T/M_i)
-    pooled vectors and projects them to K logits alpha_i = pooled @ W_i + b_i;
-    the pooled width differs per branch, which is what makes the fused
-    feature vectors complementary.  Then beta = softmax(concat(alphas) @
-    fusion_w) and y = sigmoid(sum_i beta_i alpha_i).  With fusion_w = 0 the
-    weights are exactly uniform.  Returns (y (..., K), beta (..., n_branches)),
-    beta an array off the graph.
+    axis, (n_branches, ..., T, C), as :func:`msw_block` gives them; branch
+    i's head is ``branch{i}.head.W``/``.b`` in ``params``.  Branch i
+    mean-pools each window of M_i tokens, concatenates the (T/M_i) pooled
+    vectors and projects them to K logits alpha_i = pooled @ W_i + b_i; the
+    pooled width differs per branch, which is what makes the fused feature
+    vectors complementary.  Then beta = softmax(concat(alphas) @ fusion.W)
+    and y = sigmoid(sum_i beta_i alpha_i).  With fusion.W = 0 the weights
+    are exactly uniform.  Returns (y (..., K), beta (..., n_branches), rule),
+    the rule None outside training.
     """
-    xs = branch_tokens.data
-    nb, *lead, T, C = xs.shape
+    nb, *lead, T, C = branch_tokens.shape
+    head_ws = [params[f"branch{i}.head.W"] for i in range(nb)]
+    fusion_w = params["fusion.W"]
     K = head_ws[0].shape[1]
     if fusion_w.shape != (nb * K, nb):
         raise DimensionError(f"fusion weight shape {fusion_w.shape} does not match "
                              f"({nb * K}, {nb})")
     pooled, alphas = [], []
-    for x, M, w, b in zip(xs, windows, head_ws, head_bs):
+    for i, (x, M, w) in enumerate(zip(branch_tokens, windows, head_ws)):
         if T % M != 0:
             raise AdmissibilityError(f"window scale {M} does not divide token count {T}")
         rows = x.reshape(*lead, T // M, M, C).mean(axis=-2).reshape(-1, (T // M) * C)
         pooled.append(rows)
-        alphas.append(tc.matmul(rows, w.data) + b.data)
+        alphas.append(tc.matmul(rows, w) + params[f"branch{i}.head.b"])
     n = pooled[0].shape[0]
     stacked = np.stack(alphas, axis=-2)  # (n, nb, K)
-    s = tc.matmul(stacked.reshape(n, nb * K), fusion_w.data)
+    s = tc.matmul(stacked.reshape(n, nb * K), fusion_w)
     s -= s.max(axis=-1, keepdims=True)
     e = np.exp(s)
     beta = e / e.sum(axis=-1, keepdims=True)
     y = expit((beta[:, :, None] * stacked).sum(axis=-2))
 
-    def backward_fn(g):
+    def rule(g, grads):
         dz = g.reshape(n, K) * y * (1.0 - y)
         dbeta = (dz[:, None, :] * stacked).sum(axis=-1)
         ds = dbeta - (dbeta * beta).sum(axis=-1, keepdims=True)
         ds *= beta
-        dstacked = (ds @ fusion_w.data.T).reshape(n, nb, K)
+        dstacked = (ds @ fusion_w.T).reshape(n, nb, K)
         dstacked += dz[:, None, :] * beta[:, :, None]
-        dx, dws, dbs = np.empty((nb, *lead, T, C)), [], []
+        dx = np.empty((nb, *lead, T, C))
         for i, (M, w, rows, da) in enumerate(zip(windows, head_ws, pooled,
                                                   dstacked.transpose(1, 0, 2))):
-            dws.append(rows.T @ da)
-            dbs.append(da.sum(axis=0))
-            dp = (da @ w.data.T).reshape(*lead, T // M, 1, C) / M
+            grads[f"branch{i}.head.W"][...] = rows.T @ da
+            grads[f"branch{i}.head.b"][...] = da.sum(axis=0)
+            dp = (da @ w.T).reshape(*lead, T // M, 1, C) / M
             dx[i].reshape(*lead, T // M, M, C)[...] = dp  # spread over each window's tokens
-        return (dx, *dws, *dbs, stacked.reshape(n, nb * K).T @ ds)
+        grads["fusion.W"][...] = stacked.reshape(n, nb * K).T @ ds
+        return dx
 
-    inputs = (branch_tokens, *head_ws, *head_bs, fusion_w)
-    out = tc.apply_op("fuse", inputs, y.reshape(*lead, K), backward_fn)
-    return out, beta.reshape(*lead, nb)
+    return y.reshape(*lead, K), beta.reshape(*lead, nb), rule if train else None
 
 
 def forward(
@@ -520,16 +529,16 @@ def forward(
 ) -> ForwardResult:
     """Full pass over one record (n_leads, L) or a batch (B, n_leads, L).
 
-    Deterministic when ``train`` is false (dropout is then the identity).
-    With ``maps`` false the result's ``attn`` is empty, and a forward
-    without a tape drops each branch's maps as soon as the branch has run.
+    Deterministic when ``train`` is false (dropout is then the identity, and
+    no rule is built).  With ``maps`` false the result's ``attn`` is empty,
+    and an evaluation forward drops each branch's maps as soon as the branch
+    has run.
     """
-    tokens = linear_embed(patch_split(record, cfg), params["embed.W"], params["embed.b"])
-    stacked, attn = msw_block(tokens, cfg, params, train=train, rng=rng, maps=maps)
-    heads = range(cfg.n_branches)
-    probs, beta = fuse(stacked, cfg.windows, [params[f"branch{i}.head.W"] for i in heads],
-                       [params[f"branch{i}.head.b"] for i in heads], params["fusion.W"])
-    return ForwardResult(probs=probs, beta=beta, attn=attn)
+    tokens, embed_rule = linear_embed(patch_split(record, cfg), params, train)
+    stacked, attn, block_rule = msw_block(tokens, cfg, params, train=train, rng=rng, maps=maps)
+    probs, beta, fuse_rule = fuse(stacked, cfg.windows, params, train)
+    return ForwardResult(probs=probs, beta=beta, attn=attn,
+                         rules=[embed_rule, block_rule, fuse_rule] if train else [])
 
 
 # ---------------------------------------------------------------------------
@@ -604,20 +613,20 @@ def _on_pool(fn, items) -> list:
 
     This is the pool's whole contract.  The pool has ``min(PREDICT_WORKERS,
     usable CPUs)`` threads, is built on first use and lives as long as the
-    process.  It runs :func:`predict`'s chunks and, under a tape, a training
-    step's block rules, one task per (window-scale branch, chunk), forward and
+    process.  It runs :func:`predict`'s chunks and a training step's block
+    sublayer rules, one task per (window-scale branch, chunk), forward and
     backward (:func:`msw_block`); both size their chunks by
-    :func:`_chunk_spans`, and neither records an op, so no graph is built or
-    run on a pool thread.  No call made on the pool may submit to it in turn:
-    a forward without a tape runs its branches in its own thread, so a chunk
-    never does.  Each
-    call runs in a copy of the caller's context, so ``no_grad``, an active
-    ``MacCounter`` (which adds under a lock) and ``np.errstate`` hold inside
-    it.  Results come in item order.  If a call raises, the calls not yet
-    started are cancelled, the running ones are waited for, and the first
-    failing item's error is raised.  While the calls run, numpy's OpenBLAS
-    (where it is OpenBLAS) has its threads shared out among the busy workers,
-    so two workers on two CPUs use one BLAS thread each rather than two.
+    :func:`_chunk_spans`.  A step's stage rules run in the caller's thread
+    (``tensor.backward``); only the block's sublayer rules run on the pool.
+    No call made on the pool may submit to it in turn: an evaluation forward
+    runs its branches in its own thread, so a chunk never does.  Each call
+    runs in a copy of the caller's context, so an active ``MacCounter``
+    (which adds under a lock) and ``np.errstate`` hold inside it.  Results
+    come in item order.  If a call raises, the calls not yet started are
+    cancelled, the running ones are waited for, and the first failing item's
+    error is raised.  While the calls run, numpy's OpenBLAS (where it is
+    OpenBLAS) has its threads shared out among the busy workers, so two
+    workers on two CPUs use one BLAS thread each rather than two.
     """
     items = list(items)
     workers = max(1, min(PREDICT_WORKERS, _usable_cpus()))
@@ -636,7 +645,7 @@ def predict(signals, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarra
     """Evaluation-mode probabilities (N, K) of ``signals[rows]`` (default: all rows).
 
     ``signals`` is a float64 ``(N, n_leads, L)`` array or a
-    :class:`~mswecg.data.StandardizedRows` view.  Each no-tape forward gathers
+    :class:`~mswecg.data.StandardizedRows` view.  Each evaluation forward gathers
     and runs one chunk of :func:`_chunk_spans`: the largest power of two of
     records whose token rows fit :data:`PREDICT_TOKEN_ROWS` (at least one),
     with a 1-record tail joined to the chunk before it.  Power-of-two chunks
@@ -662,7 +671,7 @@ def predict(signals, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarra
 
     def run_chunk(start: int, stop: int) -> None:
         chunk = idx[start:stop]
-        probs = forward(signals[chunk], cfg, params, maps=False).probs.data
+        probs = forward(signals[chunk], cfg, params, maps=False).probs
         bad = np.argwhere(~np.isfinite(probs))
         if bad.size:
             row, k = bad[0]
@@ -670,6 +679,5 @@ def predict(signals, cfg: MswConfig, params: ParamStore, rows=None) -> np.ndarra
                                f"{chunk[row]}, class {k}")
         out[start:stop] = probs
 
-    with tc.no_grad():  # in the chunks' copies of this context
-        _on_pool(lambda span: run_chunk(*span), _chunk_spans(len(idx), cfg.tokens))
+    _on_pool(lambda span: run_chunk(*span), _chunk_spans(len(idx), cfg.tokens))
     return out

@@ -13,37 +13,47 @@ import json
 import math
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .config import MswConfig
 from .errors import DataError
-from .tensor import Tensor
 
 _DTYPE = "<f8"
 
 
 class ParamStore:
-    """Ordered name -> parameter tensor map; names are stable across save/load.
+    """Ordered name -> parameter array map; names are stable across save/load.
 
     The ``(name, array)`` pairs' values are copied into one vector, ``flat``,
-    in pair order; each tensor's ``.data`` is a reshaped view of its slice.
+    in pair order; ``store[name]`` is a reshaped view of its slice.
+    :meth:`views` lays any vector of ``flat``'s size out the same way, which
+    is how a training step's gradient vector gets its named slots.
     """
 
     def __init__(self, pairs=()):
         arrays = [(name, np.asarray(data, dtype=np.float64)) for name, data in pairs]
-        self.flat = np.empty(sum(a.size for _, a in arrays))
-        self._params: dict[str, Tensor] = {}
-        offset = 0
+        self._shapes: dict[str, tuple[int, ...]] = {}
         for name, a in arrays:
-            if name in self._params:
+            if name in self._shapes:
                 raise ValueError(f"duplicate parameter name: {name}")
-            view = self.flat[offset : offset + a.size].reshape(a.shape)
-            view[...] = a
-            self._params[name] = Tensor(view, requires_grad=True)
-            offset += a.size
+            self._shapes[name] = a.shape
+        self.flat = np.empty(sum(a.size for _, a in arrays))
+        self._params = self.views(self.flat)
+        for name, a in arrays:
+            self._params[name][...] = a
 
-    def __getitem__(self, name: str) -> Tensor:
+    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Name -> the reshaped view of ``vec``'s slice that ``flat`` gives that parameter."""
+        out, offset = {}, 0
+        for name, shape in self._shapes.items():
+            size = math.prod(shape)
+            out[name] = vec[offset : offset + size].reshape(shape)
+            offset += size
+        return out
+
+    def __getitem__(self, name: str) -> np.ndarray:
         return self._params[name]
 
     def __contains__(self, name: str) -> bool:
@@ -56,21 +66,15 @@ class ParamStore:
         return list(self._params)
 
     def items(self):
-        return self._params.items()
+        """``(name, entry)`` pairs in store order, ``entry.data`` the parameter's array.
 
-    def zero_grads(self) -> None:
-        for t in self._params.values():
-            t.grad = None
-
-    def flat_grad(self) -> np.ndarray:
-        """Every gradient in one vector laid out like ``flat``."""
-        for name, t in self._params.items():
-            if t.grad is None:
-                raise ValueError(f"parameter {name} has no gradient")
-        return np.concatenate([t.grad.ravel() for t in self._params.values()] or [self.flat])
+        The pairs keep the ``.data`` form that ``perfbench/run.py`` reads off
+        a loaded checkpoint; code in this package indexes the store instead.
+        """
+        return [(name, SimpleNamespace(data=a)) for name, a in self._params.items()]
 
     def copy(self) -> "ParamStore":
-        return ParamStore((name, t.data) for name, t in self._params.items())
+        return ParamStore(self._params.items())
 
 
 def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -150,10 +154,11 @@ def save_checkpoint(store: ParamStore, base, config: dict | None = None) -> tupl
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     entries = {}
     offset = 0
-    for name, t in store.items():
-        entries[name] = {"shape": list(t.shape), "dtype": _DTYPE,
-                         "offset": offset, "nbytes": t.data.nbytes}
-        offset += t.data.nbytes
+    for name in store.names():
+        a = store[name]
+        entries[name] = {"shape": list(a.shape), "dtype": _DTYPE,
+                         "offset": offset, "nbytes": a.nbytes}
+        offset += a.nbytes
     blob = store.flat.astype(_DTYPE, copy=False).tobytes()
     manifest = {"config": config or {}, "params": entries,
                 "sha256": hashlib.sha256(blob).hexdigest()}

@@ -10,6 +10,7 @@ one row per (epoch, split).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 from dataclasses import dataclass, fields
@@ -25,7 +26,6 @@ from .errors import ConfigError, DimensionError, NumericError
 from .metrics import EvalBatch, MetricReport, evaluate
 from .model import forward, predict
 from .params import ParamStore, save_checkpoint
-from .tensor import Tensor
 
 PROB_CLIP = 1e-12
 
@@ -67,25 +67,26 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr0 * float(cfg.decay_factor) ** -(epoch // cfg.decay_every)
 
 
-def bce_loss(probs: Tensor, labels) -> Tensor:
+def bce_loss(probs: np.ndarray, labels):
     """Mean over B*K of -[y ln p + (1-y) ln(1-p)], with p clipped for safety.
 
-    One recorded op whose value is :func:`_np_bce`.  Entries clipped to
+    Returns (loss, rule): the loss is :func:`_np_bce`'s value, and
+    ``rule(g, grads)`` returns the gradient of ``probs``, the last rule of a
+    training step (``tensor.backward``).  Entries clipped to
     [PROB_CLIP, 1 - PROB_CLIP] get a zero gradient.
     """
+    x = np.asarray(probs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    if probs.shape != y.shape:
-        raise DimensionError(f"probs {probs.shape} and labels {y.shape} differ")
+    if x.shape != y.shape:
+        raise DimensionError(f"probs {x.shape} and labels {y.shape} differ")
 
-    x = probs.data
-
-    def backward_fn(g):
+    def rule(g, grads):
         p = np.clip(x, PROB_CLIP, 1.0 - PROB_CLIP)
         dp = ((1.0 - y) / (1.0 - p) - y / p) * (g / y.size)
         dp[(x < PROB_CLIP) | (x > 1.0 - PROB_CLIP)] = 0.0
-        return (dp,)
+        return dp
 
-    return tc.apply_op("bce", (probs,), np.float64(_np_bce(x, y)), backward_fn)
+    return _np_bce(x, y), rule
 
 
 # ---------------------------------------------------------------------------
@@ -106,16 +107,15 @@ class AdamState:
     v: np.ndarray | None = None
 
 
-def adam_step(params: ParamStore, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update of ``params.flat``, in place.  Raises before
-    anything changes if a gradient is missing or not finite (naming the first)."""
+def adam_step(params: ParamStore, g: np.ndarray, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of ``params.flat`` by the gradient vector
+    ``g``, laid out like it, in place.  Raises before anything changes if a
+    gradient is not finite, naming the first such parameter: a step fills
+    ``g`` with NaN before its rules run, so a slot no rule wrote is named too."""
     if lr < 0:
         raise ValueError(f"lr must be >= 0, got {lr}")
-    g = params.flat_grad()
-    finite = np.isfinite(g)
-    if not finite.all():
-        ends = np.cumsum([t.size for _, t in params.items()])
-        name = params.names()[np.searchsorted(ends, np.argmin(finite), side="right")]
+    if not np.isfinite(g).all():
+        name = next(n for n, a in params.views(g).items() if not np.isfinite(a).all())
         raise NumericError(f"non-finite gradient in {name}")
     if state.m is None:
         state.m, state.v = np.zeros_like(g), np.zeros_like(g)
@@ -200,6 +200,8 @@ def train_loop(
     ss = np.random.SeedSequence(tcfg.seed)
     shuffle_rng, dropout_rng = (np.random.default_rng(c) for c in ss.spawn(2))
     adam = AdamState()
+    grad = np.empty_like(params.flat)  # each step's gradients, laid out like params.flat
+    grads = params.views(grad)
     log: list[EpochRow] = []
     best_f1 = -1.0
     best_epoch = -1
@@ -215,19 +217,19 @@ def train_loop(
             idx = order[start : start + tcfg.batch_size]
             res = forward(signals[train[idx]], cfg, params, train=True, rng=dropout_rng,
                           maps=False)
-            loss = bce_loss(res.probs, y_train[idx])
-            lv = loss.item()
+            lv, loss_rule = bce_loss(res.probs, y_train[idx])
             if not np.isfinite(lv):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {b_idx}")
-            params.zero_grads()
-            tc.backward(loss)
+            res.rules.append(loss_rule)
+            grad.fill(np.nan)  # a slot no rule writes stays NaN, and adam_step names it
+            tc.backward(res.rules, grads)
             try:
-                adam_step(params, adam, lr)
+                adam_step(params, grad, adam, lr)
             except NumericError as exc:
                 raise NumericError(f"{exc} at epoch {epoch}, batch {b_idx}") from exc
-            seen_probs[idx] = res.probs.data
+            seen_probs[idx] = res.probs
             loss_sum += lv * len(idx)
-            del res, loss  # the next forward does not overlap this step's outputs
+            del res, loss_rule  # the next forward does not overlap this step's outputs
 
         train_report = evaluate(EvalBatch(scores=seen_probs, labels=y_train.astype(np.int64)))
         log.append(_row(epoch, "train", loss_sum / n, train_report, lr))
@@ -300,18 +302,20 @@ def finite_difference_audit(
     Returns the max relative error and a per-parameter breakdown.  Relative
     error is |a - n| / max(|a|, |n|, 1e-3), elementwise, which ignores pure
     round-off on near-zero entries while staying far stricter than the 1e-4
-    gate.
+    gate.  The analytic gradient comes from a training step's rules on
+    ``cfg`` without dropout: the network of the evaluation-mode forwards that
+    give the loss values.
     """
     signals = np.asarray(signals, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
 
     def loss_value() -> float:
-        with tc.no_grad():
-            return _np_bce(forward(signals, cfg, params).probs.data, labels)
+        return _np_bce(forward(signals, cfg, params).probs, labels)
 
-    params.zero_grads()
-    tc.backward(bce_loss(forward(signals, cfg, params).probs, labels))
-    analytic = params.flat_grad()
+    res = forward(signals, dataclasses.replace(cfg, attn_dropout=0.0), params, train=True)
+    res.rules.append(bce_loss(res.probs, labels)[1])
+    analytic = np.full_like(params.flat, np.nan)
+    tc.backward(res.rules, params.views(analytic))
     numeric = np.empty_like(analytic)
     flat = params.flat
     for i in range(flat.size):
@@ -323,7 +327,6 @@ def finite_difference_audit(
         flat[i] = orig
         numeric[i] = (lp - lm) / (2.0 * step)
     denom = np.maximum.reduce([np.abs(analytic), np.abs(numeric), np.full_like(numeric, 1e-3)])
-    errors = np.split(np.abs(analytic - numeric) / denom,
-                      np.cumsum([p.size for _, p in params.items()])[:-1])
-    per_param = {name: float(e.max()) for name, e in zip(params.names(), errors)}
+    errors = params.views(np.abs(analytic - numeric) / denom)
+    per_param = {name: float(e.max()) for name, e in errors.items()}
     return max(per_param.values()), per_param

@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from mswecg import tensor as tc
 from mswecg.complexity import analytic_phases, measure_macs, omega_mswsa, sweep
 from mswecg.config import MswConfig
 from mswecg.data import SynthSpec, fold_masks, standardize, synth_generate
@@ -77,15 +76,15 @@ def test_criterion_2_window_global_equivalence():
                     shift=0, attn_dropout=0.0)
     rng = np.random.default_rng(2)
     params = init_params(cfg, seed=2)
-    params["branch0.attn.bias"].data[:] = rng.normal(size=(cfg.heads, 2 * T - 1))
-    raw = {leaf: params[f"branch0.{leaf}"].data for leaf in (
+    params["branch0.attn.bias"][:] = rng.normal(size=(cfg.heads, 2 * T - 1))
+    raw = {leaf: params[f"branch0.{leaf}"] for leaf in (
         "ln1.gamma", "ln1.beta", "attn.Wq", "attn.Wk", "attn.Wv", "attn.Wz",
         "attn.bias", "ln2.gamma", "ln2.beta", "mlp.W1", "mlp.b1", "mlp.W2", "mlp.b2",
     )}
     worst = 0.0
     for _ in range(20):
         tokens = rng.normal(size=(T, cfg.C))
-        ours = msw_block(tc.tensor(tokens), cfg, params)[0].data[0]
+        ours = msw_block(tokens, cfg, params)[0][0]
         oracle = global_block_oracle(tokens, raw, cfg.heads)
         worst = max(worst, float(np.abs(ours - oracle).max()))
     report(2, worst < 1e-10,
@@ -155,7 +154,7 @@ def test_criterion_5_normalization_invariants():
             params = init_params(cfg, seed=int(rng.integers(2**31)))
             for b in range(cfg.n_branches):
                 table = params[f"branch{b}.attn.bias"]
-                table.data[:] = rng.normal(size=table.shape)
+                table[:] = rng.normal(size=table.shape)
         res = forward(rng.normal(size=(cfg.n_leads, cfg.L)), cfg, params)
         for attn in res.attn:
             worst_row = max(worst_row,
@@ -167,11 +166,11 @@ def test_criterion_5_normalization_invariants():
         params = init_params(cfg, seed=trial)
         for b in range(cfg.n_branches):
             table = params[f"branch{b}.attn.bias"]
-            table.data[:] = rng.normal(size=table.shape)
+            table[:] = rng.normal(size=table.shape)
         sig = rng.normal(size=(cfg.n_leads, cfg.L))
         before = [attn.copy() for attn in forward(sig, cfg, params).attn]
         for b in range(cfg.n_branches):
-            params[f"branch{b}.attn.bias"].data += 7.5
+            params[f"branch{b}.attn.bias"][...] += 7.5
         after = forward(sig, cfg, params).attn
         for x, y in zip(before, after):
             worst_shift = max(worst_shift, float(np.abs(x - y).max()))

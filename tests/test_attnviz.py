@@ -176,13 +176,13 @@ def test_forward_gives_build_dump_every_branch_unless_asked_for_no_maps():
     assert [br.M for br in dump.branches] == list(CFG.windows)
     lean = forward(signal, CFG, params, maps=False)
     assert lean.attn == ()
-    assert lean.probs.data.tobytes() == res.probs.data.tobytes()
+    assert lean.probs.tobytes() == res.probs.tobytes()
     assert lean.beta.tobytes() == res.beta.tobytes()
 
 
 def test_dump_rejects_non_finite_attention_naming_branch_and_window():
     (record_id, signal), params = fitted_record_and_params(seed=2)
-    params["branch1.attn.Wq"].data[0, 0] = np.nan
+    params["branch1.attn.Wq"][0, 0] = np.nan
     with pytest.raises(NumericError, match=r"branch M=4: non-finite attention in window 0"):
         dump_for_record(record_id, signal, CFG, params)
 
@@ -195,7 +195,7 @@ def test_scores_invariant_to_batch_composition():
     solo_dump = build_dump("x", solo, CFG)
     for attn_solo, attn_batch in zip(solo.attn, batch.attn):
         assert np.allclose(attn_solo, attn_batch[0], atol=1e-12)
-    assert np.allclose(solo.probs.data, batch.probs.data[0], atol=1e-12)
+    assert np.allclose(solo.probs, batch.probs[0], atol=1e-12)
     assert solo_dump.fused_sample_scores.shape == (CFG.L,)
 
 

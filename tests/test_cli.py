@@ -240,7 +240,7 @@ def test_eval_missing_checkpoint_exit_3(synth_dir, tmp_path):
 
 def test_eval_nan_weight_checkpoint_exit_4(synth_dir, trained_dir, tmp_path, capsys):
     store, config = load_checkpoint(trained_dir / "checkpoint")
-    store["branch1.mlp.W1"].data[0, 0] = math.nan
+    store["branch1.mlp.W1"][0, 0] = math.nan
     save_checkpoint(store, tmp_path / "nan", config=config)
     report_path = tmp_path / "report.json"
     code = main([
@@ -258,7 +258,7 @@ def test_eval_nan_weight_checkpoint_exit_4(synth_dir, trained_dir, tmp_path, cap
 def test_attn_nan_weight_checkpoint_exit_4_writes_nothing(synth_dir, trained_dir, tmp_path,
                                                          capsys):
     store, config = load_checkpoint(trained_dir / "checkpoint")
-    store["branch1.mlp.W1"].data[0, 0] = math.nan
+    store["branch1.mlp.W1"][0, 0] = math.nan
     save_checkpoint(store, tmp_path / "nan", config=config)
     out = tmp_path / "viz"
     code = main([
@@ -483,7 +483,7 @@ def _replaced(name, data):
     """A store edit giving parameter ``name`` the value ``data``, or dropping
     it when ``data`` is None."""
     def edit(store):
-        return ParamStore((n, data if n == name else t.data) for n, t in store.items()
+        return ParamStore((n, data if n == name else store[n]) for n in store.names()
                           if n != name or data is not None)
     return edit
 
@@ -501,7 +501,7 @@ _MALFORMED_CHECKPOINTS = [
     ("head-shape", _replaced("branch1.head.W", np.zeros((8, 3))), None, "branch1.head.W"),
     ("attn-shape", _replaced("branch0.attn.Wq", np.zeros((8, 4))), None, "branch0.attn.Wq"),
     ("missing", _replaced("fusion.W", None), None, "fusion.W"),
-    ("extra", lambda s: ParamStore([*((n, t.data) for n, t in s.items()),
+    ("extra", lambda s: ParamStore([*((n, s[n]) for n in s.names()),
                                     ("branch9.head.W", np.zeros(2))]), None, "branch9.head.W"),
     ("f4", None, _manifest_entry("branch0.mlp.b1", dtype="<f4"), "branch0.mlp.b1"),
     ("object", None, _manifest_entry("embed.b", dtype="|O"), "embed.b"),

@@ -12,7 +12,7 @@ from scipy.special import expit
 
 from mswecg import tensor as tc
 from mswecg.config import MswConfig
-from mswecg.errors import AdmissibilityError, DimensionError, NumericError
+from mswecg.errors import AdmissibilityError, DimensionError, GraphError, NumericError
 from mswecg import model
 from mswecg.model import (
     PREDICT_TOKEN_ROWS,
@@ -33,6 +33,16 @@ from util import (attention, finite_diff_check, global_block_oracle, mlp_sublaye
                   reference_branch, standardize, window_attention)
 
 TINY = MswConfig(L=40, n_leads=2, P=5, C=8, heads=2, windows=(2, 4), K=3)
+TINY_NO_DROPOUT = dataclasses.replace(TINY, attn_dropout=0.0)  # training = evaluation values
+
+
+def _step_grad(res, params, loss_rule):
+    """Run a training forward's rules after ``loss_rule``: the gradient
+    vector, laid out like ``params.flat``, NaN where no rule wrote."""
+    res.rules.append(loss_rule)
+    grad = np.full_like(params.flat, np.nan)
+    tc.backward(res.rules, params.views(grad))
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -69,12 +79,11 @@ def test_patch_split_shape_mismatch():
 def test_linear_embed_identity_and_bias():
     cfg = MswConfig(L=10, n_leads=2, P=5, C=10, heads=2, windows=(1, 2), K=2)
     patches = patch_split(np.arange(20.0).reshape(2, 10), cfg)
-    w = tc.tensor(np.eye(10), requires_grad=False)
-    b = tc.tensor(np.zeros(10))
-    assert np.array_equal(linear_embed(patches, w, b).data, patches)
-    bias = tc.tensor(np.arange(10.0))
-    out = linear_embed(np.zeros_like(patches), w, bias)
-    assert np.array_equal(out.data, np.tile(np.arange(10.0), (2, 1)))
+    w = np.eye(10)
+    out, rule = linear_embed(patches, {"embed.W": w, "embed.b": np.zeros(10)})
+    assert np.array_equal(out, patches) and rule is None
+    out, _ = linear_embed(np.zeros_like(patches), {"embed.W": w, "embed.b": np.arange(10.0)})
+    assert np.array_equal(out, np.tile(np.arange(10.0), (2, 1)))
 
 
 def test_linear_embed_matches_matmul_oracle():
@@ -82,8 +91,8 @@ def test_linear_embed_matches_matmul_oracle():
     patches = rng.normal(size=(6, 10))
     w = rng.normal(size=(10, 4))
     b = rng.normal(size=4)
-    out = linear_embed(patches, tc.tensor(w), tc.tensor(b))
-    assert np.allclose(out.data, patches @ w + b, atol=1e-12)
+    out, _ = linear_embed(patches, {"embed.W": w, "embed.b": b})
+    assert np.allclose(out, patches @ w + b, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +144,7 @@ def _ln(x, eps=1e-5):
 def _attend(x, wq, wk, wv, wz, table, M, heads, **kw):
     """window_attention with unit LN gain and zero LN bias."""
     C = x.shape[-1]
-    return window_attention(tc.tensor(x), tc.tensor(np.ones(C)), tc.tensor(np.zeros(C)),
+    return window_attention(ref.Tensor(x), ref.Tensor(np.ones(C)), ref.Tensor(np.zeros(C)),
                             wq, wk, wv, wz, table, M, heads, **kw)
 
 
@@ -144,7 +153,7 @@ def _bias_only_attention(table, M):
     so every score row is the relative-bias row."""
     heads = table.shape[0]
     C = 2 * heads
-    zero, eye = tc.tensor(np.zeros((C, C))), tc.tensor(np.eye(C))
+    zero, eye = ref.Tensor(np.zeros((C, C))), ref.Tensor(np.eye(C))
     x = np.random.default_rng(0).normal(size=(M, C))
     _, attn = _attend(x, zero, eye, eye, eye, table, M, heads)
     return attn.data[0]
@@ -155,7 +164,7 @@ def test_relative_bias_indexing():
     # distinct second differences makes every misread visible.
     M = 5
     table = (np.arange(9.0) - 4.0) ** 2 / 8.0
-    attn = _bias_only_attention(tc.tensor(table.reshape(1, 9)), M)
+    attn = _bias_only_attention(ref.Tensor(table.reshape(1, 9)), M)
     logits = np.log(attn[0])
     i, j = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
     expected = table[i - j + M - 1] - table[M - 1]  # relative to the diagonal
@@ -171,23 +180,23 @@ def test_relative_offsets_are_built_once_per_scale_and_read_only():
 
 def test_relative_bias_m1():
     x = np.random.default_rng(1).normal(size=(3, 4))
-    ws = [tc.tensor(np.eye(4)) for _ in range(4)]
-    out_a, attn = _attend(x, *ws, tc.tensor(np.array([[2.5], [2.5]])), 1, 2)
-    out_b, _ = _attend(x, *ws, tc.tensor(np.array([[-7.0], [0.0]])), 1, 2)
+    ws = [ref.Tensor(np.eye(4)) for _ in range(4)]
+    out_a, attn = _attend(x, *ws, ref.Tensor(np.array([[2.5], [2.5]])), 1, 2)
+    out_b, _ = _attend(x, *ws, ref.Tensor(np.array([[-7.0], [0.0]])), 1, 2)
     assert attn.shape == (3, 2, 1, 1) and np.array_equal(attn.data, np.ones((3, 2, 1, 1)))
     assert np.array_equal(out_a.data, out_b.data)
 
 
 def test_relative_bias_wrong_width():
-    ws = [tc.tensor(np.eye(4)) for _ in range(4)]
+    ws = [ref.Tensor(np.eye(4)) for _ in range(4)]
     with pytest.raises(DimensionError, match="table"):
-        _attend(np.zeros((10, 4)), *ws, tc.tensor(np.zeros((2, 8))), 5, 2)
+        _attend(np.zeros((10, 4)), *ws, ref.Tensor(np.zeros((2, 8))), 5, 2)
 
 
 def test_relative_bias_gradient():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(6, 4))
-    ws = [tc.tensor(rng.normal(size=(4, 4))) for _ in range(4)]
+    ws = [ref.Tensor(rng.normal(size=(4, 4))) for _ in range(4)]
     err = finite_diff_check(lambda t: _attend(x, *ws, t, 3, 2)[0], [(2, 5)], seed=1)
     assert err < 1e-4
 
@@ -195,9 +204,9 @@ def test_relative_bias_gradient():
 def test_constant_bias_table_means_unbiased_attention():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(1, 4, 8))
-    ws = [tc.tensor(rng.normal(size=(8, 8))) for _ in range(4)]
-    zero = tc.tensor(np.zeros((2, 7)))
-    const = tc.tensor(np.full((2, 7), 3.7))
+    ws = [ref.Tensor(rng.normal(size=(8, 8))) for _ in range(4)]
+    zero = ref.Tensor(np.zeros((2, 7)))
+    const = ref.Tensor(np.full((2, 7), 3.7))
     _, attn0 = _attend(x, *ws, zero, 4, 2)
     _, attn1 = _attend(x, *ws, const, 4, 2)
     assert np.abs(attn0.data - attn1.data).max() <= 1e-12
@@ -205,11 +214,11 @@ def test_constant_bias_table_means_unbiased_attention():
 
 def _rand_weights(rng, C, heads, M):
     return (
-        tc.tensor(rng.normal(size=(C, C))),
-        tc.tensor(rng.normal(size=(C, C))),
-        tc.tensor(rng.normal(size=(C, C))),
-        tc.tensor(rng.normal(size=(C, C))),
-        tc.tensor(rng.normal(size=(heads, 2 * M - 1))),
+        ref.Tensor(rng.normal(size=(C, C))),
+        ref.Tensor(rng.normal(size=(C, C))),
+        ref.Tensor(rng.normal(size=(C, C))),
+        ref.Tensor(rng.normal(size=(C, C))),
+        ref.Tensor(rng.normal(size=(heads, 2 * M - 1))),
     )
 
 
@@ -226,11 +235,11 @@ def test_attention_m1_ignores_bias():
 def test_attention_zero_query_is_uniform():
     rng = np.random.default_rng(1)
     C, heads, M = 8, 2, 4
-    wq = tc.tensor(np.zeros((C, C)))
-    wk = tc.tensor(rng.normal(size=(C, C)))
-    wv = tc.tensor(rng.normal(size=(C, C)))
-    wz = tc.tensor(rng.normal(size=(C, C)))
-    bias = tc.tensor(np.zeros((heads, 2 * M - 1)))
+    wq = ref.Tensor(np.zeros((C, C)))
+    wk = ref.Tensor(rng.normal(size=(C, C)))
+    wv = ref.Tensor(rng.normal(size=(C, C)))
+    wz = ref.Tensor(rng.normal(size=(C, C)))
+    bias = ref.Tensor(np.zeros((heads, 2 * M - 1)))
     x = rng.normal(size=(1, M, C))
     out, attn = _attend(x, wq, wk, wv, wz, bias, M, heads)
     assert np.abs(attn.data - 1.0 / M).max() <= 1e-12
@@ -244,11 +253,11 @@ def test_attention_hand_case_m2_one_head():
     # (1, 3) and (4, 2) normalize to (-r, r) and (r, -r); the diagonal
     # weights below read only their first coordinate.
     r = 1.0 / np.sqrt(1.0 + 1e-5)
-    wq = tc.tensor(np.diag([2.0, 0.0]))
-    wk = tc.tensor(np.diag([1.0, 0.0]))
-    wv = tc.tensor(np.diag([3.0, 0.0]))
-    wz = tc.tensor(np.diag([2.0, 0.0]))
-    bias = tc.tensor([[0.5, 0.0, -0.5]])
+    wq = ref.Tensor(np.diag([2.0, 0.0]))
+    wk = ref.Tensor(np.diag([1.0, 0.0]))
+    wv = ref.Tensor(np.diag([3.0, 0.0]))
+    wz = ref.Tensor(np.diag([2.0, 0.0]))
+    bias = ref.Tensor([[0.5, 0.0, -0.5]])
     x = np.array([[1.0, 3.0], [4.0, 2.0]])
     out, attn = _attend(x, wq, wk, wv, wz, bias, 2, 1)
     q = np.array([-2.0 * r, 2.0 * r])
@@ -327,22 +336,23 @@ def test_block_matches_the_unfused_composition(windows, shift, p):
                     attn_dropout=p)
     params = init_params(cfg, seed=1)
     rng = np.random.default_rng(0)
-    for _, t in params.items():
-        t.data[...] = rng.normal(size=t.shape) * 0.5
-    x = tc.Tensor(rng.normal(size=(3, cfg.tokens, cfg.C)), requires_grad=True)
+    params.flat[...] = rng.normal(size=params.flat.size) * 0.5
+    x = ref.Tensor(rng.normal(size=(3, cfg.tokens, cfg.C)), requires_grad=True)
     probes = [rng.normal(size=x.shape) for _ in windows]
+    named = ref.leaves(params, [f"branch{i}.{leaf}" for i in range(cfg.n_branches)
+                                for leaf in model._BRANCH_LEAVES])
 
     def grads(loss):
-        params.zero_grads()
-        x.grad = None
-        tc.backward(loss)
-        return {"x": x.grad, **{n: t.grad for n, t in params.items() if t.grad is not None}}
+        for t in (x, *named.values()):
+            t.grad = None
+        ref.backward(loss)
+        return {"x": x.grad, **{n: t.grad for n, t in named.items()}}
 
-    stacked, attns = msw_block(x, cfg, params, train=p > 0, rng=np.random.default_rng(5))
-    # The block's recorded output stacks the branches' tokens on a leading axis.
+    stacked, attns = ref.msw_block(x, cfg, named, rng=np.random.default_rng(5))
+    # The block's output stacks the branches' tokens on a leading axis.
     fused_grads = grads(ref.sum(ref.mul(stacked, np.stack(probes))))
     ref_rng = np.random.default_rng(5)
-    unfused = [reference_branch(x, lambda leaf, i=i: params[f"branch{i}.{leaf}"], M,
+    unfused = [reference_branch(x, lambda leaf, i=i: named[f"branch{i}.{leaf}"], M,
                                 cfg.heads, shift, p, p > 0, ref_rng)
                for i, M in enumerate(windows)]
     ref_grads = grads(ref.sum(ref.concat([ref.mul(y, w) for (y, _), w in zip(unfused, probes)],
@@ -360,22 +370,24 @@ def test_block_gradients_equal_one_tape_of_its_branch_ops_bitwise():
                     attn_dropout=0.2)
     params = init_params(cfg, seed=2)
     rng = np.random.default_rng(3)
-    x = tc.Tensor(rng.normal(size=(4, cfg.tokens, cfg.C)), requires_grad=True)
+    x = ref.Tensor(rng.normal(size=(4, cfg.tokens, cfg.C)), requires_grad=True)
     probes = rng.normal(size=(cfg.n_branches, *x.shape))
+    named = ref.leaves(params, [f"branch{i}.{leaf}" for i in range(cfg.n_branches)
+                                for leaf in model._BRANCH_LEAVES])
 
     def grads(loss):
-        params.zero_grads()
-        x.grad = None
-        tc.backward(loss)
-        return {"x": x.grad, **{n: t.grad for n, t in params.items() if t.grad is not None}}
+        for t in (x, *named.values()):
+            t.grad = None
+        ref.backward(loss)
+        return {"x": x.grad, **{n: t.grad for n, t in named.items()}}
 
-    stacked, _ = msw_block(x, cfg, params, train=True, rng=np.random.default_rng(4))
+    stacked, _ = ref.msw_block(x, cfg, named, rng=np.random.default_rng(4))
     pooled = grads(ref.sum(ref.mul(stacked, probes)))
-    # The same fused ops recorded on one tape, one branch after another, all
-    # reading one standardization of x (LN1's rows).
+    # The same sublayer rules recorded on one tape, one branch after another,
+    # all reading one standardization of x (LN1's rows).
     masks, ys, xhat = np.random.default_rng(4), [], standardize(x)
     for i, M in enumerate(cfg.windows):
-        p = [params[f"branch{i}.{leaf}"] for leaf in model._BRANCH_LEAVES]
+        p = [named[f"branch{i}.{leaf}"] for leaf in model._BRANCH_LEAVES]
         a, _ = attention(xhat, *p[:7], M, cfg.heads, cfg.shift, attn_dropout=cfg.attn_dropout,
                          train=True, uniforms=masks.random((4, cfg.tokens // M, cfg.heads, M, M)))
         ys.append(mlp_sublayer(ref.add(x, a), *p[7:]))
@@ -410,8 +422,7 @@ def test_a_training_step_standardizes_the_block_input_once(monkeypatch):
     res = forward(sig, cfg, params, train=True, rng=np.random.default_rng(2))
     # LN1 once, before any branch runs, then each branch's LN2.
     assert len(rows) == 1 + cfg.n_branches
-    params.zero_grads()
-    tc.backward(bce_loss(res.probs, labels))
+    _step_grad(res, params, bce_loss(res.probs, labels)[1])
     assert len(grad_rows) == 1 + cfg.n_branches
     assert sum(r is rows[0] for r in grad_rows) == 1  # LN1's input-gradient step
 
@@ -422,10 +433,10 @@ def _fused_vs_reference(fused, reference, arrays):
     differentiable output first; further outputs are compared by value."""
     runs = []
     for op in (fused, reference):
-        xs = [tc.Tensor(np.array(a, dtype=np.float64), requires_grad=True) for a in arrays]
+        xs = [ref.Tensor(np.array(a, dtype=np.float64), requires_grad=True) for a in arrays]
         outs = op(*xs)
         outs = outs if isinstance(outs, tuple) else (outs,)
-        tc.backward(ref.sum(ref.mul(outs[0], outs[0])))
+        ref.backward(ref.sum(ref.mul(outs[0], outs[0])))
         runs.append(([getattr(o, "data", o) for o in outs], [x.grad for x in xs]))
     (f_out, f_grad), (r_out, r_grad) = runs
     return (max(np.abs(a - b).max() for a, b in zip(f_out, r_out)),
@@ -434,10 +445,10 @@ def _fused_vs_reference(fused, reference, arrays):
 
 def test_linear_embed_matches_finite_differences_and_reference():
     patches = np.random.default_rng(2).normal(size=(2, 3, 6))
-    assert finite_diff_check(lambda w, b: linear_embed(patches, w, b), [(6, 4), (4,)],
+    assert finite_diff_check(lambda w, b: ref.linear_embed(patches, w, b), [(6, 4), (4,)],
                              seed=2) < 1e-4
     rng = np.random.default_rng(3)
-    fwd, grad = _fused_vs_reference(lambda w, b: linear_embed(patches, w, b),
+    fwd, grad = _fused_vs_reference(lambda w, b: ref.linear_embed(patches, w, b),
                                     lambda w, b: ref.reference_linear_embed(patches, w, b),
                                     [rng.normal(size=(6, 4)), rng.normal(size=4)])
     assert fwd <= 1e-12 and grad <= 1e-10
@@ -458,7 +469,7 @@ def test_fuse_matches_finite_differences_and_reference(windows):
 
     def fused(*ts):  # the branch tokens stacked on a leading axis, as msw_block gives them
         xs, *rest = split(ts)
-        return fuse(ref.concat([ref.reshape(x, (1, *x.shape)) for x in xs], 0), *rest)
+        return ref.fuse(ref.concat([ref.reshape(x, (1, *x.shape)) for x in xs], 0), *rest)
 
     assert finite_diff_check(lambda *ts: fused(*ts)[0], shapes, seed=nb) < 1e-4
     rng = np.random.default_rng(nb)
@@ -475,16 +486,16 @@ def test_bce_loss_matches_finite_differences_and_reference():
     def probs(x):
         return ref.add(ref.scale(x, 0.01), centers)
 
-    assert finite_diff_check(lambda x: bce_loss(probs(x), labels), [centers.shape],
+    assert finite_diff_check(lambda x: ref.bce_loss(probs(x), labels), [centers.shape],
                              seed=4) < 1e-4
     x = np.random.default_rng(4).normal(size=centers.shape)
-    fwd, grad = _fused_vs_reference(lambda x: bce_loss(probs(x), labels),
+    fwd, grad = _fused_vs_reference(lambda x: ref.bce_loss(probs(x), labels),
                                     lambda x: ref.reference_bce_loss(probs(x), labels), [x])
     assert fwd <= 1e-12 and grad <= 1e-10
-    p = tc.Tensor(centers, requires_grad=True)
-    tc.backward(bce_loss(p, labels))
+    _, rule = bce_loss(centers, labels)
+    dp = rule(1.0, None)
     clipped = (centers < 0.0) | (centers > 1.0)
-    assert np.all(p.grad[clipped] == 0.0) and np.all(p.grad[~clipped] != 0.0)
+    assert np.all(dp[clipped] == 0.0) and np.all(dp[~clipped] != 0.0)
 
 
 def test_train_forward_draws_the_three_attention_masks_in_branch_order():
@@ -527,13 +538,13 @@ def test_forward_macs_per_record_are_pinned(n_leads, L, macs):
 def test_fused_sublayers_stay_finite_on_large_inputs():
     rng = np.random.default_rng(1)
     C, heads, M = 8, 2, 4
-    x = tc.tensor(rng.normal(size=(2, 8, C)) * 500)
-    gamma, beta = tc.tensor(np.ones(C)), tc.tensor(np.zeros(C))
-    ws = [tc.tensor(rng.normal(size=(C, C)) * 30) for _ in range(4)]
-    out, attn = window_attention(x, gamma, beta, *ws, tc.tensor(np.zeros((heads, 7))), M, heads)
-    y = mlp_sublayer(x, gamma, beta, tc.tensor(rng.normal(size=(C, 4 * C)) * 30),
-                     tc.tensor(np.zeros(4 * C)), tc.tensor(rng.normal(size=(4 * C, C))),
-                     tc.tensor(np.zeros(C)))
+    x = ref.Tensor(rng.normal(size=(2, 8, C)) * 500)
+    gamma, beta = ref.Tensor(np.ones(C)), ref.Tensor(np.zeros(C))
+    ws = [ref.Tensor(rng.normal(size=(C, C)) * 30) for _ in range(4)]
+    out, attn = window_attention(x, gamma, beta, *ws, ref.Tensor(np.zeros((heads, 7))), M, heads)
+    y = mlp_sublayer(x, gamma, beta, ref.Tensor(rng.normal(size=(C, 4 * C)) * 30),
+                     ref.Tensor(np.zeros(4 * C)), ref.Tensor(rng.normal(size=(4 * C, C))),
+                     ref.Tensor(np.zeros(C)))
     for t in (out, attn, y):
         assert np.isfinite(t.data).all()
 
@@ -546,12 +557,12 @@ def test_block_zero_projections_is_pure_residual():
     cfg = TINY
     params = init_params(cfg, seed=0)
     for i in range(cfg.n_branches):
-        params[f"branch{i}.attn.Wz"].data[:] = 0.0
-        params[f"branch{i}.mlp.W2"].data[:] = 0.0
+        params[f"branch{i}.attn.Wz"][:] = 0.0
+        params[f"branch{i}.mlp.W2"][:] = 0.0
     rng = np.random.default_rng(0)
-    tokens = tc.tensor(rng.normal(size=(cfg.tokens, cfg.C)))
-    for branch_tokens in msw_block(tokens, cfg, params)[0].data:
-        assert np.array_equal(branch_tokens, tokens.data)
+    tokens = rng.normal(size=(cfg.tokens, cfg.C))
+    for branch_tokens in msw_block(tokens, cfg, params)[0]:
+        assert np.array_equal(branch_tokens, tokens)
 
 
 def test_single_window_spanning_everything_equals_global_attention():
@@ -560,15 +571,15 @@ def test_single_window_spanning_everything_equals_global_attention():
                     shift=0, attn_dropout=0.0)
     rng = np.random.default_rng(42)
     params = init_params(cfg, seed=3)
-    params["branch0.attn.bias"].data[:] = rng.normal(size=(2, 2 * T - 1))
-    raw = {leaf: params[f"branch0.{leaf}"].data for leaf in (
+    params["branch0.attn.bias"][:] = rng.normal(size=(2, 2 * T - 1))
+    raw = {leaf: params[f"branch0.{leaf}"] for leaf in (
         "ln1.gamma", "ln1.beta", "attn.Wq", "attn.Wk", "attn.Wv", "attn.Wz",
         "attn.bias", "ln2.gamma", "ln2.beta", "mlp.W1", "mlp.b1", "mlp.W2", "mlp.b2",
     )}
     worst = 0.0
     for _ in range(20):
         tokens = rng.normal(size=(T, cfg.C))
-        ours = msw_block(tc.tensor(tokens), cfg, params)[0].data[0]
+        ours = msw_block(tokens, cfg, params)[0][0]
         oracle = global_block_oracle(tokens, raw, cfg.heads)
         worst = max(worst, float(np.abs(ours - oracle).max()))
     assert worst < 1e-10
@@ -577,88 +588,92 @@ def test_single_window_spanning_everything_equals_global_attention():
 def test_block_branch_counts_full_scale():
     cfg = MswConfig(L=1000, n_leads=12, P=5, C=16, heads=2, windows=(5, 10, 20), K=5)
     params = init_params(cfg, seed=0)
-    tokens = tc.tensor(np.random.default_rng(0).normal(size=(cfg.tokens, cfg.C)))
-    _, attns = msw_block(tokens, cfg, params)
+    tokens = np.random.default_rng(0).normal(size=(cfg.tokens, cfg.C))
+    _, attns, _ = msw_block(tokens, cfg, params)
     assert [attn.shape[0] for attn in attns] == [40, 20, 10]
 
 
 # ---------------------------------------------------------------------------
-# pooled heads and fusion: one fuse op
+# pooled heads and fusion: one fuse stage
+
+
+def _fuse_params(head_ws, head_bs, fusion_w):
+    named = {"fusion.W": fusion_w}
+    for i, (w, b) in enumerate(zip(head_ws, head_bs)):
+        named[f"branch{i}.head.W"], named[f"branch{i}.head.b"] = w, b
+    return named
 
 
 def _one_head(tokens, M, w, b):
     """fuse over one branch: beta = 1, so y = sigmoid(alpha) = sigmoid(head logits)."""
     K = w.shape[1]
-    y, beta = fuse(tc.tensor(tokens.data[None]), (M,), [w], [b], tc.tensor(np.zeros((K, 1))))
+    y, beta, _ = fuse(tokens[None], (M,), _fuse_params([w], [b], np.zeros((K, 1))))
     assert np.array_equal(beta, np.ones(beta.shape))
-    return y.data
+    return y
 
 
 def _fuse_logits(alphas, fusion_w):
     """fuse over branches whose logits are ``alphas``: each branch is one
-    token read through an identity head."""
+    token read through an identity head: (y, beta)."""
     K = len(alphas[0])
-    eye, zero = tc.tensor(np.eye(K)), tc.tensor(np.zeros(K))
     n = len(alphas)
-    return fuse(tc.tensor(np.reshape(alphas, (n, 1, K))), (1,) * n, [eye] * n, [zero] * n,
-                fusion_w)
+    y, beta, _ = fuse(np.reshape(alphas, (n, 1, K)), (1,) * n,
+                      _fuse_params([np.eye(K)] * n, [np.zeros(K)] * n, fusion_w))
+    return y, beta
 
 
 def test_branch_project_identical_tokens():
     rng = np.random.default_rng(0)
     v = rng.normal(size=4)
-    tokens = tc.tensor(np.tile(v, (8, 1)))
-    w = tc.tensor(rng.normal(size=(4 * 4, 3)))  # T/M = 4 windows
-    b = tc.tensor(rng.normal(size=3))
-    expected = np.tile(v, 4) @ w.data + b.data
+    tokens = np.tile(v, (8, 1))
+    w = rng.normal(size=(4 * 4, 3))  # T/M = 4 windows
+    b = rng.normal(size=3)
+    expected = np.tile(v, 4) @ w + b
     assert np.allclose(_one_head(tokens, 2, w, b), expit(expected), atol=1e-12)
 
 
 def test_branch_project_zero_weights_gives_bias():
-    tokens = tc.tensor(np.random.default_rng(1).normal(size=(8, 4)))
-    w = tc.tensor(np.zeros((16, 3)))
-    b = tc.tensor(np.array([0.1, -0.2, 0.3]))
-    assert np.allclose(_one_head(tokens, 2, w, b), expit(b.data))
+    tokens = np.random.default_rng(1).normal(size=(8, 4))
+    b = np.array([0.1, -0.2, 0.3])
+    assert np.allclose(_one_head(tokens, 2, np.zeros((16, 3)), b), expit(b))
 
 
 def test_branch_project_hand_case():
     # T=4, M=2, C=2: two pooled vectors, concatenated then projected.
-    tokens = tc.tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]))
-    w = tc.tensor(np.eye(4))
-    b = tc.tensor(np.zeros(4))
-    assert np.allclose(_one_head(tokens, 2, w, b), expit([2.0, 3.0, 6.0, 7.0]))
+    tokens = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+    assert np.allclose(_one_head(tokens, 2, np.eye(4), np.zeros(4)), expit([2.0, 3.0, 6.0, 7.0]))
 
 
 def test_fuse_zero_weights_uniform_beta():
     rng = np.random.default_rng(2)
     alphas = [rng.normal(size=3) for _ in range(3)]
-    y, beta = _fuse_logits(alphas, tc.tensor(np.zeros((9, 3))))
+    y, beta = _fuse_logits(alphas, np.zeros((9, 3)))
     assert np.abs(beta - 1.0 / 3.0).max() <= 1e-12
     mean_alpha = np.mean(alphas, axis=0)
-    assert np.allclose(y.data, 1.0 / (1.0 + np.exp(-mean_alpha)), atol=1e-12)
+    assert np.allclose(y, 1.0 / (1.0 + np.exp(-mean_alpha)), atol=1e-12)
 
 
 def test_fuse_beta_sums_to_one():
     rng = np.random.default_rng(3)
     for _ in range(25):
         alphas = [rng.normal(size=4) * 5 for _ in range(3)]
-        _, beta = _fuse_logits(alphas, tc.tensor(rng.normal(size=(12, 3))))
+        _, beta = _fuse_logits(alphas, rng.normal(size=(12, 3)))
         assert abs(beta.sum() - 1.0) <= 1e-12
 
 
 def test_fuse_equal_branches_collapse():
     rng = np.random.default_rng(4)
     a = rng.normal(size=5)
-    y, _ = _fuse_logits([a.copy() for _ in range(3)], tc.tensor(rng.normal(size=(15, 3))))
-    assert np.allclose(y.data, 1.0 / (1.0 + np.exp(-a)), atol=1e-12)
+    y, _ = _fuse_logits([a.copy() for _ in range(3)], rng.normal(size=(15, 3)))
+    assert np.allclose(y, 1.0 / (1.0 + np.exp(-a)), atol=1e-12)
 
 
 def test_fuse_shape_errors():
     with pytest.raises(DimensionError, match="fusion weight"):
-        _fuse_logits([np.zeros(3), np.zeros(3)], tc.tensor(np.zeros((7, 2))))
+        _fuse_logits([np.zeros(3), np.zeros(3)], np.zeros((7, 2)))
     with pytest.raises(AdmissibilityError, match="window scale 3"):
-        fuse(tc.tensor(np.zeros((1, 4, 2))), (3,), [tc.tensor(np.zeros((2, 1)))],
-             [tc.tensor(np.zeros(1))], tc.tensor(np.zeros((1, 1))))
+        fuse(np.zeros((1, 4, 2)), (3,), _fuse_params([np.zeros((2, 1))], [np.zeros(1)],
+                                                     np.zeros((1, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -670,15 +685,15 @@ def test_forward_output_shapes_and_range():
     sig = np.random.default_rng(0).normal(size=(TINY.n_leads, TINY.L))
     res = forward(sig, TINY, params)
     assert res.probs.shape == (TINY.K,)
-    assert np.all(res.probs.data > 0) and np.all(res.probs.data < 1)
+    assert np.all(res.probs > 0) and np.all(res.probs < 1)
     assert res.beta.shape == (TINY.n_branches,)
 
 
 def test_forward_eval_is_deterministic():
     params = init_params(TINY, seed=0)
     sig = np.random.default_rng(1).normal(size=(2, TINY.n_leads, TINY.L))
-    a = forward(sig, TINY, params).probs.data
-    b = forward(sig, TINY, params).probs.data
+    a = forward(sig, TINY, params).probs
+    b = forward(sig, TINY, params).probs
     assert np.array_equal(a, b)
 
 
@@ -687,8 +702,8 @@ def test_forward_batch_permutation_equivariance():
     rng = np.random.default_rng(3)
     sig = rng.normal(size=(5, TINY.n_leads, TINY.L))
     perm = rng.permutation(5)
-    base = forward(sig, TINY, params).probs.data
-    permuted = forward(sig[perm], TINY, params).probs.data
+    base = forward(sig, TINY, params).probs
+    permuted = forward(sig[perm], TINY, params).probs
     assert np.allclose(permuted, base[perm], atol=1e-12)
 
 
@@ -697,33 +712,32 @@ def test_forward_smoke_finite_outputs_and_grads():
     rng = np.random.default_rng(5)
     sig = rng.normal(size=(2, TINY.n_leads, TINY.L))
     res = forward(sig, TINY, params, train=True, rng=np.random.default_rng(0))
-    assert np.isfinite(res.probs.data).all()
-    tc.backward(ref.sum(res.probs))
-    for name, p in params.items():
-        assert p.grad is not None, name
-        assert np.isfinite(p.grad).all(), name
+    assert np.isfinite(res.probs).all()
+    grad = _step_grad(res, params, lambda g, grads: np.ones_like(res.probs))  # sum(probs)
+    for name, g in params.views(grad).items():
+        assert np.isfinite(g).all(), name
 
 
 def test_no_dead_parameters():
     params = init_params(TINY, seed=6)
     sig = np.random.default_rng(7).normal(size=(3, TINY.n_leads, TINY.L))
-    res = forward(sig, TINY, params)
-    tc.backward(ref.sum(ref.mul(res.probs, res.probs)))
-    for name, p in params.items():
-        assert p.grad is not None and np.abs(p.grad).max() > 0, name
+    res = forward(sig, dataclasses.replace(TINY, attn_dropout=0.0), params, train=True)
+    grad = _step_grad(res, params, lambda g, grads: 2.0 * res.probs)  # sum(probs^2)
+    for name, g in params.views(grad).items():
+        assert np.abs(g).max() > 0, name
 
 
 def test_bias_table_constant_shift_leaves_attention_unchanged():
     params = init_params(TINY, seed=8)
     rng = np.random.default_rng(9)
     for i in range(TINY.n_branches):
-        params[f"branch{i}.attn.bias"].data[:] = rng.normal(
+        params[f"branch{i}.attn.bias"][:] = rng.normal(
             size=params[f"branch{i}.attn.bias"].shape
         )
     sig = rng.normal(size=(TINY.n_leads, TINY.L))
     before = [attn.copy() for attn in forward(sig, TINY, params).attn]
     for i in range(TINY.n_branches):
-        params[f"branch{i}.attn.bias"].data += 11.25
+        params[f"branch{i}.attn.bias"][...] += 11.25
     after = forward(sig, TINY, params).attn
     for a, b in zip(before, after):
         assert np.abs(a - b).max() <= 1e-12
@@ -735,11 +749,11 @@ def test_forward_with_shift_changes_windows_not_shapes():
     sig = np.random.default_rng(0).normal(size=(cfg.n_leads, cfg.L))
     res = forward(sig, cfg, params)
     assert res.probs.shape == (cfg.K,)
-    assert np.isfinite(res.probs.data).all()
+    assert np.isfinite(res.probs).all()
 
 
 # ---------------------------------------------------------------------------
-# Tape lifetime and inference without a tape
+# A training step's rules, and evaluation without them
 
 
 def _cyclic_garbage_after(step) -> int:
@@ -761,11 +775,9 @@ def test_train_step_leaves_no_cyclic_garbage():
 
     def step():
         res = forward(sig, TINY, params, train=True, rng=np.random.default_rng(0))
-        loss = bce_loss(res.probs, labels)
-        params.zero_grads()
-        tc.backward(loss)
-        adam_step(params, AdamState(), 1e-3)
-        del res, loss
+        grad = _step_grad(res, params, bce_loss(res.probs, labels)[1])
+        adam_step(params, grad, AdamState(), 1e-3)
+        del res
 
     assert _cyclic_garbage_after(step) == 0
 
@@ -787,33 +799,31 @@ def test_training_step_records_four_ops_and_eval_none():
     rng = np.random.default_rng(16)
     sig = rng.normal(size=(2, cfg.n_leads, cfg.L))
     res = forward(sig, cfg, params, train=True, rng=rng)
-    graph = tc.Graph.trace(bce_loss(res.probs, np.ones((2, cfg.K))))
-    assert [rec.name for rec in graph.ops] == ["embed", "msw_block", "fuse", "bce"]
-    # the fusion weights and maps are arrays beside the graph, not ops of their own
-    assert all(isinstance(a, np.ndarray) for a in (res.beta, *res.attn))
-    with tc.no_grad():
-        assert len(tc.Graph.trace(forward(sig, cfg, params).probs)) == 0
+    rules = [*res.rules, bce_loss(res.probs, np.ones((2, cfg.K)))[1]]
+    assert [r.__qualname__ for r in rules] == [f"{stage}.<locals>.rule" for stage in (
+        "linear_embed", "msw_block", "fuse", "bce_loss")]
+    # the fusion weights and maps are arrays beside the rules, not stages of their own
+    assert all(isinstance(a, np.ndarray) for a in (res.probs, res.beta, *res.attn))
+    assert forward(sig, cfg, params).rules == []
 
 
 def _desk_training_step(seed):
     """One desk-shaped training step with dropout and a shift: (probs, loss, grads,
-    dropout generator state, MACs of the recorded forward, MACs of a no-tape forward)."""
+    dropout generator state, MACs of the training forward, MACs of an evaluation one)."""
     cfg = MswConfig(L=200, n_leads=4, P=5, C=32, heads=4, windows=(5, 10, 20), K=3,
                     shift=1, attn_dropout=0.2)
     params = init_params(cfg, seed=seed)
     data = np.random.default_rng(seed + 1)
     sig = data.normal(size=(16, cfg.n_leads, cfg.L))
     labels = (data.random((16, cfg.K)) < 0.5).astype(np.float64)
-    rng, taped, free = np.random.default_rng(seed + 2), tc.MacCounter(), tc.MacCounter()
-    with taped.active():
+    rng, training, free = np.random.default_rng(seed + 2), tc.MacCounter(), tc.MacCounter()
+    with training.active():
         res = forward(sig, cfg, params, train=True, rng=rng)
-    loss = bce_loss(res.probs, labels)
-    params.zero_grads()
-    tc.backward(loss)
-    with free.active(), tc.no_grad():
+    loss, loss_rule = bce_loss(res.probs, labels)
+    grads = params.views(_step_grad(res, params, loss_rule))
+    with free.active():
         forward(sig, cfg, params)
-    return (res.probs.data, loss.data, {n: t.grad for n, t in params.items()},
-            rng.bit_generator.state, taped.total, free.total)
+    return (res.probs, loss, grads, rng.bit_generator.state, training.total, free.total)
 
 
 def _desk_steps_on_1_2_and_4_workers(monkeypatch, seed):
@@ -887,28 +897,28 @@ def test_a_multi_chunk_forward_returns_the_maps_of_a_whole_batch_forward(monkeyp
     monkeypatch.setattr(model, "PREDICT_TOKEN_ROWS", 2 * TINY.tokens)  # chunks 2 + 3
     params = init_params(TINY, seed=26)
     sig = np.random.default_rng(27).normal(size=(5, TINY.n_leads, TINY.L))
-    taped = forward(sig, TINY, params)
-    with tc.no_grad():
-        whole = forward(sig, TINY, params)
-    assert taped.probs.op is not None
-    assert taped.probs.data.tobytes() == whole.probs.data.tobytes()
-    assert len(taped.attn) == len(whole.attn) == TINY.n_branches
-    for ours, theirs in zip(taped.attn, whole.attn):
+    chunked = forward(sig, TINY_NO_DROPOUT, params, train=True)  # the block runs its chunks
+    whole = forward(sig, TINY, params)
+    assert len(chunked.rules) == 3 and whole.rules == []
+    assert chunked.probs.tobytes() == whole.probs.tobytes()
+    assert len(chunked.attn) == len(whole.attn) == TINY.n_branches
+    for ours, theirs in zip(chunked.attn, whole.attn):
         assert ours.shape == theirs.shape and np.array_equal(ours, theirs)
     assert forward(sig, TINY, params, maps=False).attn == ()
 
 
-def test_no_grad_forward_is_tape_free_and_bitwise_equal():
+def test_an_eval_forward_builds_no_rules_and_equals_a_training_one_bitwise():
     params = init_params(TINY, seed=10)
     sig = np.random.default_rng(11).normal(size=(3, TINY.n_leads, TINY.L))
-    recorded = forward(sig, TINY, params)
-    with tc.no_grad():
-        free = forward(sig, TINY, params)
-    assert recorded.probs.op is not None
-    assert free.probs.op is None and len(tc.Graph.trace(free.probs)) == 0
-    assert free.probs.data.tobytes() == recorded.probs.data.tobytes()
+    recorded = forward(sig, TINY_NO_DROPOUT, params, train=True)
+    free = forward(sig, TINY, params)
+    assert len(recorded.rules) == 3
+    assert free.rules == []
+    with pytest.raises(GraphError, match="not a training one"):
+        tc.backward(free.rules, params.views(np.empty_like(params.flat)))
+    assert free.probs.tobytes() == recorded.probs.tobytes()
     assert free.beta.tobytes() == recorded.beta.tobytes()
-    assert predict(sig, TINY, params).tobytes() == recorded.probs.data.tobytes()
+    assert predict(sig, TINY, params).tobytes() == recorded.probs.tobytes()
 
 
 def test_mac_count_is_the_same_without_a_tape():
@@ -916,8 +926,8 @@ def test_mac_count_is_the_same_without_a_tape():
     sig = np.random.default_rng(13).normal(size=(2, TINY.n_leads, TINY.L))
     counters = [tc.MacCounter(), tc.MacCounter()]
     with counters[0].active():
-        forward(sig, TINY, params)
-    with counters[1].active(), tc.no_grad():
+        forward(sig, TINY_NO_DROPOUT, params, train=True)
+    with counters[1].active():
         forward(sig, TINY, params)
     assert counters[0].total > 0
     assert counters[0].total == counters[1].total
@@ -965,7 +975,7 @@ def _chunk_sizes(monkeypatch, cfg, n):
         first = int(record[0, 0, 0])
         assert np.array_equal(record, sig[first : first + len(record)])
         chunks.append((first, len(record)))
-        return SimpleNamespace(probs=tc.Tensor(np.zeros((len(record), cfg.K))))
+        return SimpleNamespace(probs=np.zeros((len(record), cfg.K)))
 
     monkeypatch.setattr("mswecg.model.forward", fake_forward)
     sig = np.broadcast_to(np.arange(n, dtype=float)[:, None, None], (n, cfg.n_leads, cfg.L))
@@ -1003,7 +1013,7 @@ def test_predict_runs_at_most_predict_workers_chunks_at_once(monkeypatch):
         time.sleep(0.002)
         with lock:
             in_flight[0] -= 1
-        return SimpleNamespace(probs=tc.Tensor(record[:, :1, 0].repeat(cfg.K, axis=1)))
+        return SimpleNamespace(probs=record[:, :1, 0].repeat(cfg.K, axis=1))
 
     monkeypatch.setattr("mswecg.model.forward", fake_forward)
     sig = np.broadcast_to(np.arange(12.0)[:, None, None], (12, TINY.n_leads, TINY.L))
@@ -1022,7 +1032,7 @@ def test_predict_reports_the_first_failing_chunk_and_cancels_the_queued_ones(mon
         if first != 1:
             time.sleep(0.05)  # chunk 1 fails first, but chunk 0 is reported
         probs = np.full((len(record), cfg.K), np.nan if fail else 0.5)
-        return SimpleNamespace(probs=tc.Tensor(probs))
+        return SimpleNamespace(probs=probs)
 
     monkeypatch.setattr("mswecg.model.forward", fake_forward)
     sig = np.broadcast_to(np.arange(float(n))[:, None, None], (n, TINY.n_leads, TINY.L))
@@ -1041,7 +1051,7 @@ def test_predict_shares_the_blas_threads_among_its_workers(monkeypatch):
 
     def fake_forward(record, cfg, params, maps=True):
         seen.append(get())
-        return SimpleNamespace(probs=tc.Tensor(np.zeros((len(record), cfg.K))))
+        return SimpleNamespace(probs=np.zeros((len(record), cfg.K)))
 
     monkeypatch.setattr("mswecg.model.forward", fake_forward)
     before = get()
@@ -1089,11 +1099,11 @@ def test_predict_counts_the_macs_of_a_serial_forward_and_records_no_tape(monkeyp
     monkeypatch.setattr("mswecg.model.PREDICT_TOKEN_ROWS", 2 * TINY.tokens)  # chunks 2+2+2+3
     params = init_params(TINY, seed=22)
     sig = np.random.default_rng(23).normal(size=(9, TINY.n_leads, TINY.L))
-    taped, maps_asked = [], []
+    with_rules, maps_asked = [], []
 
     def spy_forward(record, cfg, params, maps=True):
         result = forward(record, cfg, params, maps=maps)
-        taped.append(result.probs.op is not None)
+        with_rules.append(bool(result.rules))
         maps_asked.append(maps)
         return result
 
@@ -1101,10 +1111,10 @@ def test_predict_counts_the_macs_of_a_serial_forward_and_records_no_tape(monkeyp
     chunked, serial = tc.MacCounter(), tc.MacCounter()
     with chunked.active():
         predict(sig, TINY, params)
-    with serial.active(), tc.no_grad():
+    with serial.active():
         forward(sig, TINY, params)
     assert chunked.total == serial.total and serial.total > 0
-    assert taped == maps_asked == [False] * 4
+    assert with_rules == maps_asked == [False] * 4
 
 
 def test_predict_chunks_keep_the_callers_errstate(monkeypatch):
@@ -1117,10 +1127,9 @@ def test_predict_chunks_keep_the_callers_errstate(monkeypatch):
 
 
 def _old_predict(sig, cfg, params):
-    """The former rule: no-tape forwards over consecutive 64-record slices."""
-    with tc.no_grad():
-        return np.concatenate([forward(sig[s : s + 64], cfg, params).probs.data
-                               for s in range(0, len(sig), 64)])
+    """The former rule: evaluation forwards over consecutive 64-record slices."""
+    return np.concatenate([forward(sig[s : s + 64], cfg, params).probs
+                           for s in range(0, len(sig), 64)])
 
 
 @pytest.mark.parametrize("n,n_leads,L", [(100, 12, 1000), (75, 4, 200)])
@@ -1128,8 +1137,8 @@ def test_predict_equals_the_former_64_record_chunks_bitwise(n, n_leads, L):
     cfg = MswConfig(L=L, n_leads=n_leads, P=5, C=32, heads=4, windows=(5, 10, 20), K=3)
     params = init_params(cfg, seed=18)
     rng = np.random.default_rng(19)
-    for _, t in params.items():  # non-trivial biases and tables, so every term counts
-        t.data = t.data + rng.normal(scale=0.05, size=t.shape)
+    # non-trivial biases and tables, so every term counts
+    params.flat[...] += rng.normal(scale=0.05, size=params.flat.size)
     sig = rng.normal(size=(n, n_leads, L))
     assert predict(sig, cfg, params).tobytes() == _old_predict(sig, cfg, params).tobytes()
 
@@ -1138,18 +1147,16 @@ def test_predict_at_ptb_xl_length_equals_a_taped_and_a_whole_batch_forward_bitwi
     cfg = MswConfig(L=1000, n_leads=12, P=5, C=32, heads=4, windows=(5, 10, 20), K=3)
     params = init_params(cfg, seed=28)
     rng = np.random.default_rng(29)
-    for _, t in params.items():
-        t.data = t.data + rng.normal(scale=0.05, size=t.shape)
+    params.flat[...] += rng.normal(scale=0.05, size=params.flat.size)
     sig = rng.normal(size=(8, cfg.n_leads, cfg.L))
     # predict runs two 4-record chunks, each over several blocks of the GELU's CDF.
     assert [stop - start for start, stop in model._chunk_spans(8, cfg.tokens)] == [4, 4]
     assert 4 * cfg.tokens > 2 * model._GELU_BLOCK_ROWS
-    taped = forward(sig, cfg, params)  # the block runs the same two chunks under a tape
-    with tc.no_grad():
-        whole = forward(sig, cfg, params)  # one no-tape forward over all 8 records
-    assert taped.probs.op is not None
-    assert predict(sig, cfg, params).tobytes() == taped.probs.data.tobytes()
-    assert predict(sig, cfg, params).tobytes() == whole.probs.data.tobytes()
+    # A training forward's block runs the same two chunks; an evaluation one all 8 records.
+    training = forward(sig, dataclasses.replace(cfg, attn_dropout=0.0), params, train=True)
+    whole = forward(sig, cfg, params)
+    assert predict(sig, cfg, params).tobytes() == training.probs.tobytes()
+    assert predict(sig, cfg, params).tobytes() == whole.probs.tobytes()
 
 
 def test_predict_memory_does_not_grow_with_the_record_count():

@@ -30,7 +30,7 @@ def test_init_has_every_learnable_exactly_once():
         assert store[f"branch{i}.attn.bias"].shape == (cfg.heads, 2 * M - 1)
         assert store[f"branch{i}.head.W"].shape == ((cfg.tokens // M) * cfg.C, cfg.K)
     assert store["fusion.W"].shape == (cfg.n_branches * cfg.K, cfg.n_branches)
-    assert np.array_equal(store["branch0.attn.bias"].data, 0.0 * store["branch0.attn.bias"].data)
+    assert np.array_equal(store["branch0.attn.bias"], 0.0 * store["branch0.attn.bias"])
 
 
 def test_truncated_normal_bounds_and_determinism():
@@ -46,14 +46,18 @@ def test_duplicate_name_rejected():
 
 
 def assert_views_of_flat(store):
-    """Every tensor's data is a view of ``store.flat``, back to back in store order."""
+    """Every parameter is a view of ``store.flat``, back to back in store order,
+    and ``items()`` pairs each name with an entry whose ``.data`` is that view."""
     start = store.flat.__array_interface__["data"][0]
     offset = 0
-    for name, t in store.items():
-        assert np.shares_memory(t.data, store.flat), name
-        assert t.data.flags.c_contiguous, name
-        assert t.data.__array_interface__["data"][0] == start + 8 * offset, name
-        offset += t.size
+    for name in store.names():
+        a = store[name]
+        assert np.shares_memory(a, store.flat), name
+        assert a.flags.c_contiguous, name
+        assert a.__array_interface__["data"][0] == start + 8 * offset, name
+        offset += a.size
+    assert [n for n, _ in store.items()] == store.names()
+    assert all(e.data is store[n] for n, e in store.items())
     assert offset == store.flat.size
     assert store.flat.dtype == np.float64 and store.flat.ndim == 1
 
@@ -70,7 +74,7 @@ def test_parameters_are_views_of_one_vector_after_init_copy_and_load(tmp_path):
     assert_views_of_flat(loaded)
     assert loaded.flat.tobytes() == store.flat.tobytes()
     store.flat[:] = 0.5  # an in-place update of the vector moves every parameter
-    assert all((t.data == 0.5).all() for _, t in store.items())
+    assert all((store[n] == 0.5).all() for n in store.names())
 
 
 def test_checkpoint_blob_is_the_flat_vectors_bytes(tmp_path):
@@ -86,8 +90,8 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     save_checkpoint(store, base, config={"model": cfg.to_dict()})
     loaded, saved_cfg = load_checkpoint(base)
     assert loaded.names() == store.names()
-    for name, t in store.items():
-        assert t.data.tobytes() == loaded[name].data.tobytes()
+    for name in store.names():
+        assert store[name].tobytes() == loaded[name].tobytes()
     assert saved_cfg["model"]["windows"] == [2, 4]
 
 
@@ -114,7 +118,7 @@ def test_manifest_records_the_blob_hash_and_loads_without_it(tmp_path):
     del manifest["sha256"]  # a manifest written before the hash was stored
     manifest_path.write_text(json.dumps(manifest))
     loaded, _ = load_checkpoint(tmp_path / "h")
-    assert all(t.data.tobytes() == loaded[n].data.tobytes() for n, t in store.items())
+    assert all(store[n].tobytes() == loaded[n].tobytes() for n in store.names())
 
 
 def test_blob_longer_than_its_entries_is_rejected(tmp_path):
@@ -164,4 +168,4 @@ def test_save_failing_before_any_replace_leaves_the_former_checkpoint(tmp_path, 
     assert [p.read_bytes() for p in paths] == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "ckpt.json"]
     loaded, _ = load_checkpoint(base)
-    assert all(t.data.tobytes() == loaded[n].data.tobytes() for n, t in store.items())
+    assert all(store[n].tobytes() == loaded[n].tobytes() for n in store.names())

@@ -1,6 +1,7 @@
-"""The tape engine of ``mswecg.tensor``, and the value, finite-difference and
-property checks of the primitive reference ops in ``util`` (``ref`` below)
-that the fused ops are compared against."""
+"""``mswecg.tensor``'s step backward and MAC counting, and the value,
+finite-difference and property checks of the test tape and the primitive
+reference ops in ``util`` (``ref`` below) that the model's rules are
+compared against."""
 
 import math
 import sys
@@ -11,165 +12,94 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mswecg import tensor as tc
+from mswecg.config import MswConfig
 from mswecg.errors import DimensionError, GraphError
+from mswecg.model import forward
+from mswecg.params import init_params
+from mswecg.train import bce_loss
 import util as ref
 from util import finite_diff_check, mlp_sublayer, window_attention
 
 
 def test_matmul_identity():
-    eye = tc.tensor(np.eye(2))
-    a = tc.tensor([[1.0, 2.0], [3.0, 4.0]])
+    eye = ref.Tensor(np.eye(2))
+    a = ref.Tensor([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(ref.matmul(eye, a).data, a.data)
 
 
 def test_matmul_hand_case():
-    out = ref.matmul(tc.tensor([[1.0, 2.0]]), tc.tensor([[3.0], [4.0]]))
+    out = ref.matmul(ref.Tensor([[1.0, 2.0]]), ref.Tensor([[3.0], [4.0]]))
     assert out.data.tolist() == [[11.0]]
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-        ref.matmul(tc.tensor(np.zeros((2, 3))), tc.tensor(np.zeros((2, 2))))
+        ref.matmul(ref.Tensor(np.zeros((2, 3))), ref.Tensor(np.zeros((2, 2))))
 
 
 def test_matmul_grad_of_sum_is_ones_bt():
     rng = np.random.default_rng(3)
-    a = tc.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    b = tc.tensor(rng.normal(size=(5, 3)))
-    tc.backward(ref.sum(ref.matmul(a, b)))
+    a = ref.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b = ref.Tensor(rng.normal(size=(5, 3)))
+    ref.backward(ref.sum(ref.matmul(a, b)))
     expected = np.ones((4, 3)) @ b.data.T
     assert np.allclose(a.grad, expected, atol=1e-12)
-    assert finite_diff_check(lambda x: ref.matmul(x, tc.tensor(b.data)), [(4, 5)], seed=3) < 1e-4
+    assert finite_diff_check(lambda x: ref.matmul(x, ref.Tensor(b.data)), [(4, 5)], seed=3) < 1e-4
 
 
 def test_softmax_symmetry_and_ratio():
-    assert np.allclose(ref.softmax_lastdim(tc.tensor([0.0, 0.0])).data, [0.5, 0.5])
-    out = ref.softmax_lastdim(tc.tensor([0.0, math.log(3.0)])).data
+    assert np.allclose(ref.softmax_lastdim(ref.Tensor([0.0, 0.0])).data, [0.5, 0.5])
+    out = ref.softmax_lastdim(ref.Tensor([0.0, math.log(3.0)])).data
     assert np.allclose(out, [0.25, 0.75], atol=1e-12)
 
 
 def test_softmax_overflow_safe():
-    out = ref.softmax_lastdim(tc.tensor([1000.0, 0.0])).data
+    out = ref.softmax_lastdim(ref.Tensor([1000.0, 0.0])).data
     assert np.isfinite(out).all()
     assert out[0] == pytest.approx(1.0)
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
-    out = ref.softmax_lastdim(tc.tensor(rng.normal(size=(7, 5)) * 30)).data
+    out = ref.softmax_lastdim(ref.Tensor(rng.normal(size=(7, 5)) * 30)).data
     assert np.all(out >= 0) and np.all(out <= 1)
     assert np.abs(out.sum(axis=-1) - 1.0).max() <= 1e-12
 
 
 def test_softmax_empty_lastdim_rejected():
     with pytest.raises(DimensionError):
-        ref.softmax_lastdim(tc.tensor(np.zeros((3, 0))))
+        ref.softmax_lastdim(ref.Tensor(np.zeros((3, 0))))
 
 
 def test_backward_sum_gives_ones():
-    x = tc.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    tc.backward(ref.sum(x))
+    x = ref.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    ref.backward(ref.sum(x))
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
 
 def test_backward_quadratic():
-    x = tc.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    tc.backward(ref.scale(ref.sum(ref.mul(x, x)), 0.5))
+    x = ref.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    ref.backward(ref.scale(ref.sum(ref.mul(x, x)), 0.5))
     assert np.allclose(x.grad, x.data)
 
 
-def test_backward_rejects_nonscalar_and_detached():
-    x = tc.Tensor(np.ones(3), requires_grad=True)
-    y = ref.mul(x, x)
-    with pytest.raises(GraphError, match="scalar"):
-        tc.backward(y)
-    leaf = tc.Tensor(np.ones(()), requires_grad=True)
-    with pytest.raises(GraphError, match="detached"):
-        tc.backward(leaf)
-
-
 def test_backward_twice_is_an_error():
-    x = tc.Tensor(np.ones(3), requires_grad=True)
-    loss = ref.sum(ref.mul(x, x))
-    tc.backward(loss)
-    with pytest.raises(GraphError, match="already"):
-        tc.backward(loss)
-
-
-def test_graph_trace_is_topological_with_shared_nodes():
-    # Diamond: the trunk feeds two consumers plus a residual skip.
-    x = tc.Tensor(np.ones((2, 2)), requires_grad=True)
-    h = ref.mul(x, x)
-    a = ref.add(h, 1.0)
-    b = ref.mul(h, 3.0)
-    loss = ref.sum(ref.add(ref.add(a, b), h))
-    graph = tc.Graph.trace(loss)
-    pos = {id(rec): i for i, rec in enumerate(graph.ops)}
-    for rec in graph.ops:
-        for t in rec.inputs:
-            if t.op is not None:
-                assert pos[id(t.op)] < pos[id(rec)]
-    tc.backward(loss)
-    # d/dx sum(x^2 + 1 + 3x^2 + x^2) = 10x
-    assert np.allclose(x.grad, 10.0 * x.data)
-
-
-# ---------------------------------------------------------------------------
-# Tape lifetime
-
-
-def test_graph_trace_has_no_side_effects():
-    x = tc.Tensor(np.ones(3), requires_grad=True)
-    h = ref.mul(x, x)
-    loss = ref.sum(ref.add(h, h))
-    first = tc.Graph.trace(loss)
-    second = tc.Graph.trace(loss)
-    assert [r.name for r in first.ops] == [r.name for r in second.ops] == ["mul", "add", "sum"]
-    assert first.outputs[-1] is loss and first.outputs[0] is h
-    assert not any(rec.consumed for rec in first.ops)
-    assert x.grad is None and h.grad is None
-    tc.backward(loss)
-    assert np.allclose(x.grad, 4.0 * x.data)
-
-
-def test_backward_frees_the_graph_and_leaves_keep_grads():
-    x = tc.Tensor(np.arange(3.0), requires_grad=True)
-    w = tc.Tensor(np.ones(3), requires_grad=True)
-    h = ref.mul(x, w)
-    loss = ref.sum(ref.sigmoid(h))
-    tc.backward(loss)
-    assert x.grad is not None and w.grad is not None
-    assert h.grad is None and loss.grad is None
-    for t in (h, loss):
-        assert t.op.consumed and t.op.inputs == () and t.op.backward_fn is None
-
-
-def test_backward_through_a_consumed_shared_subgraph_is_an_error():
-    x = tc.Tensor(np.ones(3), requires_grad=True)
-    h = ref.mul(x, x)
-    tc.backward(ref.sum(h))
-    with pytest.raises(GraphError, match="already"):
-        tc.backward(ref.mean(h))
-
-
-def test_no_grad_records_nothing_and_restores():
-    x = tc.Tensor(np.ones((2, 3)), requires_grad=True)
-    with tc.no_grad():
-        y = ref.matmul(ref.sigmoid(x), tc.tensor(np.ones((3, 2))))
-        with tc.no_grad():
-            pass
-        z = ref.sum(y)
-    assert y.op is None and z.op is None and not z.requires_grad
-    with pytest.raises(GraphError, match="detached"):
-        tc.backward(z)
-    recorded = ref.sum(ref.matmul(ref.sigmoid(x), tc.tensor(np.ones((3, 2)))))
-    assert recorded.op is not None
-    assert recorded.data == z.data
+    # A training step's rules run once, last to first: running them empties the list.
+    cfg = MswConfig(L=40, n_leads=2, P=5, C=8, heads=2, windows=(2, 4), K=3, attn_dropout=0.0)
+    params = init_params(cfg, seed=0)
+    sig = np.random.default_rng(0).normal(size=(2, cfg.n_leads, cfg.L))
+    res = forward(sig, cfg, params, train=True)
+    res.rules.append(bce_loss(res.probs, np.ones((2, cfg.K)))[1])
+    grad = np.full_like(params.flat, np.nan)
+    tc.backward(res.rules, params.views(grad))
+    assert res.rules == [] and np.isfinite(grad).all()
+    with pytest.raises(GraphError, match="already ran"):
+        tc.backward(res.rules, params.views(grad))
 
 
 def test_concat_shape_error():
     with pytest.raises(DimensionError):
-        ref.concat([tc.tensor(np.zeros((2, 3))), tc.tensor(np.zeros((3, 3)))], axis=1)
+        ref.concat([ref.Tensor(np.zeros((2, 3))), ref.Tensor(np.zeros((3, 3)))], axis=1)
 
 
 def test_mac_counter_counts_matmul_shapes():
@@ -232,45 +162,17 @@ def test_matmul_gradient_property(rows, cols, inner, seed):
 )
 def test_softmax_rows_property(rows, cols, seed):
     rng = np.random.default_rng(seed)
-    out = ref.softmax_lastdim(tc.tensor(rng.normal(size=(rows, cols)) * 50)).data
+    out = ref.softmax_lastdim(ref.Tensor(rng.normal(size=(rows, cols)) * 50)).data
     assert np.abs(out.sum(axis=-1) - 1.0).max() <= 1e-12
     assert out.min() >= 0.0 and out.max() <= 1.0
-
-
-def test_distinct_graphs_on_distinct_threads():
-    import threading
-
-    rng = np.random.default_rng(13)
-    x_data = rng.normal(size=(6, 6))
-    w_data = rng.normal(size=(6, 6))
-
-    def run_once():
-        x = tc.Tensor(x_data.copy(), requires_grad=True)
-        w = tc.Tensor(w_data.copy(), requires_grad=True)
-        tc.backward(ref.sum(ref.sigmoid(ref.matmul(x, w))))
-        return x.grad, w.grad
-
-    expected_x, expected_w = run_once()
-    results = [None] * 8
-    threads = [
-        threading.Thread(target=lambda i=i: results.__setitem__(i, run_once()))
-        for i in range(8)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for gx, gw in results:
-        assert np.array_equal(gx, expected_x)
-        assert np.array_equal(gw, expected_w)
 
 
 def test_mac_counter_is_thread_local():
     import threading
 
     counter = tc.MacCounter()
-    a = tc.tensor(np.ones((3, 4)))
-    b = tc.tensor(np.ones((4, 5)))
+    a = ref.Tensor(np.ones((3, 4)))
+    b = ref.Tensor(np.ones((4, 5)))
 
     def other_thread():
         # No counter active on this thread: nothing is recorded.
@@ -312,7 +214,7 @@ def test_mac_counter_adds_exactly_from_threads_that_share_its_context():
 
 def test_forward_ops_stay_finite_on_finite_inputs():
     rng = np.random.default_rng(1)
-    x = tc.tensor(rng.normal(size=(4, 6)) * 500)
+    x = ref.Tensor(rng.normal(size=(4, 6)) * 500)
     for out in (
         ref.softmax_lastdim(x),
         ref.sigmoid(x),
@@ -329,36 +231,36 @@ def _layernorm(x, gamma, beta):
     """LN(x) read off the attention sublayer: with one-token windows, one
     head and identity Wv and Wz it returns x + LN(x)."""
     x = np.asarray(x, dtype=np.float64)
-    eye = tc.tensor(np.eye(x.shape[-1]))
-    out, _ = window_attention(tc.tensor(x), gamma, beta, eye, eye, eye, eye,
-                              tc.tensor(np.zeros((1, 1))), 1, 1)
+    eye = ref.Tensor(np.eye(x.shape[-1]))
+    out, _ = window_attention(ref.Tensor(x), gamma, beta, eye, eye, eye, eye,
+                              ref.Tensor(np.zeros((1, 1))), 1, 1)
     return out.data - x
 
 
 def _gelu(v: float) -> float:
     """GELU(v) read off the MLP sublayer at width 1, where LN(x) is the LN
     bias and every other weight is the identity or zero."""
-    one, zero = tc.tensor(np.ones((1, 1))), tc.tensor(np.zeros(1))
-    return mlp_sublayer(tc.tensor(np.zeros((1, 1))), tc.tensor(np.ones(1)), tc.tensor([v]),
+    one, zero = ref.Tensor(np.ones((1, 1))), ref.Tensor(np.zeros(1))
+    return mlp_sublayer(ref.Tensor(np.zeros((1, 1))), ref.Tensor(np.ones(1)), ref.Tensor([v]),
                         one, zero, one, zero).data.item()
 
 
 def _dropout_ones(shape, p, train, uniforms=None):
     """Dropout applied to all-one attention: one-token windows of a width-1
     signal whose LN bias is 1, so the sublayer adds exactly the mask."""
-    one, gain = tc.tensor(np.ones((1, 1))), tc.tensor(np.ones(1))
-    out, _ = window_attention(tc.tensor(np.zeros((*shape, 1))), gain, gain, one, one, one, one,
+    one, gain = ref.Tensor(np.ones((1, 1))), ref.Tensor(np.ones(1))
+    out, _ = window_attention(ref.Tensor(np.zeros((*shape, 1))), gain, gain, one, one, one, one,
                               one, 1, 1, attn_dropout=p, train=train, uniforms=uniforms)
     return out.data[..., 0]
 
 
 def test_layernorm_zero_variance_row():
-    out = _layernorm([[1.0, 1.0, 1.0]], tc.tensor(np.ones(3)), tc.tensor(np.zeros(3)))
+    out = _layernorm([[1.0, 1.0, 1.0]], ref.Tensor(np.ones(3)), ref.Tensor(np.zeros(3)))
     assert np.allclose(out, 0.0)
 
 
 def test_layernorm_two_point_row():
-    out = _layernorm([[1.0, 3.0]], tc.tensor(np.ones(2)), tc.tensor(np.zeros(2)))
+    out = _layernorm([[1.0, 3.0]], ref.Tensor(np.ones(2)), ref.Tensor(np.zeros(2)))
     assert np.allclose(out, [[-1.0, 1.0]], atol=1e-3)
 
 
@@ -366,7 +268,7 @@ def test_layernorm_recomputation_oracle():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(3, 8)) * 4 + 1
     eps = 1e-5
-    out = _layernorm(x, tc.tensor(np.ones(8)), tc.tensor(np.zeros(8)))
+    out = _layernorm(x, ref.Tensor(np.ones(8)), ref.Tensor(np.zeros(8)))
     mu = x.mean(axis=1, keepdims=True)
     var = x.var(axis=1, keepdims=True)
     assert np.allclose(out, (x - mu) / np.sqrt(var + eps), atol=1e-12)
@@ -377,11 +279,11 @@ def test_layernorm_recomputation_oracle():
 
 def test_layernorm_width_mismatch():
     with pytest.raises(DimensionError):
-        _layernorm(np.zeros((2, 4)), tc.tensor(np.ones(3)), tc.tensor(np.zeros(3)))
-    w = tc.tensor(np.zeros((4, 4)))
+        _layernorm(np.zeros((2, 4)), ref.Tensor(np.ones(3)), ref.Tensor(np.zeros(3)))
+    w = ref.Tensor(np.zeros((4, 4)))
     with pytest.raises(DimensionError):
-        mlp_sublayer(tc.tensor(np.zeros((2, 4))), tc.tensor(np.ones(3)), tc.tensor(np.zeros(3)),
-                     w, tc.tensor(np.zeros(4)), w, tc.tensor(np.zeros(4)))
+        mlp_sublayer(ref.Tensor(np.zeros((2, 4))), ref.Tensor(np.ones(3)), ref.Tensor(np.zeros(3)),
+                     w, ref.Tensor(np.zeros(4)), w, ref.Tensor(np.zeros(4)))
 
 
 def test_gelu_values():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -30,7 +31,8 @@ from mswecg.train import (
     lr_at,
     train_loop,
 )
-from util import per_parameter_adam_step, sigmoid
+from util import Tensor, backward, per_parameter_adam_step, sigmoid
+from util import bce_loss as ref_bce_loss
 
 TINY = MswConfig(L=40, n_leads=2, P=5, C=8, heads=2, windows=(2, 4), K=3)
 
@@ -57,13 +59,13 @@ def split_rows(ds, folds):
 
 def test_bce_zero_when_probs_match_labels():
     y = np.array([[1.0, 0.0], [0.0, 1.0]])
-    loss = bce_loss(tc.tensor(y), y)
-    assert loss.item() == pytest.approx(0.0, abs=1e-10)
+    loss, _ = bce_loss(y, y)
+    assert loss == pytest.approx(0.0, abs=1e-10)
 
 
 def test_bce_half_prob_is_ln2():
-    loss = bce_loss(tc.tensor(np.array([[0.5]])), np.array([[1.0]]))
-    assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
+    loss, _ = bce_loss(np.array([[0.5]]), np.array([[1.0]]))
+    assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_bce_matches_scalar_loop():
@@ -75,21 +77,20 @@ def test_bce_matches_scalar_loop():
         for j in range(4):
             p, y = probs[i, j], labels[i, j]
             total += -(y * math.log(p) + (1 - y) * math.log(1 - p))
-    loss = bce_loss(tc.tensor(probs), labels)
-    assert loss.item() == pytest.approx(total / 20.0, abs=1e-12)
+    loss, _ = bce_loss(probs, labels)
+    assert loss == pytest.approx(total / 20.0, abs=1e-12)
 
 
 def test_bce_shape_mismatch():
     with pytest.raises(DimensionError):
-        bce_loss(tc.tensor(np.zeros((2, 3))), np.zeros((3, 2)))
+        bce_loss(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 def test_bce_is_differentiable():
     rng = np.random.default_rng(1)
-    x = tc.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     labels = (rng.random((3, 4)) < 0.5).astype(float)
-    loss = bce_loss(sigmoid(x), labels)
-    tc.backward(loss)
+    backward(ref_bce_loss(sigmoid(x), labels))
     # d/dx BCE(sigmoid(x)) = (p - y) / N
     p = 1.0 / (1.0 + np.exp(-x.data))
     assert np.allclose(x.grad, (p - labels) / 12.0, atol=1e-12)
@@ -105,12 +106,21 @@ def make_store(values):
     return ParamStore(values.items())
 
 
+def grad_of(store, **grads):
+    """A gradient vector laid out like ``store.flat``: the given slots, and NaN,
+    as a step leaves a slot no rule wrote, elsewhere."""
+    g = np.full_like(store.flat, np.nan)
+    slots = store.views(g)
+    for name, value in grads.items():
+        slots[name][...] = value
+    return g
+
+
 def test_adam_first_step_magnitude_and_sign():
     store = make_store({"w": np.array([1.0, -2.0, 3.0])})
     g = np.array([0.3, -1.7, 0.001])
-    store["w"].grad = g.copy()
-    adam_step(store, AdamState(), lr=0.01)
-    delta = store["w"].data - np.array([1.0, -2.0, 3.0])
+    adam_step(store, grad_of(store, w=g), AdamState(), lr=0.01)
+    delta = store["w"] - np.array([1.0, -2.0, 3.0])
     assert np.all(np.sign(delta) == -np.sign(g))
     # m_hat/sqrt(v_hat) = +-1 for a constant gradient, up to the eps term
     assert np.allclose(np.abs(delta), 0.01, rtol=1e-4)
@@ -118,32 +128,42 @@ def test_adam_first_step_magnitude_and_sign():
 
 def test_adam_zero_gradient_no_change():
     store = make_store({"w": np.array([1.0, 2.0])})
-    store["w"].grad = np.zeros(2)
-    adam_step(store, AdamState(), lr=0.5)
-    assert np.array_equal(store["w"].data, [1.0, 2.0])
+    adam_step(store, grad_of(store, w=np.zeros(2)), AdamState(), lr=0.5)
+    assert np.array_equal(store["w"], [1.0, 2.0])
 
 
 def test_adam_lr_zero_changes_nothing():
     store = make_store({"w": np.array([3.0])})
-    store["w"].grad = np.array([1.4])
-    adam_step(store, AdamState(), lr=0.0)
-    assert np.array_equal(store["w"].data, [3.0])
+    adam_step(store, grad_of(store, w=np.array([1.4])), AdamState(), lr=0.0)
+    assert np.array_equal(store["w"], [3.0])
 
 
 def test_adam_missing_grad_errors():
-    store = make_store({"w": np.array([1.0])})
-    with pytest.raises(ValueError, match="no gradient"):
-        adam_step(store, AdamState(), lr=0.1)
+    # A rule that leaves its slot unwritten: the step's NaN fill stays, and
+    # adam_step names the parameter before anything changes.
+    params = init_params(TINY, seed=0)
+    before = params.flat.copy()
+    x, y = split_rows(tiny_dataset(40), range(1, 9))
+    res = forward(x[:4], TINY, params, train=True, rng=np.random.default_rng(0))
+    embed_rule = res.rules[0]
+    res.rules[0] = lambda g, grads: embed_rule(g, {**grads, "embed.b": np.empty(TINY.C)})
+    res.rules.append(bce_loss(res.probs, y[:4])[1])
+    grad = np.full_like(params.flat, np.nan)
+    tc.backward(res.rules, params.views(grad))
+    assert np.isnan(params.views(grad)["embed.b"]).all()
+    assert np.isfinite(grad).sum() == grad.size - TINY.C
+    with pytest.raises(NumericError, match=r"^non-finite gradient in embed\.b$"):
+        adam_step(params, grad, AdamState(), lr=0.1)
+    assert np.array_equal(params.flat, before)
 
 
 def test_adam_missing_grad_changes_nothing():
     store = make_store({"a": np.array([1.0]), "b": np.array([2.0])})
     state = AdamState()
-    store["a"].grad = np.array([0.5])
-    with pytest.raises(ValueError, match="parameter b has no gradient"):
-        adam_step(store, state, lr=0.1)
-    assert np.array_equal(store["a"].data, [1.0])
-    assert np.array_equal(store["b"].data, [2.0])
+    with pytest.raises(NumericError, match=r"^non-finite gradient in b$"):
+        adam_step(store, grad_of(store, a=np.array([0.5])), state, lr=0.1)
+    assert np.array_equal(store["a"], [1.0])
+    assert np.array_equal(store["b"], [2.0])
     assert state.step == 0 and state.m is None and state.v is None
 
 
@@ -151,11 +171,9 @@ def test_adam_missing_grad_changes_nothing():
 def test_adam_non_finite_grad_names_the_first_parameter_and_changes_nothing(bad):
     store = make_store({"a": np.array([1.0]), "b": np.array([2.0, 3.0]), "c": np.array([4.0])})
     state = AdamState()
-    store["a"].grad = np.array([0.5])
-    store["b"].grad = np.array([0.1, bad])
-    store["c"].grad = np.array([bad])
+    g = grad_of(store, a=np.array([0.5]), b=np.array([0.1, bad]), c=np.array([bad]))
     with pytest.raises(NumericError, match=r"^non-finite gradient in b$"):
-        adam_step(store, state, lr=0.1)
+        adam_step(store, g, state, lr=0.1)
     assert np.array_equal(store.flat, [1.0, 2.0, 3.0, 4.0])
     assert state.step == 0 and state.m is None and state.v is None
 
@@ -177,9 +195,8 @@ def test_adam_three_step_trajectory_matches_hand_unroll():
     state = AdamState()
     got = []
     for _ in range(3):
-        store["w"].grad = store["w"].data.copy()
-        adam_step(store, state, lr=lr)
-        got.append(float(store["w"].data[0]))
+        adam_step(store, store.flat.copy(), state, lr=lr)
+        got.append(float(store["w"][0]))
     assert got == pytest.approx(expected, abs=1e-15)
 
 
@@ -195,14 +212,12 @@ def test_adam_step_equals_the_per_parameter_update_bitwise():
             grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=v.shape)
                      for name, v in values.items()}
             grads["p0"][...] = 0.0 if step % 2 else -0.0  # signed zeros
-            for name, g in grads.items():
-                store[name].grad = g.copy()
-            adam_step(store, state, lr)
+            adam_step(store, grad_of(store, **grads), state, lr)
             per_parameter_adam_step(data, grads, oracle, lr)
             assert state.step == oracle["step"]
             for name in values:
-                assert np.array_equal(store[name].data, data[name]), (trial, step, name)
-                assert store[name].data.tobytes() == data[name].tobytes()
+                assert np.array_equal(store[name], data[name]), (trial, step, name)
+                assert store[name].tobytes() == data[name].tobytes()
             for mine, theirs in ((state.m, oracle["m"]), (state.v, oracle["v"])):
                 assert mine.tobytes() == np.concatenate(
                     [theirs[name].ravel() for name in values]).tobytes()
@@ -246,10 +261,10 @@ def test_one_epoch_decreases_loss_on_same_batch_order():
     params = init_params(TINY, seed=0)
     x, y = split_rows(ds, range(1, 9))
     y = y.astype(float)
-    initial = bce_loss(forward(x, TINY, params).probs, y).item()
+    initial, _ = bce_loss(forward(x, TINY, params).probs, y)
     result = train_loop(TINY, params, ds, TrainConfig(max_epochs=1, batch_size=8,
                                                       lr0=1e-3, seed=0))
-    final = bce_loss(forward(x, TINY, result.params).probs, y).item()
+    final, _ = bce_loss(forward(x, TINY, result.params).probs, y)
     assert final < initial
 
 
@@ -267,19 +282,22 @@ def test_overfit_one_batch_monotone():
     params = init_params(TINY, seed=1)
     state = AdamState()
     losses = []
+    grad = np.empty_like(params.flat)
     for _ in range(20):
-        params.zero_grads()
-        loss = bce_loss(forward(x, TINY, params).probs, y)
-        losses.append(loss.item())
-        tc.backward(loss)
-        adam_step(params, state, lr=1e-3)
+        res = forward(x, dataclasses.replace(TINY, attn_dropout=0.0), params, train=True)
+        loss, loss_rule = bce_loss(res.probs, y)
+        losses.append(loss)
+        res.rules.append(loss_rule)
+        grad.fill(np.nan)
+        tc.backward(res.rules, params.views(grad))
+        adam_step(params, grad, state, lr=1e-3)
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
 def test_nan_loss_aborts_with_coordinates():
     ds = tiny_dataset(20)
     params = init_params(TINY, seed=2)
-    params["embed.W"].data[0, 0] = np.nan
+    params["embed.W"][0, 0] = np.nan
     with pytest.raises(NumericError, match=r"epoch 0, batch 0"):
         train_loop(TINY, params, ds, TrainConfig(max_epochs=1, batch_size=8, seed=0))
 
@@ -290,15 +308,14 @@ def test_non_finite_gradient_aborts_before_any_update(monkeypatch):
     before = params.copy()
     real_backward = tc.backward
 
-    def backward_with_inf_grad(loss):
-        real_backward(loss)
-        params["fusion.W"].grad[0, 0] = np.inf
+    def backward_with_inf_grad(rules, grads):
+        real_backward(rules, grads)
+        grads["fusion.W"][0, 0] = np.inf
 
     monkeypatch.setattr(tc, "backward", backward_with_inf_grad)
     with pytest.raises(NumericError, match=r"fusion\.W at epoch 0, batch 0"):
         train_loop(TINY, params, ds, TrainConfig(max_epochs=1, batch_size=8, seed=0))
-    for name, t in params.items():
-        assert np.array_equal(t.data, before[name].data), name
+    assert np.array_equal(params.flat, before.flat)
 
 
 def test_non_finite_validation_probs_abort_with_coordinates():
@@ -420,53 +437,29 @@ def test_train_loop_memory_does_not_grow_with_a_mapped_set(tmp_path, monkeypatch
     assert peaks[200] <= 1.10 * peaks[20], peaks
 
 
-def test_train_step_holds_under_10_mb_for_backward():
-    # What a desk step's forward and loss leave alive until backward: the
-    # rules' saved arrays, the forward result and the tape.
-    cfg = MswConfig(L=200, n_leads=4, P=5, C=32, heads=4, windows=(5, 10, 20), K=3,
-                    attn_dropout=0.2)
-    params = init_params(cfg, seed=0)
-    data_rng, rng = np.random.default_rng(1), np.random.default_rng(2)
-    sig = data_rng.normal(size=(16, cfg.n_leads, cfg.L))
-    labels = (data_rng.random((16, cfg.K)) < 0.5).astype(np.float64)
-
-    def step(measure):
-        if measure:
-            tracemalloc.start()
-        try:
-            loss = bce_loss(forward(sig, cfg, params, train=True, rng=rng).probs, labels)
-            held = tracemalloc.get_traced_memory()[0] if measure else 0
-        finally:
-            if measure:
-                tracemalloc.stop()
-        params.zero_grads()
-        tc.backward(loss)
-        return held
-
-    step(measure=False)  # warm caches outside the measurement
-    held = step(measure=True)
-    assert 0 < held <= 10e6, held
-
-
 def _desk_train_step_bytes(n_leads=4, L=200):
     """(bytes a 16-record step keeps from forward to backward, tracemalloc
     peak during ``tc.backward``), both above the baseline before the forward.
-    The default geometry is the desk config's."""
+    As in ``train_loop``, the forward returns no maps and the gradient vector
+    is made once, before.  The default geometry is the desk config's."""
     cfg = MswConfig(L=L, n_leads=n_leads, P=5, C=32, heads=4, windows=(5, 10, 20), K=3,
                     attn_dropout=0.2)
     params = init_params(cfg, seed=0)
     data_rng, rng = np.random.default_rng(1), np.random.default_rng(2)
     sig = data_rng.normal(size=(16, cfg.n_leads, cfg.L))
     labels = (data_rng.random((16, cfg.K)) < 0.5).astype(np.float64)
+    grad = np.empty_like(params.flat)
+    grads = params.views(grad)
     for _ in range(2):  # the second step's figures: the first warms caches
-        params.zero_grads()
+        grad.fill(np.nan)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            loss = bce_loss(forward(sig, cfg, params, train=True, rng=rng).probs, labels)
+            res = forward(sig, cfg, params, train=True, rng=rng, maps=False)
+            res.rules.append(bce_loss(res.probs, labels)[1])
             held = tracemalloc.get_traced_memory()[0] - base
             tracemalloc.reset_peak()
-            tc.backward(loss)
+            tc.backward(res.rules, grads)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -479,17 +472,21 @@ def _desk_train_step_bytes(n_leads=4, L=200):
 
 
 def test_train_step_keeps_at_most_5_mb_from_forward_to_backward():
-    # Backward rebuilds the QKV product, the merged heads and the MLP
-    # pre-activations (4.36e6 bytes kept; 8.29e6 when the rules kept them).
+    # What a desk step's forward and loss leave alive until backward: the
+    # rules' saved arrays and the forward result.  Backward rebuilds the QKV
+    # product, the merged heads and the MLP pre-activations (3.70e6 bytes
+    # kept; 4.36e6 when a tape also held the block's input and output tokens,
+    # 8.29e6 when the rules also kept those products).
     held, _ = _desk_train_step_bytes()
     assert 0 < held <= 5e6, held
 
 
 def test_train_step_backward_peaks_at_most_10_mb_above_the_pre_forward_baseline():
     # Each branch's saved arrays go once its backward has run.  The peak hangs
-    # on how the pool's two threads overlap: 7.2e6 to 9.02e6 bytes over 30
-    # runs, 6.91e6 on one thread.  With the products kept and every branch's
-    # arrays held to the end of the block's backward: 11.4e6 to 12.5e6.
+    # on how the pool's two threads overlap: 7.74e6 to 8.28e6 bytes over five
+    # runs, 6.24e6 on one thread (7.2e6 to 9.02e6 and 6.91e6 while a tape held
+    # the block's tokens).  With the products kept and every branch's arrays
+    # held to the end of the block's backward: 11.4e6 to 12.5e6.
     _, peak = _desk_train_step_bytes()
     assert 0 < peak <= 10e6, peak
 
@@ -497,14 +494,25 @@ def test_train_step_backward_peaks_at_most_10_mb_above_the_pre_forward_baseline(
 def test_a_chunked_ptb_xl_length_step_peaks_below_the_one_chunk_step(monkeypatch):
     # 16 records of 200 tokens: four 4-record chunks at the default budget,
     # one chunk at a budget of 16 records.  Each pool task's rebuilt
-    # transients are then a quarter of a branch's (peaks 27.9-28.7e6 against
-    # 42.9-44.6e6 bytes over five runs each on a 2-CPU VM; 22.7e6 and 22.4e6
-    # kept from forward to backward).
+    # transients are then a quarter of a branch's (peaks 25.1-25.9e6 against
+    # 38.7-41.2e6 bytes over five runs each on a 2-CPU VM).
     assert model.PREDICT_TOKEN_ROWS < 8 * 200
     chunked = _desk_train_step_bytes(n_leads=12, L=1000)[1]
     monkeypatch.setattr(model, "PREDICT_TOKEN_ROWS", 16 * 200)
     one_chunk = _desk_train_step_bytes(n_leads=12, L=1000)[1]
     assert 0 < chunked < 0.85 * one_chunk, (chunked, one_chunk)
+
+
+def test_a_chunked_ptb_xl_length_step_keeps_one_qkv_weight_per_branch(monkeypatch):
+    # The block joins each branch's [Wq|Wk|Wv] once for all its chunks, so four
+    # chunks keep what one chunk keeps but for the chunks' small arrays
+    # (19.18e6 against 19.15e6 bytes); a join per (branch, chunk) task kept
+    # nine more (C, 3C) copies, 221,184 bytes.
+    assert model.PREDICT_TOKEN_ROWS < 8 * 200
+    chunked = _desk_train_step_bytes(n_leads=12, L=1000)[0]
+    monkeypatch.setattr(model, "PREDICT_TOKEN_ROWS", 16 * 200)
+    one_chunk = _desk_train_step_bytes(n_leads=12, L=1000)[0]
+    assert chunked - one_chunk < 100e3, (chunked, one_chunk)
 
 
 def test_train_loop_without_training_folds_is_a_data_error():

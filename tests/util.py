@@ -1,7 +1,7 @@
 """Shared test oracles: finite differences, a from-scratch global-attention
-layer, the block's standardization and sublayer rules recorded as ops, the
-primitive tape ops and the compositions of them that the model's fused ops
-replaced, brute-force metric loops, and the per-parameter Adam update."""
+layer, a minimal reverse-mode tape with the primitive ops the model's stage
+rules replaced, the model's stages and sublayer rules recorded as ops on it,
+brute-force metric loops, and the per-parameter Adam update."""
 
 import math
 
@@ -11,6 +11,7 @@ from scipy.special import erf, expit
 from mswecg import model
 from mswecg import tensor as tc
 from mswecg.errors import DimensionError
+from mswecg.train import bce_loss as _bce_loss
 
 
 def global_block_oracle(x, p, heads, eps=1e-5):
@@ -44,13 +45,66 @@ def global_block_oracle(x, p, heads, eps=1e-5):
 
 
 # ---------------------------------------------------------------------------
-# Primitive tape ops: a small broadcasting autodiff library built on
-# ``tc.apply_op``.  The model's fused ops replaced compositions of these;
-# they stay here as the reference those ops are checked against.
+# A minimal reverse-mode tape.  ``apply_op`` records an op's inputs and
+# backward rule on the tensor it produces; ``backward`` replays the ops a
+# scalar depends on in reverse topological order.  The primitive ops below are
+# built on it, and so are the model's stages as single ops, further down.
+
+
+class Tensor:
+    """An array, whether it wants a gradient, its gradient, and the op that made it."""
+
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.requires_grad = bool(requires_grad)
+        self.grad = None
+        self.op = None  # (inputs, backward_fn) of the op that produced this tensor
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    @property
+    def ndim(self):
+        return self.data.ndim
+
+
+def apply_op(inputs, out_data, backward_fn):
+    """The output tensor of an op; ``backward_fn(g)`` returns one gradient
+    (or None) per input."""
+    out = Tensor(out_data)
+    if any(t.requires_grad for t in inputs):
+        out.requires_grad = True
+        out.op = (tuple(inputs), backward_fn)
+    return out
+
+
+def backward(loss):
+    """Add d loss / d leaf to every leaf's ``.grad``; ops' outputs keep none."""
+    # Iterative postorder DFS: a tensor is marked seen when expanded, not when
+    # pushed, so shared subgraphs keep their producers ahead of every consumer.
+    order, seen = [], set()
+    stack = [(loss, False)] if loss.op is not None else []
+    while stack:
+        t, expanded = stack.pop()
+        if expanded:
+            order.append(t)
+        elif id(t) not in seen:
+            seen.add(id(t))
+            stack.append((t, True))
+            stack += [(u, False) for u in t.op[0] if u.op is not None and id(u) not in seen]
+    loss.grad = np.ones_like(loss.data)
+    for t in reversed(order):
+        (inputs, fn), g, t.grad = t.op, t.grad, None
+        if g is None:
+            continue
+        for u, gu in zip(inputs, fn(g)):
+            if gu is not None and u.requires_grad:
+                u.grad = gu if u.grad is None else u.grad + gu
 
 
 def _as_tensor(x):
-    return x if isinstance(x, tc.Tensor) else tc.Tensor(x)
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -91,7 +145,7 @@ def add(a, b):
         gb = _unbroadcast(g, b.data.shape) if b.requires_grad else None
         return ga, gb
 
-    return tc.apply_op("add", (a, b), out, fn)
+    return apply_op((a, b), out, fn)
 
 
 def sub(a, b):
@@ -103,7 +157,7 @@ def sub(a, b):
         gb = _unbroadcast(-g, b.data.shape) if b.requires_grad else None
         return ga, gb
 
-    return tc.apply_op("sub", (a, b), out, fn)
+    return apply_op((a, b), out, fn)
 
 
 def mul(a, b):
@@ -115,7 +169,7 @@ def mul(a, b):
         gb = _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None
         return ga, gb
 
-    return tc.apply_op("mul", (a, b), out, fn)
+    return apply_op((a, b), out, fn)
 
 
 def scale(x, s: float):
@@ -125,7 +179,7 @@ def scale(x, s: float):
     def fn(g):
         return (g * s if x.requires_grad else None,)
 
-    return tc.apply_op("scale", (x,), x.data * s, fn)
+    return apply_op((x,), x.data * s, fn)
 
 
 def matmul(a, b):
@@ -148,7 +202,7 @@ def matmul(a, b):
             gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
         return ga, gb
 
-    return tc.apply_op("matmul", (a, b), out, fn)
+    return apply_op((a, b), out, fn)
 
 
 def linear(x, w, b=None):
@@ -176,7 +230,7 @@ def concat(tensors, axis: int = 0):
         pieces = np.split(g, bounds, axis=axis)
         return tuple(p if t.requires_grad else None for t, p in zip(ts, pieces))
 
-    return tc.apply_op("concat", ts, out, fn)
+    return apply_op(ts, out, fn)
 
 
 def sum(x, axis=None, keepdims: bool = False):
@@ -188,7 +242,7 @@ def sum(x, axis=None, keepdims: bool = False):
             return (None,)
         return (_expand_reduced(g, x.data.shape, axis, keepdims),)
 
-    return tc.apply_op("sum", (x,), out, fn)
+    return apply_op((x,), out, fn)
 
 
 def mean(x, axis=None, keepdims: bool = False):
@@ -203,7 +257,7 @@ def mean(x, axis=None, keepdims: bool = False):
             return (None,)
         return (_expand_reduced(g, x.data.shape, axis, keepdims) / count,)
 
-    return tc.apply_op("mean", (x,), out, fn)
+    return apply_op((x,), out, fn)
 
 
 def reshape(x, shape):
@@ -213,7 +267,7 @@ def reshape(x, shape):
     def fn(g):
         return (g.reshape(x.data.shape) if x.requires_grad else None,)
 
-    return tc.apply_op("reshape", (x,), out, fn)
+    return apply_op((x,), out, fn)
 
 
 def transpose(x, axes):
@@ -224,7 +278,7 @@ def transpose(x, axes):
     def fn(g):
         return (g.transpose(inv) if x.requires_grad else None,)
 
-    return tc.apply_op("transpose", (x,), x.data.transpose(axes), fn)
+    return apply_op((x,), x.data.transpose(axes), fn)
 
 
 def clip(x, lo: float, hi: float):
@@ -236,7 +290,7 @@ def clip(x, lo: float, hi: float):
     def fn(g):
         return (g * mask if x.requires_grad else None,)
 
-    return tc.apply_op("clip", (x,), out, fn)
+    return apply_op((x,), out, fn)
 
 
 def log(x):
@@ -245,7 +299,7 @@ def log(x):
     def fn(g):
         return (g / x.data if x.requires_grad else None,)
 
-    return tc.apply_op("log", (x,), np.log(x.data), fn)
+    return apply_op((x,), np.log(x.data), fn)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +321,7 @@ def softmax_lastdim(x):
         dot = (g * p).sum(axis=-1, keepdims=True)
         return ((g - dot) * p,)
 
-    return tc.apply_op("softmax", (x,), p, fn)
+    return apply_op((x,), p, fn)
 
 
 def sigmoid(x):
@@ -277,30 +331,82 @@ def sigmoid(x):
     def fn(g):
         return (g * p * (1.0 - p) if x.requires_grad else None,)
 
-    return tc.apply_op("sigmoid", (x,), p, fn)
+    return apply_op((x,), p, fn)
 
 
 # ---------------------------------------------------------------------------
-# The block's standardization and sublayer rules, each recorded as one op on
-# Tensors: how ``mswecg.model.msw_block`` chains them, one branch at a time.
+# The model's stages and the block's standardization and sublayer rules,
+# each recorded as one op on Tensors: how a training step chains them.  A
+# stage op hands its rule NaN-filled slots for the parameters it names.
+
+
+def _arrays(named):
+    return {n: t.data for n, t in named.items()}
+
+
+def _stage_op(x, named, out, rule):
+    """Record a stage's ``rule(g, grads)`` as one op on the tensor ``x`` (None
+    for an input that needs no gradient) and the parameters ``named`` (name
+    -> Tensor)."""
+    def fn(g):
+        grads = {n: np.full(t.shape, np.nan) for n, t in named.items()}
+        gx = rule(g, grads)
+        return (gx, *grads.values()) if x is not None else tuple(grads.values())
+
+    inputs = ((x,) if x is not None else ()) + tuple(named.values())
+    return apply_op(inputs, out, fn)
+
+
+def leaves(params, names):
+    """name -> a gradient-wanting Tensor over each named array of ``params``."""
+    return {n: Tensor(params[n], requires_grad=True) for n in names}
+
+
+def linear_embed(patches, w, b):
+    """``model.linear_embed`` as an ``embed`` op on its weight and bias."""
+    named = {"embed.W": w, "embed.b": b}
+    out, rule = model.linear_embed(patches, _arrays(named), train=True)
+    return _stage_op(None, named, out, rule)
+
+
+def msw_block(x, cfg, named, rng=None):
+    """``model.msw_block`` in training as an op on the block input and the
+    branch parameters ``named``: (stacked, attn off the graph)."""
+    stacked, attn, rule = model.msw_block(x.data, cfg, _arrays(named), train=True, rng=rng)
+    return _stage_op(x, named, stacked, rule), attn
+
+
+def fuse(branch_tokens, windows, head_ws, head_bs, fusion_w):
+    """``model.fuse`` as a ``fuse`` op: (y, beta off the graph)."""
+    named = {"fusion.W": fusion_w}
+    for i, (w, b) in enumerate(zip(head_ws, head_bs)):
+        named[f"branch{i}.head.W"], named[f"branch{i}.head.b"] = w, b
+    y, beta, rule = model.fuse(branch_tokens.data, windows, _arrays(named), train=True)
+    return _stage_op(branch_tokens, named, y, rule), beta
+
+
+def bce_loss(probs, labels):
+    """``train.bce_loss`` as a ``bce`` op."""
+    loss, rule = _bce_loss(probs.data, labels)
+    return apply_op((probs,), np.float64(loss), lambda g: (rule(g, None),))
 
 
 def standardize(x):
     """``model._standardize`` as a ``standardize`` op: LN's rows before gain and bias."""
     xhat, inv = model._standardize(x.data)
-    return tc.apply_op("standardize", (x,), xhat,
-                       lambda g: (model._standardize_grad(g, xhat, inv),))
+    return apply_op((x,), xhat, lambda g: (model._standardize_grad(g, xhat, inv),))
 
 
 def attention(xhat, gamma, beta, wq, wk, wv, wz, bias_table, M, heads, shift=0,
               attn_dropout=0.0, train=False, uniforms=None):
     """``model.window_attention`` on standardized rows as a ``window_attention``
-    op: (out, attn off the graph)."""
-    inputs = (xhat, gamma, beta, wq, wk, wv, wz, bias_table)
+    op, on ``[Wq|Wk|Wv]`` joined by a ``concat`` op: (out, attn off the
+    graph).  Dropout hits the maps only if ``train``."""
+    inputs = (xhat, gamma, beta, concat([wq, wk, wv], axis=1), wz, bias_table)
     out, attn, rule = model.window_attention(*(t.data for t in inputs), M, heads, shift,
-                                             attn_dropout=attn_dropout, train=train,
-                                             uniforms=uniforms, taped=tc.recording(inputs))
-    return tc.apply_op("window_attention", inputs, out, rule), tc.Tensor(attn)
+                                             attn_dropout=attn_dropout if train else 0.0,
+                                             train=True, uniforms=uniforms)
+    return apply_op(inputs, out, rule), Tensor(attn)
 
 
 def window_attention(x, gamma, beta, wq, wk, wv, wz, bias_table, M, heads, shift=0,
@@ -316,8 +422,8 @@ def window_attention(x, gamma, beta, wq, wk, wv, wz, bias_table, M, heads, shift
 def mlp_sublayer(x, gamma, beta, w1, b1, w2, b2):
     """``model.mlp_sublayer`` as an ``mlp`` op."""
     inputs = (x, gamma, beta, w1, b1, w2, b2)
-    out, rule = model.mlp_sublayer(*(t.data for t in inputs), taped=tc.recording(inputs))
-    return tc.apply_op("mlp", inputs, out, rule)
+    out, rule = model.mlp_sublayer(*(t.data for t in inputs), train=True)
+    return apply_op(inputs, out, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +444,17 @@ def _ref_layernorm(x, gamma, beta, eps=1e-5):
                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         return gx, (g * xhat).reshape(-1, c).sum(axis=0), g.reshape(-1, c).sum(axis=0)
 
-    return tc.apply_op("layernorm", (x, gamma, beta), xhat * gamma.data + beta.data, fn)
+    return apply_op((x, gamma, beta), xhat * gamma.data + beta.data, fn)
 
 
 def _ref_gelu(x):
     cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
     pdf = np.exp(-0.5 * x.data * x.data) / math.sqrt(2.0 * math.pi)
-    return tc.apply_op("gelu", (x,), x.data * cdf, lambda g: (g * (cdf + x.data * pdf),))
+    return apply_op((x,), x.data * cdf, lambda g: (g * (cdf + x.data * pdf),))
 
 
 def _ref_roll(x, shift):
-    return tc.apply_op("roll", (x,), np.roll(x.data, shift, axis=-2),
+    return apply_op((x,), np.roll(x.data, shift, axis=-2),
                        lambda g: (np.roll(g, -shift, axis=-2),))
 
 
@@ -361,7 +467,7 @@ def _ref_relative_bias(table, M):
         np.add.at(gt, (np.arange(heads)[:, None], offs.reshape(1, -1)), g.reshape(heads, -1))
         return (gt,)
 
-    return tc.apply_op("relative_bias", (table,), table.data[:, offs], fn)
+    return apply_op((table,), table.data[:, offs], fn)
 
 
 def reference_branch(x, p, M, heads, shift=0, attn_dropout=0.0, train=False, rng=None):
@@ -388,7 +494,7 @@ def reference_branch(x, p, M, heads, shift=0, attn_dropout=0.0, train=False, rng
     a = attn
     if train and attn_dropout > 0.0:
         mask = (rng.random(attn.shape) >= attn_dropout) / (1.0 - attn_dropout)
-        a = tc.apply_op("dropout", (attn,), attn.data * mask, lambda g: (g * mask,))
+        a = apply_op((attn,), attn.data * mask, lambda g: (g * mask,))
     z = matmul(a, v)
     z = reshape(transpose(z, (*range(n - 3), n - 2, n - 3, n - 1)), (*lead, T, C))
     z = matmul(z, p("attn.Wz"))
@@ -404,7 +510,7 @@ def reference_branch(x, p, M, heads, shift=0, attn_dropout=0.0, train=False, rng
 
 
 def reference_linear_embed(patches, w, b):
-    return linear(tc.tensor(patches), w, b)
+    return linear(Tensor(patches), w, b)
 
 
 def reference_branch_project(tokens, M, w, b):
@@ -431,7 +537,7 @@ def reference_fuse(branch_tokens, windows, head_ws, head_bs, fusion_w):
 def reference_bce_loss(probs, labels):
     y = np.asarray(labels, dtype=np.float64)
     p = clip(probs, 1e-12, 1.0 - 1e-12)
-    term = add(mul(tc.tensor(y), log(p)), mul(tc.tensor(1.0 - y), log(sub(1.0, p))))
+    term = add(mul(Tensor(y), log(p)), mul(Tensor(1.0 - y), log(sub(1.0, p))))
     return scale(mean(term), -1.0)
 
 
@@ -466,12 +572,12 @@ def finite_diff_check(build, shapes, seed=0, h=1e-6, floor=1e-3):
     sum(out * out) so every output element matters.
     """
     rng = np.random.default_rng(seed)
-    xs = [tc.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    xs = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
     out = build(*xs)
-    tc.backward(sum(mul(out, out)))
+    backward(sum(mul(out, out)))
 
     def value():
-        frozen = [tc.Tensor(x.data) for x in xs]
+        frozen = [Tensor(x.data) for x in xs]
         return float((build(*frozen).data ** 2).sum())
 
     worst = 0.0
